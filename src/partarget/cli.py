@@ -103,8 +103,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _grid_spec_from_args(args: argparse.Namespace) -> grid_mod.GridSpec:
     if args.spec is not None:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            return grid_mod.GridSpec.from_dict(json.load(fh))
+        try:
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise DomainError(f"cannot read grid spec {args.spec!r}: {exc.strerror}") from exc
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise DomainError(f"grid spec {args.spec!r} is not valid JSON: {exc}") from exc
+        return grid_mod.GridSpec.from_dict(doc)
     required = ("model", "alpha_lo", "alpha_hi", "gamma_lo", "gamma_hi",
                 "delta_alpha", "delta_r2", "cost_access", "cost_prediction")
     missing = [name for name in required if getattr(args, name) is None]

@@ -5,9 +5,8 @@ Two top-level families matter for callers (and for CLI exit codes):
 * :class:`DomainError` -- the inputs violate a documented precondition or
   lie outside the supported regime.  These are caller mistakes.
 * :class:`NumericsError` -- the inputs were fine but an internal numerical
-  procedure could not deliver its accuracy contract (quadrature did not
-  converge, a tail mass underflowed, a finite difference is dominated by
-  noise).
+  procedure could not deliver its accuracy contract (a tail mass
+  underflowed, a finite difference is too small to rise above rounding).
 """
 
 

@@ -26,7 +26,13 @@ from .errors import (
     PartargetError,
 )
 from .linear import LeverDelta, LinearParams, par_linear_exact
-from .probit import ProbitParams, par_probit_exact
+from .probit import (
+    PAR_NOISE,
+    PAR_OK,
+    PAR_REGIME,
+    ProbitParams,
+    par_probit_array,
+)
 
 __all__ = [
     "CostModel",
@@ -162,26 +168,55 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        try:
-            return cls(
-                model=d["model"],
-                alpha_lo=float(d["alpha_lo"]),
-                alpha_hi=float(d["alpha_hi"]),
-                alpha_count=int(d["alpha_count"]),
-                gamma_lo=float(d["gamma_lo"]),
-                gamma_hi=float(d["gamma_hi"]),
-                gamma_count=int(d["gamma_count"]),
-                deltas=LeverDelta(float(d["delta_alpha"]), float(d["delta_r2"])),
-                costs=CostModel(float(d["cost_access"]), float(d["cost_prediction"])),
-                mu=None if d.get("mu") is None else float(d["mu"]),
-                beta_norm=None if d.get("beta_norm") is None else float(d["beta_norm"]),
-                base_rate=None if d.get("base_rate") is None else float(d["base_rate"]),
-                clip_lo=float(d.get("clip_lo", 0.5)),
-                clip_hi=float(d.get("clip_hi", 2.0)),
-                alpha_spacing=d.get("alpha_spacing", "log"),
-            )
-        except KeyError as exc:
-            raise DomainError(f"grid spec is missing field {exc.args[0]!r}") from exc
+        """Rebuild a spec from its :meth:`to_dict` form, as read from JSON.
+
+        Types are checked strictly: a count must be an integer and every
+        other numeric field a number, so booleans, strings and fractional
+        counts are refused rather than coerced.
+        """
+        if not isinstance(d, dict):
+            raise DomainError(f"grid spec must be a JSON object, got {type(d).__name__}")
+
+        def required(name: str):
+            if name not in d:
+                raise DomainError(f"grid spec is missing field {name!r}")
+            return d[name]
+
+        def count(name: str) -> int:
+            val = required(name)
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise DomainError(f"grid spec field {name!r} must be an integer, got {val!r}")
+            return val
+
+        def number(name: str, default: float | None = None) -> float:
+            val = required(name) if default is None else d.get(name, default)
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise DomainError(f"grid spec field {name!r} must be a number, got {val!r}")
+            try:
+                return float(val)
+            except OverflowError as exc:
+                raise DomainError(f"grid spec field {name!r} is out of range") from exc
+
+        def optional(name: str) -> float | None:
+            return None if d.get(name) is None else number(name)
+
+        return cls(
+            model=required("model"),
+            alpha_lo=number("alpha_lo"),
+            alpha_hi=number("alpha_hi"),
+            alpha_count=count("alpha_count"),
+            gamma_lo=number("gamma_lo"),
+            gamma_hi=number("gamma_hi"),
+            gamma_count=count("gamma_count"),
+            deltas=LeverDelta(number("delta_alpha"), number("delta_r2")),
+            costs=CostModel(number("cost_access"), number("cost_prediction")),
+            mu=optional("mu"),
+            beta_norm=optional("beta_norm"),
+            base_rate=optional("base_rate"),
+            clip_lo=number("clip_lo", 0.5),
+            clip_hi=number("clip_hi", 2.0),
+            alpha_spacing=d.get("alpha_spacing", "log"),
+        )
 
 
 @dataclass(frozen=True)
@@ -211,32 +246,63 @@ class GridResult:
         return self.cells[i_alpha * len(self.gammas) + i_gamma]
 
 
-def _evaluate_cell(spec: GridSpec, alpha: float, gamma: float) -> GridCell:
+def _skipped(alpha: float, gamma: float, status: str) -> GridCell:
+    return GridCell(alpha, gamma, math.nan, math.nan, math.nan, status)
+
+
+def _priced_cell(spec: GridSpec, alpha: float, gamma: float, par: float) -> GridCell:
     try:
-        if spec.model == "linear":
-            p = LinearParams(spec.mu, spec.beta_norm, gamma)
-            par = par_linear_exact(p, alpha, spec.deltas)
-        else:
-            pp = ProbitParams(spec.base_rate, gamma)
-            par = par_probit_exact(pp, alpha, spec.deltas)
         cb = cost_benefit(par, spec.costs)
-    except (DegenerateLeverError, NumericsError):
-        return GridCell(alpha, gamma, math.nan, math.nan, math.nan,
-                        STATUS_SKIPPED_DEGENERATE)
     except DomainError:
-        return GridCell(alpha, gamma, math.nan, math.nan, math.nan,
-                        STATUS_SKIPPED_REGIME)
+        return _skipped(alpha, gamma, STATUS_SKIPPED_REGIME)
     clipped = min(max(cb, spec.clip_lo), spec.clip_hi)
     return GridCell(alpha, gamma, par, cb, clipped, STATUS_OK)
+
+
+def _linear_cell(spec: GridSpec, alpha: float, gamma: float) -> GridCell:
+    try:
+        p = LinearParams(spec.mu, spec.beta_norm, gamma)
+        par = par_linear_exact(p, alpha, spec.deltas)
+    except (DegenerateLeverError, NumericsError):
+        return _skipped(alpha, gamma, STATUS_SKIPPED_DEGENERATE)
+    except DomainError:
+        return _skipped(alpha, gamma, STATUS_SKIPPED_REGIME)
+    return _priced_cell(spec, alpha, gamma, par)
+
+
+_PROBIT_SKIPS = {PAR_REGIME: STATUS_SKIPPED_REGIME, PAR_NOISE: STATUS_SKIPPED_DEGENERATE}
+
+
+def _probit_cells(
+    spec: GridSpec, alphas: tuple[float, ...], gammas: tuple[float, ...]
+) -> list[GridCell]:
+    """Every probit cell from one array evaluation of the ratio, with the
+    statuses that par_probit_exact's errors would give cell by cell."""
+    axis_a = [a for a in alphas for _ in gammas]
+    axis_g = [g for _ in alphas for g in gammas]
+    try:
+        ProbitParams(spec.base_rate, spec.gamma_lo)  # validates the base rate
+        par, status = par_probit_array(spec.base_rate, axis_g, axis_a, spec.deltas)
+    except DegenerateLeverError:
+        return [_skipped(a, g, STATUS_SKIPPED_DEGENERATE) for a, g in zip(axis_a, axis_g)]
+    except DomainError:
+        return [_skipped(a, g, STATUS_SKIPPED_REGIME) for a, g in zip(axis_a, axis_g)]
+    return [
+        _priced_cell(spec, a, g, r) if st == PAR_OK else _skipped(a, g, _PROBIT_SKIPS[st])
+        for a, g, r, st in zip(axis_a, axis_g, par.tolist(), status.tolist())
+    ]
 
 
 def sweep_grid(spec: GridSpec) -> GridResult:
     """Evaluate the exact PAR and cost-benefit ratio at every grid cell."""
     alphas = spec.alphas()
     gammas = spec.gammas()
-    cells = tuple(
-        _evaluate_cell(spec, alpha, gamma) for alpha in alphas for gamma in gammas
-    )
+    if spec.model == "linear":
+        cells = tuple(
+            _linear_cell(spec, alpha, gamma) for alpha in alphas for gamma in gammas
+        )
+    else:
+        cells = tuple(_probit_cells(spec, alphas, gammas))
     if all(c.status != STATUS_OK for c in cells):
         raise PartargetError(
             "every cell of the grid is infeasible for the chosen model; "

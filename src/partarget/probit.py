@@ -6,12 +6,16 @@ component, gamma_t = sqrt(1 - gamma_s^2), and the offset m is pinned by
 the base rate b = Pr[w = 1] via m = quantile(b).  The optimal policy
 treats the top alpha-quantile of z_s, giving
 
-    V(alpha, gamma_s) = integral over the treated tail of
-                        Phi((gamma_s*z + m)/gamma_t) dPhi(z).
+    V(alpha, gamma_s) = Pr(z_s >= T, gamma_s*z_s + gamma_t*z_t > -m)
+                      = Phi_2(h, k; rho),
 
-There is no elementary closed form, so the value is computed by adaptive
-quadrature after substituting u = Phi(z); the derivative formulas below
-are exact and serve as independent cross-checks.
+the bivariate-normal orthant probability with h = quantile(alpha),
+k = m = quantile(b) and correlation rho = gamma_s.  It is evaluated in
+closed form with Owen's T function (Owen 1956, "Tables for computing
+bivariate normal probabilities", Ann. Math. Statist. 27), elementwise
+over arrays: :func:`value_probit_array` is the one numerical core, and
+the scalar functions call it.  The derivative formulas below are exact
+and serve as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import gaussian, quadrature
+import numpy as np
+from scipy.special import ndtr, ndtri, owens_t
+
+from . import gaussian
 from .errors import (
     DegenerateLeverError,
     DomainError,
@@ -32,21 +39,32 @@ from .linear import LeverDelta
 __all__ = [
     "ProbitParams",
     "CutoffResult",
-    "QUAD_RTOL",
     "MIN_DELTA",
+    "GAIN_FLOOR",
+    "PAR_OK",
+    "PAR_REGIME",
+    "PAR_NOISE",
     "policy_threshold_probit",
+    "value_probit_array",
     "value_probit",
     "dvalue_dalpha_probit",
     "dvalue_dgamma_probit",
+    "par_probit_array",
     "par_probit_exact",
     "par_probit_bounds",
     "probit_cutoff_check",
 ]
 
-# Relative tolerance for the value quadrature; finite differences in the
-# exact ratio must stay >= 1e3 above it, hence the delta floor below.
-QUAD_RTOL = 1e-10
+# Smallest nonzero lever increment accepted by the exact ratio.
 MIN_DELTA = 1e-5
+# A prediction gain at or below this (absolute) is not trusted as the
+# denominator of a ratio of two value differences.
+GAIN_FLOOR = 1e-9
+
+# Per-cell status codes of par_probit_array.
+PAR_OK = 0
+PAR_REGIME = 1  # alpha + delta_alpha or gamma_s + delta_r2 exceeds 1
+PAR_NOISE = 2   # the prediction gain is at most GAIN_FLOOR
 
 
 @dataclass(frozen=True)
@@ -106,7 +124,52 @@ def policy_threshold_probit(p: ProbitParams, alpha: float) -> float:
     return gaussian.upper_quantile(alpha)
 
 
-def value_probit(p: ProbitParams, alpha: float, rtol: float = QUAD_RTOL) -> float:
+def value_probit_array(base_rate, gamma_s, alpha) -> np.ndarray | np.float64:
+    """V(alpha, gamma_s) of the probit model at every element of the
+    broadcast inputs (a NumPy scalar when all three are scalars).
+
+    Inputs are not validated: base_rate must lie in (0, 1), gamma_s in
+    [0, 1] and alpha in (0, 1].  gamma_s = 0, gamma_s = 1 and alpha = 1
+    take the analytic branches alpha * base_rate, min(alpha, base_rate)
+    and base_rate.
+
+    The relative error is about 1e-11 or less unless alpha and base_rate
+    are both below about 1e-4: V is then a difference of terms of order
+    min(alpha, base_rate) and loses digits (1.7e-9 at alpha = b = 1e-6).
+    """
+    # [()] turns 0-d arrays into NumPy scalars, whose arithmetic is several
+    # times cheaper; that is most of the cost of a scalar call.
+    b, rho, alpha = (np.asarray(x, dtype=float)[()] for x in (base_rate, gamma_s, alpha))
+    # Phi_2 is symmetric in its limits; the form below wants h <= k.
+    h, k = ndtri(alpha), ndtri(b)
+    h, k = np.minimum(h, k), np.maximum(h, k)
+    s = np.sqrt((1.0 - rho) * (1.0 + rho))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Owen's form is Phi_2 = [Phi(h)/2 - T(h, a_h)] + [Phi(k)/2 - T(k, a_k)]
+        # - [hk < 0]/2 with a_h = (k - rho h)/(h s) and a_k = (h - rho k)/(k s).
+        # As h -> -inf the k bracket and the indicator are O(1) and cancel
+        # down to a value of order Phi(h), so the k bracket is rewritten with
+        # T(k, a) + T(ak, 1/a) = Phi(k)/2 + Phi(ak)/2 - Phi(k) Phi(ak) - [a < 0]/2
+        # into terms that vanish with Phi(h), and the indicators, which are
+        # exact halves, are summed apart from them.
+        h_part = 0.5 * ndtr(h) - owens_t(h, (k - rho * h) / (h * s))
+        x = (h - rho * k) / s  # a_k * k
+        v = (h_part + (ndtr(x) * (ndtr(k) - 0.5) + owens_t(x, k / x))
+             + 0.5 * (1.0 * (x * k < 0.0) - (h * k < 0.0)))
+        # Limits and analytic branches, patched only where they occur.
+        edge = (h == 0.0) | (x == 0.0) | (rho == 0.0) | (rho == 1.0) | (alpha == 1.0)
+        if edge.any():
+            # x = 0 means h = rho k, so hk >= 0 and the k bracket tends to Phi(k)/2.
+            v = np.where(x == 0.0, h_part + 0.5 * ndtr(k), v)
+            # h = 0 (min(alpha, b) = 1/2) makes a_h infinite.
+            v = np.where(h == 0.0, 0.5 * ndtr(k) + owens_t(k, rho / s), v)
+            v = np.where(alpha == 1.0, b, v)
+            v = np.where(rho == 1.0, np.minimum(alpha, b), v)
+            v = np.where(rho == 0.0, alpha * b, v)
+    return v
+
+
+def value_probit(p: ProbitParams, alpha: float) -> float:
     """Expected welfare of the optimal policy at access level alpha.
 
     Degenerate predictors get analytic branches: gamma_s = 0 gives
@@ -117,22 +180,7 @@ def value_probit(p: ProbitParams, alpha: float, rtol: float = QUAD_RTOL) -> floa
         raise DomainError("alpha is NaN")
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    b = p.base_rate
-    if p.gamma_s == 0.0:
-        return alpha * b
-    if p.gamma_s == 1.0:
-        return min(alpha, b)
-    if alpha == 1.0:
-        return b
-    m = p.mu_over_beta
-    gs, gt = p.gamma_s, p.gamma_t
-
-    # Substituting u = Phi(z) and then w = 1 - u maps the treated tail to
-    # (0, alpha) while keeping the upper quantile well conditioned.
-    def integrand(w: float) -> float:
-        return gaussian.cdf((gs * gaussian.upper_quantile(w) + m) / gt)
-
-    return quadrature.integrate(integrand, 0.0, alpha, rtol=rtol)
+    return float(value_probit_array(p.base_rate, p.gamma_s, alpha))
 
 
 def dvalue_dalpha_probit(p: ProbitParams, alpha: float) -> float:
@@ -161,45 +209,69 @@ def dvalue_dgamma_probit(p: ProbitParams, alpha: float) -> float:
     return gaussian.pdf(m) * gaussian.pdf((t + m * p.gamma_s) / gt) / gt
 
 
-def par_probit_exact(
-    p: ProbitParams,
-    alpha: float,
+def par_probit_array(
+    base_rate,
+    gamma_s,
+    alpha,
     d: LeverDelta,
-    rtol: float = QUAD_RTOL,
-) -> float:
-    """Exact prediction-access ratio from finite differences of the
-    quadrature value function.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact prediction-access ratio at every cell of the broadcast
+    (gamma_s, alpha) inputs, and a status code per cell.
 
-    Deltas below MIN_DELTA are rejected so that the differences stay at
-    least three orders of magnitude above the quadrature tolerance.
+    The ratio is [V(alpha + delta_alpha) - V(alpha)] / [V(gamma_s + delta_r2)
+    - V(gamma_s)].  Cells where a lever step leaves [0, 1] get PAR_REGIME,
+    cells whose prediction gain is at most GAIN_FLOOR get PAR_NOISE, and
+    both carry a NaN ratio.  Deltas below MIN_DELTA raise
+    :class:`DegenerateLeverError`; alpha in (0, 1) and a valid base_rate
+    are the caller's to check.
     """
-    _check_alpha_open(alpha)
     if d.delta_r2 < MIN_DELTA:
         raise DegenerateLeverError(
-            f"delta_r2 must be >= {MIN_DELTA} to dominate quadrature error, "
-            f"got {d.delta_r2!r}"
+            f"delta_r2 must be >= {MIN_DELTA} for the prediction gain to clear "
+            f"rounding in the values, got {d.delta_r2!r}"
         )
     if 0.0 < d.delta_alpha < MIN_DELTA:
         raise DegenerateLeverError(
             f"delta_alpha must be 0 or >= {MIN_DELTA}, got {d.delta_alpha!r}"
         )
-    if alpha + d.delta_alpha > 1.0:
+    gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
+    alpha_up = alpha + d.delta_alpha
+    gamma_up = gamma_s + d.delta_r2
+    regime = (alpha_up > 1.0) | (gamma_up > 1.0)
+    # Steps out of the domain are evaluated at the cell itself, then masked.
+    v0 = value_probit_array(base_rate, gamma_s, alpha)
+    va = value_probit_array(base_rate, gamma_s, np.where(regime, alpha, alpha_up))
+    vg = value_probit_array(base_rate, np.where(regime, gamma_s, gamma_up), alpha)
+    gain = vg - v0
+    status = np.where(regime, PAR_REGIME,
+                      np.where(gain <= GAIN_FLOOR, PAR_NOISE, PAR_OK))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        par = np.where(status == PAR_OK, (va - v0) / gain, np.nan)
+    return par, status
+
+
+def par_probit_exact(p: ProbitParams, alpha: float, d: LeverDelta) -> float:
+    """Exact prediction-access ratio from finite differences of the value
+    function: :func:`par_probit_array` at one cell, with its statuses
+    raised as errors.
+
+    Deltas below MIN_DELTA are rejected, and so is a prediction gain at or
+    below GAIN_FLOOR, where rounding in the two values it differences
+    could dominate the ratio.
+    """
+    _check_alpha_open(alpha)
+    par, status = par_probit_array(p.base_rate, p.gamma_s, alpha, d)
+    if status == PAR_REGIME:
         raise DomainError(
-            f"alpha + delta_alpha = {alpha + d.delta_alpha!r} exceeds 1"
+            f"alpha + delta_alpha = {alpha + d.delta_alpha!r} and gamma_s + "
+            f"delta_r2 = {p.gamma_s + d.delta_r2!r} must both stay <= 1"
         )
-    if p.gamma_s + d.delta_r2 > 1.0:
-        raise DomainError(
-            f"gamma_s + delta_r2 = {p.gamma_s + d.delta_r2!r} exceeds 1"
-        )
-    base = value_probit(p, alpha, rtol=rtol)
-    numer = value_probit(p, alpha + d.delta_alpha, rtol=rtol) - base
-    denom = value_probit(p.with_gamma_s(p.gamma_s + d.delta_r2), alpha, rtol=rtol) - base
-    if denom <= 10.0 * rtol * max(base, 1.0):
+    if status == PAR_NOISE:
         raise NumericsError(
-            f"prediction gain {denom!r} is too close to quadrature noise to "
-            "form a trustworthy ratio"
+            f"prediction gain V(gamma_s + delta_r2) - V(gamma_s) is at most "
+            f"{GAIN_FLOOR:g}, too small to form a trustworthy ratio"
         )
-    return numer / denom
+    return float(par)
 
 
 def par_probit_bounds(

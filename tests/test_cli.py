@@ -104,6 +104,48 @@ class TestGrid:
         assert code == 2
         assert "--alpha-lo" in err
 
+    GOOD_SPEC = {
+        "model": "linear", "mu": 1.0, "beta_norm": 10.0,
+        "alpha_lo": 0.01, "alpha_hi": 0.04, "alpha_count": 3,
+        "gamma_lo": 0.1, "gamma_hi": 0.9, "gamma_count": 3,
+        "delta_alpha": 0.001, "delta_r2": 0.01,
+        "cost_access": 1.0, "cost_prediction": 1.0,
+    }
+
+    @pytest.mark.parametrize("text, named", [
+        ("[1, 2, 3]", "JSON object"),
+        (json.dumps({**GOOD_SPEC, "alpha_lo": "low"}), "'alpha_lo' must be a number"),
+        (json.dumps({**GOOD_SPEC, "cost_access": True}), "'cost_access' must be a number"),
+        (json.dumps({**GOOD_SPEC, "base_rate": [0.1]}), "'base_rate' must be a number"),
+        (json.dumps({**GOOD_SPEC, "delta_r2": 10 ** 400}), "'delta_r2' is out of range"),
+        (json.dumps(GOOD_SPEC)[:-20], "not valid JSON"),
+        (json.dumps({**GOOD_SPEC, "alpha_count": 2.9}), "'alpha_count' must be an integer"),
+        (json.dumps({**GOOD_SPEC, "alpha_count": 3.0}), "'alpha_count' must be an integer"),
+        (json.dumps({**GOOD_SPEC, "gamma_count": "3"}), "'gamma_count' must be an integer"),
+        (json.dumps({**GOOD_SPEC, "gamma_count": True}), "'gamma_count' must be an integer"),
+    ])
+    def test_malformed_spec_is_usage_error(self, capsys, tmp_path, text, named):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        code, out, err = run_cli(capsys, "grid", "--spec", str(spec_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err
+
+    def test_unreadable_spec_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "absent.json"
+        code, _, err = run_cli(capsys, "grid", "--spec", str(missing))
+        assert code == 2
+        assert err.startswith("error: cannot read grid spec")
+        code, _, err = run_cli(capsys, "grid", "--spec", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: cannot read grid spec")
+        bad_bytes = tmp_path / "latin1.json"
+        bad_bytes.write_bytes(b'{"model": "caf\xe9"}')
+        code, _, err = run_cli(capsys, "grid", "--spec", str(bad_bytes))
+        assert code == 2
+        assert "not valid JSON" in err
+
 
 class TestVerify:
     ARGV = ["verify", "--model", "linear", "--mu", "1", "--beta-norm", "10",
