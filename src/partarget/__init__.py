@@ -10,8 +10,12 @@ Modules:
 * :mod:`partarget.grid` -- cost-benefit grid sweeps and contour extraction.
 * :mod:`partarget.cli` -- the ``partarget`` command-line entry point.
 
-``partarget.MC_BACKEND`` reports whether the compiled Monte Carlo kernel
-or the NumPy fallback is in use.
+The Monte Carlo oracle runs on one NumPy kernel (``partarget._backend``):
+a counter-based splitmix64 stream makes sample i a pure function of
+(seed, i), blocks of samples run across a thread pool, and their partial
+sums are combined in block order, so a fixed seed gives bit-identical
+sums whatever the thread count.  ``partarget.MC_BACKEND`` names it
+(``"numpy"``).
 """
 
 from ._backend import BACKEND as MC_BACKEND

@@ -1,22 +1,149 @@
-"""Selects the Monte Carlo kernel implementation at import time.
+"""The Monte Carlo simulation kernel.
 
-The compiled extension is preferred; the NumPy implementation is a
-drop-in fallback with the same sampling scheme.  ``BACKEND`` names the
-one in use so callers (and the benchmark) can report it.
+Sampling uses a counter-based splitmix64 stream: the uniform at counter c
+is a pure function of (seed, c), and sample i takes its two normals,
+z_s and z_t, from counters 2i and 2i + 1 by the inverse normal CDF
+(``scipy.special.ndtri``).  A sample is treated iff z_s >= threshold;
+untreated samples add exactly 0 to every sum, so z_t is drawn only for
+treated ones.
+
+The n samples are cut into blocks of ``block`` consecutive indices.
+Blocks are independent, so they run on a thread pool with one worker per
+usable CPU (NumPy and SciPy release the GIL in their array loops), and
+the per-block partial sums are combined in block order with
+``math.fsum``.  The sums are therefore bit-identical for a fixed seed,
+whatever the number of workers or the order in which blocks finish.
 """
 
 from __future__ import annotations
 
-try:
-    from . import _mcsim as _impl
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
-    BACKEND = "compiled"
-except ImportError:  # extension not built; NumPy fallback is equivalent
-    from . import _mcsim_py as _impl
-
-    BACKEND = "numpy"
-
-linear_sums = _impl.linear_sums
-probit_sums = _impl.probit_sums
+import numpy as np
+from scipy.special import ndtr, ndtri
 
 __all__ = ["BACKEND", "linear_sums", "probit_sums"]
+
+BACKEND = "numpy"
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_TWO_NEG53 = 2.0 ** -53
+
+_BLOCK = 1 << 20
+_CHUNK = 1 << 16  # counters per pass of the bit mixer; its arrays stay in cache
+
+
+def _bits(seed: int, counter: np.ndarray) -> np.ndarray:
+    """The splitmix64 output at each counter."""
+    z = counter + np.uint64(1)
+    z *= _GOLDEN
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _unit(bits: np.ndarray) -> np.ndarray:
+    """Open-interval uniforms (k + 1/2) / 2**53 from the top 53 bits."""
+    u = (bits >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= _TWO_NEG53
+    return u
+
+
+def _uniform(seed: int, counter: np.ndarray) -> np.ndarray:
+    """The uniform at each counter."""
+    return _unit(_bits(seed, counter))
+
+
+def _treated(seed: int, start: int, count: int, threshold: float):
+    """z_s and z_t of the treated samples among indices [start, start + count).
+
+    z_s >= threshold can only hold where the uniform is above
+    ndtr(threshold) - 1e-9 (ndtri is monotone and far more accurate than
+    that), so the z_s stream is scanned in cache-sized chunks and z_s is
+    computed and tested only at the bits past that cut.
+    """
+    cut = np.uint64(int(max(0.0, ndtr(threshold) - 1e-9) * 2.0**53) << 11)
+    stop = start + count
+    zs_parts, zt_parts = [], []
+    for lo in range(start, stop, _CHUNK):
+        bits = _bits(seed, 2 * np.arange(lo, min(lo + _CHUNK, stop), dtype=np.uint64))
+        near = np.flatnonzero(bits >= cut)
+        zs = ndtri(_unit(bits[near]))
+        hit = zs >= threshold
+        idx = (near[hit] + lo).astype(np.uint64)
+        zs_parts.append(zs[hit])
+        zt_parts.append(ndtri(_uniform(seed, 2 * idx + 1)))
+    return np.concatenate(zs_parts), np.concatenate(zt_parts)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _block_sums(block_fn, n: int, block: int) -> tuple[float, float]:
+    """Run block_fn(start, count) over the blocks of n samples; combine the
+    (sum, sum of squares) pairs in block order."""
+    jobs = [(start, min(block, n - start)) for start in range(0, n, block)]
+    workers = min(_usable_cpus(), len(jobs))
+    if workers <= 1:
+        parts = [block_fn(*job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda job: block_fn(*job), jobs))
+    return math.fsum(p[0] for p in parts), math.fsum(p[1] for p in parts)
+
+
+def linear_sums(
+    seed: int,
+    n: int,
+    mu: float,
+    s_scale: float,
+    t_scale: float,
+    threshold: float,
+    block: int = _BLOCK,
+) -> tuple[float, float]:
+    """Sum and sum-of-squares of treated welfare over n linear-model draws.
+
+    Sample i: w = s_scale*z_s + t_scale*z_t + mu, treated iff z_s >= threshold.
+    """
+    def sums(start: int, count: int) -> tuple[float, float]:
+        zs, zt = _treated(seed, start, count, threshold)
+        x = s_scale * zs + t_scale * zt + mu
+        return float(x.sum()), float((x * x).sum())
+
+    return _block_sums(sums, n, block)
+
+
+def probit_sums(
+    seed: int,
+    n: int,
+    m: float,
+    gamma_s: float,
+    gamma_t: float,
+    threshold: float,
+    block: int = _BLOCK,
+) -> tuple[float, float]:
+    """Sum and sum-of-squares of treated benefit indicators over n draws.
+
+    Sample i: w = 1{gamma_s*z_s + gamma_t*z_t + m > 0}, treated iff
+    z_s >= threshold; the summand is w * treated, so both sums are the
+    count of treated benefiting samples.
+    """
+    def sums(start: int, count: int) -> tuple[float, float]:
+        zs, zt = _treated(seed, start, count, threshold)
+        hits = float(np.count_nonzero(gamma_s * zs + gamma_t * zt + m > 0.0))
+        return hits, hits
+
+    return _block_sums(sums, n, block)

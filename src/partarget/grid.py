@@ -116,12 +116,16 @@ class GridSpec:
             raise DomainError(
                 f"alpha_spacing must be 'log' or 'linear', got {self.alpha_spacing!r}"
             )
+        # The model parameters are shared by every cell, so a bad one is
+        # refused here rather than turning each cell into a skip.
         if self.model == "linear":
             if self.mu is None or self.beta_norm is None:
                 raise DomainError("linear model requires mu and beta_norm")
+            LinearParams(self.mu, self.beta_norm, self.gamma_lo)
         else:
             if self.base_rate is None:
                 raise DomainError("probit model requires base_rate")
+            ProbitParams(self.base_rate, self.gamma_lo)
 
     def alphas(self) -> tuple[float, ...]:
         n = self.alpha_count
@@ -281,7 +285,6 @@ def _probit_cells(
     axis_a = [a for a in alphas for _ in gammas]
     axis_g = [g for _ in alphas for g in gammas]
     try:
-        ProbitParams(spec.base_rate, spec.gamma_lo)  # validates the base rate
         par, status = par_probit_array(spec.base_rate, axis_g, axis_a, spec.deltas)
     except DegenerateLeverError:
         return [_skipped(a, g, STATUS_SKIPPED_DEGENERATE) for a, g in zip(axis_a, axis_g)]

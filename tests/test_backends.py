@@ -1,76 +1,114 @@
-"""Cross-checks between the compiled and NumPy Monte Carlo kernels."""
+"""Tests of the Monte Carlo kernel: the splitmix uniform stream, the sums
+against a reference that draws both normals for every sample, and
+determinism across block sizes and worker counts."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from partarget import _mcsim_py
-from partarget._backend import BACKEND
-
-try:
-    from partarget import _mcsim
-except ImportError:
-    _mcsim = None
-
-needs_compiled = pytest.mark.skipif(_mcsim is None, reason="compiled kernel not built")
+from partarget import _backend
+from partarget._backend import BACKEND, linear_sums, probit_sums
 
 ARGS_LINEAR = dict(seed=99, n=300_000, mu=1.0, s_scale=3.0,
                    t_scale=math.sqrt(91.0), threshold=1.6448536269514722)
 ARGS_PROBIT = dict(seed=99, n=300_000, m=-1.2815515655446004, gamma_s=0.3,
                    gamma_t=math.sqrt(0.91), threshold=2.053748910631823)
 
+# upper quantiles of alpha = 0.02, 0.5, 0.9 and 1: the treated share runs
+# from a thin tail to every sample
+THRESHOLDS = [2.053748910631823, 0.0, -1.2815515655446004, -math.inf]
+
+
+def _splitmix(seed: int, counter: int) -> int:
+    """splitmix64 output at one counter, in plain integer arithmetic."""
+    mask = 2**64 - 1
+    z = (seed + (counter + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def _reference_normals(seed: int, n: int):
+    """z_s and z_t of every sample, from counters 2i and 2i + 1."""
+    counter = 2 * np.arange(n, dtype=np.uint64)
+    return (ndtri(_backend._uniform(seed, counter)),
+            ndtri(_backend._uniform(seed, counter + np.uint64(1))))
+
 
 class TestUniformStream:
     def test_open_interval_and_determinism(self):
         idx = np.arange(0, 10_000, dtype=np.uint64)
-        u1 = _mcsim_py._uniform(5, idx)
-        u2 = _mcsim_py._uniform(5, idx)
+        u1 = _backend._uniform(5, idx)
+        u2 = _backend._uniform(5, idx)
         assert np.array_equal(u1, u2)
         assert u1.min() > 0.0 and u1.max() < 1.0
         assert abs(u1.mean() - 0.5) < 0.02
 
     def test_seed_changes_stream(self):
         idx = np.arange(0, 1000, dtype=np.uint64)
-        assert not np.array_equal(_mcsim_py._uniform(1, idx), _mcsim_py._uniform(2, idx))
+        assert not np.array_equal(_backend._uniform(1, idx), _backend._uniform(2, idx))
 
-    def test_vector_quantile_matches_scalar(self):
-        # same algorithm, but scipy's erfc differs from libm's by ulps
-        from partarget import gaussian
-        ps = np.geomspace(1e-9, 0.999999999, 200)
-        vec = _mcsim_py._quantile(ps.copy())
-        for p, v in zip(ps, vec):
-            assert v == pytest.approx(gaussian.quantile(float(p)), rel=1e-13)
+    def test_matches_integer_splitmix(self):
+        seed = 2**64 - 3
+        counters = [0, 1, 2, 12_345, 2**40 + 7, 2**64 - 2]
+        got = _backend._uniform(seed, np.array(counters, dtype=np.uint64))
+        want = [((_splitmix(seed, c) >> 11) + 0.5) * 2.0**-53 for c in counters]
+        assert got.tolist() == want
 
 
 class TestNumpyKernel:
+    def test_backend_name(self):
+        assert BACKEND == "numpy"
+
     def test_bit_reproducible(self):
-        a = _mcsim_py.linear_sums(**ARGS_LINEAR)
-        b = _mcsim_py.linear_sums(**ARGS_LINEAR)
+        a = linear_sums(**ARGS_LINEAR)
+        b = linear_sums(**ARGS_LINEAR)
         assert a == b
 
     def test_probit_sums_are_counts(self):
-        s, sq = _mcsim_py.probit_sums(**ARGS_PROBIT)
+        s, sq = probit_sums(**ARGS_PROBIT)
         assert s == sq and s == int(s)
 
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_probit_equals_full_draw_reference(self, threshold):
+        args = {**ARGS_PROBIT, "threshold": threshold}
+        zs, zt = _reference_normals(args["seed"], args["n"])
+        benefit = args["gamma_s"] * zs + args["gamma_t"] * zt + args["m"] > 0.0
+        count = float(np.count_nonzero(benefit & (zs >= threshold)))
+        assert count > 0
+        assert probit_sums(**args) == (count, count)
+        assert probit_sums(**args, block=2**15) == (count, count)
 
-@needs_compiled
-class TestCompiledKernel:
-    def test_bit_reproducible(self):
-        a = _mcsim.linear_sums(**ARGS_LINEAR)
-        b = _mcsim.linear_sums(**ARGS_LINEAR)
-        assert a == b
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_linear_matches_full_draw_reference(self, threshold):
+        args = {**ARGS_LINEAR, "threshold": threshold}
+        zs, zt = _reference_normals(args["seed"], args["n"])
+        w = args["s_scale"] * zs + args["t_scale"] * zt + args["mu"]
+        x = np.where(zs >= threshold, w, 0.0)
+        total, total_sq = linear_sums(**args)
+        assert total == pytest.approx(math.fsum(x), rel=1e-12)
+        assert total_sq == pytest.approx(math.fsum(x * x), rel=1e-12)
 
-    def test_linear_agrees_with_numpy(self):
-        # same samples, different summation grouping: near-identical sums
-        a = _mcsim.linear_sums(**ARGS_LINEAR)
-        b = _mcsim_py.linear_sums(**ARGS_LINEAR)
-        assert a[0] == pytest.approx(b[0], rel=1e-12)
-        assert a[1] == pytest.approx(b[1], rel=1e-12)
+    def test_probit_block_size_invariance(self):
+        n = ARGS_PROBIT["n"]
+        assert probit_sums(**ARGS_PROBIT, block=n) == \
+            probit_sums(**ARGS_PROBIT, block=2**16)
 
-    def test_probit_identical_to_numpy(self):
-        # probit sums are integer counts, so both backends match exactly
-        assert _mcsim.probit_sums(**ARGS_PROBIT) == _mcsim_py.probit_sums(**ARGS_PROBIT)
-
-    def test_backend_selection(self):
-        assert BACKEND == "compiled"
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_identical_for_any_worker_count(self, monkeypatch, cpus):
+        # n / block = 19 blocks, more than any worker count tried
+        block = 2**14
+        want_linear = linear_sums(**ARGS_LINEAR, block=block)
+        want_probit = probit_sums(**ARGS_PROBIT, block=block)
+        monkeypatch.setattr(_backend, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for _ in range(3):
+                assert linear_sums(**ARGS_LINEAR, block=block) == want_linear
+                assert probit_sums(**ARGS_PROBIT, block=block) == want_probit
+        finally:
+            sys.setswitchinterval(interval)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from partarget import cli
+from partarget import cli, oracle
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +146,20 @@ class TestGrid:
         assert code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("model_flags, named", [
+        (["--model", "probit", "--base-rate", "1.5"], "base_rate"),
+        (["--model", "linear", "--mu", "1", "--beta-norm", "-3"], "beta_norm"),
+    ])
+    def test_bad_model_parameter_is_usage_error(self, capsys, model_flags, named):
+        code, out, err = run_cli(capsys, "grid", *model_flags,
+                                 "--alpha-lo", "0.01", "--alpha-hi", "0.04",
+                                 "--gamma-lo", "0.1", "--gamma-hi", "0.9",
+                                 "--delta-alpha", "0.001", "--delta-r2", "0.01",
+                                 "--cost-access", "1", "--cost-prediction", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err
+
 
 class TestVerify:
     ARGV = ["verify", "--model", "linear", "--mu", "1", "--beta-norm", "10",
@@ -170,6 +184,19 @@ class TestVerify:
                                "--samples", "500000", "--seed", "11")
         assert code == 0
         assert "result pass" in out
+
+    @pytest.mark.parametrize("samples", ["100000000000000", str(10**9 + 1), "9999"])
+    def test_sample_count_out_of_range_is_usage_error(self, capsys, monkeypatch,
+                                                      samples):
+        # rejection only: the kernel must never be reached
+        monkeypatch.setattr(oracle, "linear_sums",
+                            lambda *args: pytest.fail("simulation ran"))
+        argv = list(self.ARGV)
+        argv[argv.index("--samples") + 1] = samples
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: samples must lie in")
 
 
 class TestAllocate:

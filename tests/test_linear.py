@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from partarget import gaussian, oracle
 from partarget.errors import (
     DegenerateLeverError,
     DomainError,
+    PartargetError,
     PreconditionError,
     RegimeError,
 )
@@ -159,6 +162,18 @@ class TestParExact:
     def test_degenerate_lever(self):
         with pytest.raises(DegenerateLeverError):
             par_linear_exact(FIG_PARAMS, 0.02, LeverDelta(0.01, 0.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(0.0, 1.0),
+           st.floats(1e-6, 0.5), st.floats(1e-6, 0.5), st.floats(1e-6, 1.0))
+    def test_positive_inside_regime(self, mu, beta_norm, gamma_s, alpha,
+                                    delta_alpha, delta_r2):
+        p = LinearParams(mu, beta_norm, gamma_s)
+        try:
+            par = par_linear_exact(p, alpha, LeverDelta(delta_alpha, delta_r2))
+        except PartargetError:
+            assume(False)  # outside the regime: the error names why
+        assert par > 0.0
 
 
 class TestParBounds:

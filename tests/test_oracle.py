@@ -9,6 +9,7 @@ from partarget import oracle
 from partarget.errors import DomainError
 from partarget.linear import LinearParams
 from partarget.oracle import (
+    MAX_SAMPLES,
     Allocation,
     Atom,
     DiscreteDistribution,
@@ -41,6 +42,17 @@ class TestConfigTypes:
             SimConfig(samples=100, seed=0)
         with pytest.raises(DomainError):
             SimConfig(samples=100000, seed=-1)
+
+    def test_sample_ceiling_and_integer_types(self):
+        # construction only: no simulation of these sizes ever runs
+        SimConfig(samples=MAX_SAMPLES, seed=0)
+        SimConfig(samples=np.int64(100_000), seed=np.uint64(2**64 - 1))
+        for bad in (MAX_SAMPLES + 1, 10**14, True, 1e6, "100000", None):
+            with pytest.raises(DomainError, match="samples"):
+                SimConfig(samples=bad, seed=0)
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(DomainError, match="seed"):
+                SimConfig(samples=100_000, seed=bad)
 
     def test_estimate_helpers(self):
         est = Estimate(mean=1.0, std_error=0.1, samples=100000)

@@ -31,9 +31,12 @@ from partarget.grid import (
 )
 from partarget.linear import LeverDelta
 from partarget.probit import (
+    MIN_DELTA,
+    PAR_OK,
     ProbitParams,
     dvalue_dalpha_probit,
     dvalue_dgamma_probit,
+    par_probit_array,
     par_probit_bounds,
     par_probit_exact,
     policy_threshold_probit,
@@ -346,6 +349,21 @@ class TestValueProperties:
         assert value_probit(ProbitParams(b, 0.0), alpha) == alpha * b
         assert value_probit(ProbitParams(b, 1.0), alpha) == min(alpha, b)
         assert value_probit(ProbitParams(b, gs), 1.0) == b
+
+
+class TestParProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(base_rates,
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+           st.lists(unit, min_size=1, max_size=8),
+           st.floats(MIN_DELTA, 0.5), st.floats(MIN_DELTA, 0.5))
+    def test_positive_wherever_ok(self, b, gammas, alphas, delta_alpha, delta_r2):
+        g = np.array(gammas)[:, None]
+        a = np.array(alphas)[None, :]
+        par, status = par_probit_array(b, g, a, LeverDelta(delta_alpha, delta_r2))
+        ok = status == PAR_OK
+        assert np.all(par[ok] > 0.0)
+        assert np.all(np.isnan(par[~ok]))
 
 
 def _scalar_cell(spec: GridSpec, alpha: float, gamma: float):
