@@ -2,8 +2,8 @@
 
 Everything here is scalar, pure and stateless.  The quantile is the one
 primitive the rest of the package leans on (thresholds, closed forms and
-the inverse-CDF sampler all share it), so it is built to satisfy a tight
-round-trip contract:
+the Monte Carlo sampler all use it), and it meets a tight round-trip
+contract:
 
     |cdf(quantile(p)) - p| <= 1e-12   for p in [1e-10, 1 - 1e-10].
 
@@ -12,9 +12,10 @@ Implementation notes
 * ``cdf`` goes through the complementary error function, which keeps full
   relative accuracy deep into either tail (``math.erfc`` covers the
   asymptotic regime internally, so no separate tail branch is needed).
-* ``quantile`` is Acklam's rational approximation (~1.15e-9 relative)
-  polished by one Newton step on the CDF residual, evaluated on the side
-  of the distribution where the residual does not cancel.
+* ``quantile`` is ``scipy.special.ndtri``, the same inverse CDF as the
+  array closed forms and the Monte Carlo kernel, so the package has one
+  implementation of it (within about 3e-16 relative of a 40-digit
+  reference, ``tests/data/reference.json``).
 * ``upper_quantile(alpha)`` returns the (1 - alpha) quantile without ever
   forming ``1 - alpha``, so it stays accurate for alpha down to the
   smallest normal doubles.
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from scipy.special import ndtri
 
 from .errors import DomainError, NumericsError, PreconditionError
 
@@ -102,53 +105,12 @@ def sf(t: float) -> float:
     return 0.5 * math.erfc(t / _SQRT2)
 
 
-# Acklam's coefficients for the initial rational approximation.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _acklam(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-
-
-def _newton_polish(x: float, p: float) -> float:
-    # Residual evaluated on whichever tail avoids cancellation.
-    if x <= 0.0:
-        err = 0.5 * math.erfc(-x / _SQRT2) - p
-    else:
-        err = (1.0 - p) - 0.5 * math.erfc(x / _SQRT2)
-    dens = INV_SQRT_2PI * math.exp(-0.5 * x * x)
-    if dens <= 0.0:  # density underflowed; Acklam alone is the best we can do
-        return x
-    return x - err / dens
-
-
 def quantile(p: float) -> float:
     """Inverse standard normal CDF for p in the open unit interval."""
     _reject_nan(p, "p")
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile requires 0 < p < 1, got {p!r}")
-    if p == 0.5:
-        return 0.0
-    return _newton_polish(_acklam(p), p)
+    return float(ndtri(p))
 
 
 def upper_quantile(alpha: float) -> float:

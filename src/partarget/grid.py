@@ -1,13 +1,15 @@
 """Cost-benefit grid sweeps and indifference-contour extraction.
 
 A sweep evaluates the exact finite-difference prediction-access ratio at
-every (alpha, gamma_s) cell of a rectangular grid, converts it to a
-cost-benefit ratio with the given lever costs, and clips a copy for
-display.  Cells whose model preconditions fail carry an explicit skip
-status instead of fabricated numbers.  The indifference contour (where
-the cost-benefit ratio crosses 1) is interpolated per alpha column.
+every (alpha, gamma_s) cell of a rectangular grid with one call of the
+model's array core (``par_linear_array`` or ``par_probit_array``),
+converts it to a cost-benefit ratio with the given lever costs, and clips
+a copy for display, all as array operations.  Cells whose model
+preconditions fail carry an explicit skip status, mapped from the core's
+status codes, instead of fabricated numbers.  The indifference contour
+(where the cost-benefit ratio crosses 1) is interpolated per alpha column.
 
-Everything is deterministic: cells are evaluated in row-major order with
+Everything is deterministic: cells are laid out in row-major order with
 alpha as the outer axis, and serialization uses fixed formats, so two
 sweeps of the same spec are byte-identical.
 """
@@ -17,25 +19,24 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .errors import (
-    DegenerateLeverError,
-    DomainError,
-    NumericsError,
-    PartargetError,
-)
-from .linear import LeverDelta, LinearParams, par_linear_exact
-from .probit import (
+import numpy as np
+
+from .errors import DomainError, PartargetError
+from .linear import (
     PAR_NOISE,
     PAR_OK,
     PAR_REGIME,
-    ProbitParams,
-    par_probit_array,
+    LeverDelta,
+    LinearParams,
+    par_linear_array,
 )
+from .probit import ProbitParams, par_probit_array
 
 __all__ = [
     "CostModel",
+    "MAX_CELLS",
     "GridSpec",
     "GridCell",
     "GridResult",
@@ -50,6 +51,10 @@ STATUS_SKIPPED_DEGENERATE = "skipped-degenerate"
 STATUS_SKIPPED_REGIME = "skipped-regime"
 
 CSV_HEADER = "alpha,gamma_s,par,cost_benefit,cost_benefit_clipped,status"
+
+# Largest alpha_count * gamma_count a spec may ask for.  A sweep holds every
+# cell in memory at once; 10**6 cells take about 0.5 GB with their output.
+MAX_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,19 @@ def cost_benefit(par: float, cm: CostModel) -> float:
     return par * cm.cost_prediction / cm.cost_access
 
 
+def _axis(name: str, lo: float, hi: float, n: int, spacing: str) -> tuple[float, ...]:
+    """n points from lo to hi, evenly or geometrically spaced, ends exact."""
+    if lo == hi:
+        raise DomainError(f"{name} range is degenerate with count >= 2")
+    if spacing == "log":
+        ratio = hi / lo
+        vals = [lo * ratio ** (i / (n - 1)) for i in range(n)]
+    else:
+        vals = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    vals[0], vals[-1] = lo, hi
+    return tuple(vals)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Full description of one grid sweep; echoed into every output."""
@@ -102,6 +120,16 @@ class GridSpec:
             raise DomainError(f"model must be 'linear' or 'probit', got {self.model!r}")
         if self.alpha_count < 2 or self.gamma_count < 2:
             raise DomainError("each axis needs at least 2 cells")
+        if self.alpha_count * self.gamma_count > MAX_CELLS:
+            raise DomainError(
+                f"grid has {self.alpha_count} x {self.gamma_count} cells; "
+                f"at most {MAX_CELLS} are allowed"
+            )
+        if self.deltas.delta_alpha == 0.0:
+            raise DomainError(
+                "delta_alpha must be positive for a grid: a zero access step "
+                "gives a zero PAR, which cannot be priced"
+            )
         if not 0.0 < self.alpha_lo <= self.alpha_hi < 1.0:
             raise DomainError(
                 f"alpha range [{self.alpha_lo!r}, {self.alpha_hi!r}] must lie in (0, 1)"
@@ -128,26 +156,11 @@ class GridSpec:
             ProbitParams(self.base_rate, self.gamma_lo)
 
     def alphas(self) -> tuple[float, ...]:
-        n = self.alpha_count
-        lo, hi = self.alpha_lo, self.alpha_hi
-        if lo == hi:
-            raise DomainError("alpha range is degenerate with count >= 2")
-        if self.alpha_spacing == "log":
-            ratio = hi / lo
-            vals = [lo * ratio ** (i / (n - 1)) for i in range(n)]
-        else:
-            vals = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-        vals[0], vals[-1] = lo, hi
-        return tuple(vals)
+        return _axis("alpha", self.alpha_lo, self.alpha_hi, self.alpha_count,
+                     self.alpha_spacing)
 
     def gammas(self) -> tuple[float, ...]:
-        n = self.gamma_count
-        lo, hi = self.gamma_lo, self.gamma_hi
-        if lo == hi:
-            raise DomainError("gamma range is degenerate with count >= 2")
-        vals = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-        vals[0], vals[-1] = lo, hi
-        return tuple(vals)
+        return _axis("gamma", self.gamma_lo, self.gamma_hi, self.gamma_count, "linear")
 
     def to_dict(self) -> dict:
         return {
@@ -223,7 +236,7 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridCell:
     """One evaluated grid cell; numeric fields are NaN when skipped."""
 
@@ -250,75 +263,39 @@ class GridResult:
         return self.cells[i_alpha * len(self.gammas) + i_gamma]
 
 
-def _skipped(alpha: float, gamma: float, status: str) -> GridCell:
-    return GridCell(alpha, gamma, math.nan, math.nan, math.nan, status)
-
-
-def _priced_cell(spec: GridSpec, alpha: float, gamma: float, par: float) -> GridCell:
-    try:
-        cb = cost_benefit(par, spec.costs)
-    except DomainError:
-        return _skipped(alpha, gamma, STATUS_SKIPPED_REGIME)
-    clipped = min(max(cb, spec.clip_lo), spec.clip_hi)
-    return GridCell(alpha, gamma, par, cb, clipped, STATUS_OK)
-
-
-def _linear_cell(spec: GridSpec, alpha: float, gamma: float) -> GridCell:
-    try:
-        p = LinearParams(spec.mu, spec.beta_norm, gamma)
-        par = par_linear_exact(p, alpha, spec.deltas)
-    except (DegenerateLeverError, NumericsError):
-        return _skipped(alpha, gamma, STATUS_SKIPPED_DEGENERATE)
-    except DomainError:
-        return _skipped(alpha, gamma, STATUS_SKIPPED_REGIME)
-    return _priced_cell(spec, alpha, gamma, par)
-
-
-_PROBIT_SKIPS = {PAR_REGIME: STATUS_SKIPPED_REGIME, PAR_NOISE: STATUS_SKIPPED_DEGENERATE}
-
-
-def _probit_cells(
-    spec: GridSpec, alphas: tuple[float, ...], gammas: tuple[float, ...]
-) -> list[GridCell]:
-    """Every probit cell from one array evaluation of the ratio, with the
-    statuses that par_probit_exact's errors would give cell by cell."""
-    axis_a = [a for a in alphas for _ in gammas]
-    axis_g = [g for _ in alphas for g in gammas]
-    try:
-        par, status = par_probit_array(spec.base_rate, axis_g, axis_a, spec.deltas)
-    except DegenerateLeverError:
-        return [_skipped(a, g, STATUS_SKIPPED_DEGENERATE) for a, g in zip(axis_a, axis_g)]
-    except DomainError:
-        return [_skipped(a, g, STATUS_SKIPPED_REGIME) for a, g in zip(axis_a, axis_g)]
-    return [
-        _priced_cell(spec, a, g, r) if st == PAR_OK else _skipped(a, g, _PROBIT_SKIPS[st])
-        for a, g, r, st in zip(axis_a, axis_g, par.tolist(), status.tolist())
-    ]
+# Grid status of each par_*_array status code.
+_STATUSES = {PAR_OK: STATUS_OK, PAR_REGIME: STATUS_SKIPPED_REGIME,
+             PAR_NOISE: STATUS_SKIPPED_DEGENERATE}
 
 
 def sweep_grid(spec: GridSpec) -> GridResult:
-    """Evaluate the exact PAR and cost-benefit ratio at every grid cell."""
+    """Evaluate the exact PAR and cost-benefit ratio at every grid cell, each
+    bit-equal to its scalar ``par_*_exact`` and :func:`cost_benefit` call.
+    A lever step that leaves every ratio undefined raises its error."""
     alphas = spec.alphas()
     gammas = spec.gammas()
+    axis_a = np.repeat(alphas, len(gammas))
+    axis_g = np.tile(gammas, len(alphas))
     if spec.model == "linear":
-        cells = tuple(
-            _linear_cell(spec, alpha, gamma) for alpha in alphas for gamma in gammas
-        )
+        par, status = par_linear_array(spec.mu, spec.beta_norm, axis_g, axis_a, spec.deltas)
     else:
-        cells = tuple(_probit_cells(spec, alphas, gammas))
-    if all(c.status != STATUS_OK for c in cells):
+        par, status = par_probit_array(spec.base_rate, axis_g, axis_a, spec.deltas)
+    # A ratio that is not positive cannot be priced (cost_benefit refuses it).
+    status = np.where((status == PAR_OK) & ~(par > 0.0), PAR_REGIME, status)
+    par = np.where(status == PAR_OK, par, np.nan)
+    if not (status == PAR_OK).any():
         raise PartargetError(
             "every cell of the grid is infeasible for the chosen model; "
             "check the alpha/gamma ranges against the model's domain"
         )
+    cb = par * spec.costs.cost_prediction / spec.costs.cost_access
+    clipped = np.minimum(np.maximum(cb, spec.clip_lo), spec.clip_hi)
+    # The cells share the axes' float objects rather than one copy each.
+    cells = tuple(map(GridCell, (a for a in alphas for _ in gammas), gammas * len(alphas),
+                      par.tolist(), cb.tolist(), clipped.tolist(),
+                      map(_STATUSES.get, status.tolist())))
     result = GridResult(spec=spec, alphas=alphas, gammas=gammas, cells=cells)
-    return GridResult(
-        spec=spec,
-        alphas=alphas,
-        gammas=gammas,
-        cells=cells,
-        contour=extract_indifference_contour(result),
-    )
+    return replace(result, contour=extract_indifference_contour(result))
 
 
 def extract_indifference_contour(g: GridResult) -> tuple[tuple[float, float], ...]:
@@ -347,41 +324,46 @@ def extract_indifference_contour(g: GridResult) -> tuple[tuple[float, float], ..
     return tuple(points)
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _json_number(x: float) -> str:
+    """A float as json.dumps writes it, with null for NaN."""
+    if math.isnan(x):
+        return "null"
+    if math.isinf(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
+_JSON_CELL = ('%s    {\n      "alpha": %s,\n      "gamma_s": %s,\n      "par": %s,\n'
+              '      "cost_benefit": %s,\n      "cost_benefit_clipped": %s,\n'
+              '      "status": "%s"\n    }')
 
 
 def serialize_grid(g: GridResult, format: str) -> bytes:
-    """Render a grid as CSV (cells only) or JSON (cells, contour, spec echo)."""
-    if format == "csv":
-        buf = io.StringIO()
-        buf.write(CSV_HEADER + "\n")
-        for c in g.cells:
-            buf.write(
-                f"{_fmt(c.alpha)},{_fmt(c.gamma_s)},{_fmt(c.par)},"
-                f"{_fmt(c.cost_benefit)},{_fmt(c.cost_benefit_clipped)},{c.status}\n"
-            )
-        return buf.getvalue().encode("utf-8")
-    if format == "json":
-        def num(x: float) -> float | None:
-            return None if math.isnan(x) else x
+    """Render a grid as CSV (cells only) or JSON (cells, contour, spec echo).
 
-        doc = {
-            "spec": g.spec.to_dict(),
-            "alphas": list(g.alphas),
-            "gammas": list(g.gammas),
-            "cells": [
-                {
-                    "alpha": c.alpha,
-                    "gamma_s": c.gamma_s,
-                    "par": num(c.par),
-                    "cost_benefit": num(c.cost_benefit),
-                    "cost_benefit_clipped": num(c.cost_benefit_clipped),
-                    "status": c.status,
-                }
-                for c in g.cells
-            ],
-            "contour": [[a, gm] for a, gm in g.contour],
-        }
-        return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
-    raise DomainError(f"format must be 'csv' or 'json', got {format!r}")
+    The JSON equals ``json.dumps(doc, indent=2, allow_nan=False)`` plus a
+    newline, but its fixed-schema cells are written directly, not as dicts.
+    """
+    out = io.BytesIO()
+    if format == "csv":
+        out.write(CSV_HEADER.encode("utf-8") + b"\n")
+        for c in g.cells:
+            out.write((_CSV_ROW % (c.alpha, c.gamma_s, c.par, c.cost_benefit,
+                                   c.cost_benefit_clipped, c.status)).encode("utf-8"))
+    elif format == "json":
+        doc = {"spec": g.spec.to_dict(), "alphas": list(g.alphas),
+               "gammas": list(g.gammas), "cells": [],
+               "contour": [[a, gm] for a, gm in g.contour]}
+        head, _, tail = json.dumps(doc, indent=2, allow_nan=False).partition('"cells": []')
+        out.write(head.encode("utf-8") + b'"cells": [\n')
+        num, sep = _json_number, ""
+        for c in g.cells:
+            out.write((_JSON_CELL % (sep, num(c.alpha), num(c.gamma_s), num(c.par),
+                                     num(c.cost_benefit), num(c.cost_benefit_clipped),
+                                     c.status)).encode("utf-8"))
+            sep = ",\n"
+        out.write(b"\n  ]" + tail.encode("utf-8") + b"\n")
+    else:
+        raise DomainError(f"format must be 'csv' or 'json', got {format!r}")
+    return out.getvalue()

@@ -12,12 +12,20 @@ Everything else here (ratios, bound pairs, thresholds) is algebra on top
 of that expression.  The supported access regime is alpha < 1/2; beyond
 it the positivity constraint on conditional means activates and the
 closed form above no longer applies, so those inputs are rejected.
+
+:func:`value_linear_array` and :func:`par_linear_array` evaluate whole
+arrays of cells, and :func:`value_linear` and :func:`par_linear_exact`
+call them, so a grid cell and a scalar call give the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
+from scipy.special import ndtri
 
 from . import gaussian
 from .errors import (
@@ -26,15 +34,21 @@ from .errors import (
     PreconditionError,
     RegimeError,
 )
-from .gaussian import BoundPair
+from .gaussian import INV_SQRT_2PI, BoundPair
 
 __all__ = [
     "LinearParams",
     "LeverDelta",
+    "PAR_OK",
+    "PAR_REGIME",
+    "PAR_NOISE",
     "policy_threshold_linear",
+    "value_linear_array",
     "value_linear",
     "random_value",
     "random_to_optimal_ratio",
+    "par_from_values",
+    "par_linear_array",
     "par_linear_exact",
     "par_linear_bounds",
     "quality_gain_linear",
@@ -95,6 +109,12 @@ class LeverDelta:
                 raise DomainError(f"{name} must be finite and >= 0, got {val!r}")
 
 
+# Per-cell status codes of par_linear_array and par_probit_array.
+PAR_OK = 0
+PAR_REGIME = 1  # a lever step leaves the model's supported regime
+PAR_NOISE = 2   # the prediction gain is too small to divide by
+
+
 def _check_alpha_half(alpha: float) -> None:
     if math.isnan(alpha):
         raise DomainError("alpha is NaN")
@@ -112,10 +132,23 @@ def policy_threshold_linear(p: LinearParams, alpha: float) -> float:
     return gaussian.upper_quantile(alpha) * p.gamma_s * p.beta_norm
 
 
+def value_linear_array(mu, beta_norm, gamma_s, alpha) -> np.ndarray | np.float64:
+    """V(alpha, gamma_s) of the linear model at every element of the
+    broadcast inputs (a NumPy scalar when all four are scalars).
+
+    Inputs are not validated: alpha must lie in (0, 1), and the result is
+    the policy's value only for alpha < 1/2.
+    """
+    # [()] turns 0-d arrays into NumPy scalars, as in value_probit_array.
+    gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
+    z = ndtri(alpha)
+    return alpha * mu + gamma_s * beta_norm * (INV_SQRT_2PI * np.exp(-0.5 * z * z))
+
+
 def value_linear(p: LinearParams, alpha: float) -> float:
     """Expected welfare of the optimal policy at access level alpha."""
     _check_alpha_half(alpha)
-    return alpha * p.mu + p.gamma_s * p.beta_norm * gaussian.phi_of_quantile(alpha)
+    return float(value_linear_array(p.mu, p.beta_norm, p.gamma_s, alpha))
 
 
 def random_value(p: LinearParams, alpha: float) -> float:
@@ -136,28 +169,62 @@ def random_to_optimal_ratio(p: LinearParams, alpha: float) -> float:
     return 1.0 / (1.0 + (p.beta_norm / p.mu) * g / alpha)
 
 
-def par_linear_exact(p: LinearParams, alpha: float, d: LeverDelta) -> float:
-    """Exact prediction-access ratio: the welfare gain from raising the
-    access budget by delta_alpha over the gain from raising gamma_s by
-    delta_r2, both as finite differences of the closed-form value."""
-    _check_alpha_half(alpha)
+def par_from_values(value, gamma_s, alpha, d: LeverDelta, regime, gain_floor: float):
+    """The finite-difference ratio [V(alpha + delta_alpha) - V(alpha)] /
+    [V(gamma_s + delta_r2) - V(gamma_s)] of a model's array value function
+    ``value(gamma_s, alpha)``, and a status code per cell: PAR_REGIME where
+    ``regime`` is set, PAR_NOISE where the prediction gain is at most
+    gain_floor.  Both carry a NaN ratio."""
+    # Steps out of the regime are evaluated at the cell itself, then masked.
+    v0 = value(gamma_s, alpha)
+    va = value(gamma_s, np.where(regime, alpha, alpha + d.delta_alpha))
+    vg = value(np.where(regime, gamma_s, gamma_s + d.delta_r2), alpha)
+    gain = vg - v0
+    status = np.where(regime, PAR_REGIME, np.where(gain <= gain_floor, PAR_NOISE, PAR_OK))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        par = np.where(status == PAR_OK, (va - v0) / gain, np.nan)
+    return par, status
+
+
+def par_linear_array(
+    mu,
+    beta_norm,
+    gamma_s,
+    alpha,
+    d: LeverDelta,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact prediction-access ratio at every cell of the broadcast
+    (gamma_s, alpha) inputs, and a status code per cell (see
+    :func:`par_from_values`): PAR_REGIME where alpha + delta_alpha reaches
+    0.5 or gamma_s + delta_r2 exceeds 1, PAR_NOISE where the prediction gain
+    is not positive.  delta_r2 <= 0 raises :class:`DegenerateLeverError`;
+    alpha > 0 and valid mu and beta_norm are the caller's to check.
+    """
     if d.delta_r2 <= 0.0:
         raise DegenerateLeverError("delta_r2 must be positive to form a ratio")
-    if not alpha + d.delta_alpha < 0.5:
-        raise RegimeError(
-            f"alpha + delta_alpha = {alpha + d.delta_alpha!r} must stay below 0.5"
-        )
-    if p.gamma_s + d.delta_r2 > 1.0:
+    gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
+    regime = (alpha + d.delta_alpha >= 0.5) | (gamma_s + d.delta_r2 > 1.0)
+    return par_from_values(partial(value_linear_array, mu, beta_norm),
+                           gamma_s, alpha, d, regime, 0.0)
+
+
+def par_linear_exact(p: LinearParams, alpha: float, d: LeverDelta) -> float:
+    """Exact prediction-access ratio: :func:`par_linear_array` at one
+    cell, with its statuses raised as errors."""
+    _check_alpha_half(alpha)
+    par, status = par_linear_array(p.mu, p.beta_norm, p.gamma_s, alpha, d)
+    if status == PAR_REGIME:
+        if not alpha + d.delta_alpha < 0.5:
+            raise RegimeError(
+                f"alpha + delta_alpha = {alpha + d.delta_alpha!r} must stay below 0.5"
+            )
         raise DomainError(
             f"gamma_s + delta_r2 = {p.gamma_s + d.delta_r2!r} exceeds 1"
         )
-    numer = value_linear(p, alpha + d.delta_alpha) - value_linear(p, alpha)
-    denom = value_linear(p.with_gamma_s(p.gamma_s + d.delta_r2), alpha) - value_linear(p, alpha)
-    if denom <= 0.0:
-        raise DegenerateLeverError(
-            f"prediction gain is not positive (denominator {denom!r})"
-        )
-    return numer / denom
+    if status == PAR_NOISE:
+        raise DegenerateLeverError("prediction gain V(gamma_s + delta_r2) - V(gamma_s) "
+                                   "is not positive")
+    return float(par)
 
 
 def par_linear_bounds(p: LinearParams, alpha: float, d: LeverDelta) -> BoundPair:

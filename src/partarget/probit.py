@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
@@ -34,7 +35,7 @@ from .errors import (
     PreconditionError,
 )
 from .gaussian import SQRT_2PI, BoundPair
-from .linear import LeverDelta
+from .linear import PAR_NOISE, PAR_OK, PAR_REGIME, LeverDelta, par_from_values
 
 __all__ = [
     "ProbitParams",
@@ -60,11 +61,6 @@ MIN_DELTA = 1e-5
 # A prediction gain at or below this (absolute) is not trusted as the
 # denominator of a ratio of two value differences.
 GAIN_FLOOR = 1e-9
-
-# Per-cell status codes of par_probit_array.
-PAR_OK = 0
-PAR_REGIME = 1  # alpha + delta_alpha or gamma_s + delta_r2 exceeds 1
-PAR_NOISE = 2   # the prediction gain is at most GAIN_FLOOR
 
 
 @dataclass(frozen=True)
@@ -219,9 +215,9 @@ def par_probit_array(
     (gamma_s, alpha) inputs, and a status code per cell.
 
     The ratio is [V(alpha + delta_alpha) - V(alpha)] / [V(gamma_s + delta_r2)
-    - V(gamma_s)].  Cells where a lever step leaves [0, 1] get PAR_REGIME,
-    cells whose prediction gain is at most GAIN_FLOOR get PAR_NOISE, and
-    both carry a NaN ratio.  Deltas below MIN_DELTA raise
+    - V(gamma_s)] (:func:`~partarget.linear.par_from_values`).  Cells where a
+    lever step leaves [0, 1] get PAR_REGIME, and cells whose prediction gain
+    is at most GAIN_FLOOR get PAR_NOISE.  Deltas below MIN_DELTA raise
     :class:`DegenerateLeverError`; alpha in (0, 1) and a valid base_rate
     are the caller's to check.
     """
@@ -235,19 +231,9 @@ def par_probit_array(
             f"delta_alpha must be 0 or >= {MIN_DELTA}, got {d.delta_alpha!r}"
         )
     gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
-    alpha_up = alpha + d.delta_alpha
-    gamma_up = gamma_s + d.delta_r2
-    regime = (alpha_up > 1.0) | (gamma_up > 1.0)
-    # Steps out of the domain are evaluated at the cell itself, then masked.
-    v0 = value_probit_array(base_rate, gamma_s, alpha)
-    va = value_probit_array(base_rate, gamma_s, np.where(regime, alpha, alpha_up))
-    vg = value_probit_array(base_rate, np.where(regime, gamma_s, gamma_up), alpha)
-    gain = vg - v0
-    status = np.where(regime, PAR_REGIME,
-                      np.where(gain <= GAIN_FLOOR, PAR_NOISE, PAR_OK))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        par = np.where(status == PAR_OK, (va - v0) / gain, np.nan)
-    return par, status
+    regime = (alpha + d.delta_alpha > 1.0) | (gamma_s + d.delta_r2 > 1.0)
+    return par_from_values(partial(value_probit_array, base_rate),
+                           gamma_s, alpha, d, regime, GAIN_FLOOR)
 
 
 def par_probit_exact(p: ProbitParams, alpha: float, d: LeverDelta) -> float:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from partarget import cli, oracle
+from partarget import cli, grid as grid_mod, oracle
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +159,48 @@ class TestGrid:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("model_flags", [
+        ["--model", "probit", "--base-rate", "0.1"],
+        ["--model", "linear", "--mu", "1", "--beta-norm", "10"],
+    ], ids=["probit", "linear"])
+    @pytest.mark.parametrize("delta_flags, named", [
+        (["--delta-alpha", "0.001", "--delta-r2", "0"], "delta_r2"),
+        (["--delta-alpha", "0", "--delta-r2", "0.01"], "delta_alpha"),
+    ], ids=["zero-r2", "zero-alpha"])
+    def test_zero_lever_step_is_usage_error(self, capsys, model_flags, delta_flags, named):
+        code, out, err = run_cli(capsys, "grid", *model_flags,
+                                 "--alpha-lo", "0.01", "--alpha-hi", "0.04",
+                                 "--gamma-lo", "0.1", "--gamma-hi", "0.9", *delta_flags,
+                                 "--cost-access", "1", "--cost-prediction", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("counts", [(grid_mod.MAX_CELLS // 2 + 1, 2), (2, 10**12),
+                                        (10**9, 10**9)], ids=["just-over", "long", "huge"])
+    def test_cell_count_ceiling(self, capsys, monkeypatch, tmp_path, counts):
+        # rejection only: the axes must never be built
+        monkeypatch.setattr(grid_mod.GridSpec, "alphas",
+                            lambda self: pytest.fail("axis built"))
+        alpha_count, gamma_count = counts
+        code, out, err = run_cli(capsys, "grid", "--model", "linear", "--mu", "1",
+                                 "--beta-norm", "10", "--alpha-lo", "0.01",
+                                 "--alpha-hi", "0.04", "--alpha-count", str(alpha_count),
+                                 "--gamma-lo", "0.1", "--gamma-hi", "0.9",
+                                 "--gamma-count", str(gamma_count),
+                                 "--delta-alpha", "0.001", "--delta-r2", "0.01",
+                                 "--cost-access", "1", "--cost-prediction", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"at most {grid_mod.MAX_CELLS}" in err
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**self.GOOD_SPEC, "alpha_count": alpha_count,
+                                         "gamma_count": gamma_count}))
+        code, out, err = run_cli(capsys, "grid", "--spec", str(spec_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"at most {grid_mod.MAX_CELLS}" in err
 
 
 class TestVerify:

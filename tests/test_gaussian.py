@@ -275,3 +275,18 @@ class TestBoundPair:
         pair = BoundPair(1.0, 3.0)
         assert pair.contains(2.0) and not pair.contains(3.5)
         assert pair.width == 2.0
+
+
+class TestReferenceTable:
+    """40-digit mpmath quantiles from tests/data/make_reference.py."""
+
+    def test_quantiles(self, reference):
+        for row in reference["quantile"]:
+            got = gaussian.quantile(row["p"])
+            assert got == pytest.approx(float(row["quantile"]), rel=1e-15, abs=0.0), row
+
+    def test_table_regenerates(self, reference, make_reference):
+        make = make_reference
+        with make.mp.workdps(reference["digits"]):
+            for row in reference["quantile"][::4]:
+                assert make._digits(make.quantile(row["p"])) == row["quantile"]

@@ -6,11 +6,20 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from partarget.errors import DomainError, PartargetError
+from partarget.errors import (
+    DegenerateLeverError,
+    DomainError,
+    NumericsError,
+    PartargetError,
+)
 from partarget.grid import (
     CSV_HEADER,
+    MAX_CELLS,
     STATUS_OK,
+    STATUS_SKIPPED_DEGENERATE,
     STATUS_SKIPPED_REGIME,
     CostModel,
     GridSpec,
@@ -81,6 +90,12 @@ class TestGridSpec:
             probit_spec(base_rate=None)
         with pytest.raises(DomainError):
             linear_spec(alpha_spacing="cubic")
+
+    def test_cell_count_ceiling(self):
+        # rejection only: a spec over the ceiling never reaches its axes
+        with pytest.raises(DomainError, match=f"at most {MAX_CELLS}"):
+            linear_spec(alpha_count=MAX_CELLS // 2 + 1, gamma_count=2)
+        assert linear_spec(alpha_count=MAX_CELLS // 2, gamma_count=2).alpha_count
 
     def test_axis_spacing(self):
         spec = linear_spec(alpha_lo=0.001, alpha_hi=0.1, alpha_count=3)
@@ -232,6 +247,154 @@ class TestSerialize:
         doc = json.loads(serialize_grid(res, "json"))
         assert doc["contour"] == []
 
+    def test_json_equals_json_dumps(self):
+        bare = sweep_grid(linear_spec(gamma_hi=1.0, costs=CostModel(1.0, 100.0)))
+        assert bare.contour == () and any(c.status != STATUS_OK for c in bare.cells)
+        for res in (bare, sweep_grid(linear_spec(gamma_hi=1.0)), sweep_grid(probit_spec())):
+            def num(x):
+                return None if math.isnan(x) else x
+
+            doc = {
+                "spec": res.spec.to_dict(),
+                "alphas": list(res.alphas),
+                "gammas": list(res.gammas),
+                "cells": [{"alpha": c.alpha, "gamma_s": c.gamma_s, "par": num(c.par),
+                           "cost_benefit": num(c.cost_benefit),
+                           "cost_benefit_clipped": num(c.cost_benefit_clipped),
+                           "status": c.status} for c in res.cells],
+                "contour": [[a, g] for a, g in res.contour],
+            }
+            expected = (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
+            assert serialize_grid(res, "json") == expected
+
     def test_unknown_format(self):
         with pytest.raises(DomainError):
             serialize_grid(sweep_grid(probit_spec()), "xml")
+
+
+def _scalar_cell(spec: GridSpec, alpha: float, gamma: float):
+    """Status, PAR and cost-benefit ratio of one cell from scalar calls."""
+    try:
+        if spec.model == "linear":
+            p = LinearParams(spec.mu, spec.beta_norm, gamma)
+            par = par_linear_exact(p, alpha, spec.deltas)
+        else:
+            par = par_probit_exact(ProbitParams(spec.base_rate, gamma), alpha, spec.deltas)
+        return STATUS_OK, par, cost_benefit(par, spec.costs)
+    except (DegenerateLeverError, NumericsError):
+        return STATUS_SKIPPED_DEGENERATE, None, None
+    except DomainError:
+        return STATUS_SKIPPED_REGIME, None, None
+
+
+@st.composite
+def spec_fields(draw, model: str) -> dict:
+    """GridSpec fields whose grids cross each model's regime edges: alpha +
+    delta_alpha past 0.5 (linear) or 1 (probit), gamma_s + delta_r2 past 1,
+    and a zero access step."""
+    if model == "linear":
+        alpha_lo = draw(st.floats(1e-6, 0.45))
+        alpha_hi = draw(st.floats(alpha_lo * 1.01, 0.7))
+        params = dict(mu=draw(st.floats(0.01, 100.0)), beta_norm=draw(st.floats(0.01, 100.0)))
+    else:
+        alpha_lo = draw(st.floats(1e-6, 0.9))
+        alpha_hi = draw(st.floats(alpha_lo * 1.01, 0.999))
+        params = dict(base_rate=draw(st.floats(0.001, 0.999)))
+    gamma_lo = draw(st.sampled_from([0.0, 0.2, 0.7]))
+    return dict(
+        model=model,
+        alpha_lo=alpha_lo,
+        alpha_hi=alpha_hi,
+        alpha_count=draw(st.integers(2, 5)),
+        gamma_lo=gamma_lo,
+        gamma_hi=draw(st.sampled_from([gamma_lo + 0.1, 0.9, 1.0])),
+        gamma_count=draw(st.integers(2, 5)),
+        deltas=LeverDelta(draw(st.sampled_from([0.0, 1e-5, 1e-3, 0.05, 0.3])),
+                          draw(st.sampled_from([1e-5, 1e-3, 0.05]))),
+        costs=CostModel(1.0, draw(st.floats(0.1, 10.0))),
+        alpha_spacing=draw(st.sampled_from(["log", "linear"])),
+        **params,
+    )
+
+
+class TestSweepMatchesScalarCalls:
+    # Grids with ok, regime-skipped and degenerate-skipped cells: the probit
+    # prediction gain falls below its floor at tiny alpha, and the linear one
+    # rounds to zero when mu dwarfs beta_norm.
+    EXAMPLES = {
+        "probit": dict(
+            model="probit", alpha_lo=1e-6, alpha_hi=0.99, alpha_count=5,
+            gamma_lo=0.0, gamma_hi=1.0, gamma_count=5,
+            deltas=LeverDelta(0.05, 1e-5), costs=CostModel(1.0, 0.5), base_rate=0.02),
+        "linear": dict(
+            model="linear", alpha_lo=1e-6, alpha_hi=0.49, alpha_count=6,
+            gamma_lo=0.0, gamma_hi=1.0, gamma_count=5,
+            deltas=LeverDelta(0.05, 1e-5), costs=CostModel(1.0, 0.5),
+            mu=1e6, beta_norm=1e-6),
+    }
+
+    @staticmethod
+    def check(fields: dict) -> None:
+        if fields["deltas"].delta_alpha == 0.0:
+            with pytest.raises(DomainError, match="delta_alpha"):
+                GridSpec(**fields)
+            return
+        spec = GridSpec(**fields)
+        expected = [(a, g, *_scalar_cell(spec, a, g))
+                    for a in spec.alphas() for g in spec.gammas()]
+        if all(status != STATUS_OK for _, _, status, _, _ in expected):
+            with pytest.raises(PartargetError):
+                sweep_grid(spec)
+            return
+        cells = sweep_grid(spec).cells
+        assert len(cells) == len(expected)
+        for c, (alpha, gamma, status, par, cb) in zip(cells, expected):
+            assert (c.alpha, c.gamma_s, c.status) == (alpha, gamma, status)
+            if status == STATUS_OK:
+                assert (c.par, c.cost_benefit) == (par, cb)
+                assert c.cost_benefit_clipped == min(max(cb, spec.clip_lo), spec.clip_hi)
+            else:
+                assert math.isnan(c.par) and math.isnan(c.cost_benefit)
+                assert math.isnan(c.cost_benefit_clipped)
+
+    @pytest.mark.parametrize("model", ["linear", "probit"])
+    def test_example_has_every_status(self, model):
+        spec = GridSpec(**self.EXAMPLES[model])
+        statuses = {c.status for c in sweep_grid(spec).cells}
+        assert statuses == {STATUS_OK, STATUS_SKIPPED_REGIME, STATUS_SKIPPED_DEGENERATE}
+
+    @pytest.mark.parametrize("model, deltas", [
+        ("linear", LeverDelta(0.05, 1e-5)),
+        ("probit", LeverDelta(0.05, 1e-5)),
+        ("linear", LeverDelta(0.0, 1e-3)),
+        ("probit", LeverDelta(0.0, 1e-3)),
+        # alpha + 1e-20 rounds to alpha above alpha ~ 1e-4: a zero PAR, unpriced
+        ("linear", LeverDelta(1e-20, 1e-3)),
+    ], ids=["linear", "probit", "linear-zero-alpha-step", "probit-zero-alpha-step",
+            "linear-rounded-alpha-step"])
+    def test_examples_equal_scalar_calls(self, model, deltas):
+        self.check({**self.EXAMPLES[model], "deltas": deltas})
+
+    @pytest.mark.parametrize("model", ["linear", "probit"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cells_equal_scalar_calls(self, model, data):
+        self.check(data.draw(spec_fields(model)))
+
+    @pytest.mark.parametrize("model, deltas", [
+        ("linear", LeverDelta(0.01, 0.0)),
+        ("probit", LeverDelta(1e-3, 0.0)),
+        ("probit", LeverDelta(1e-3, 1e-6)),
+        ("probit", LeverDelta(1e-6, 1e-3)),
+    ], ids=["linear-zero-r2", "probit-zero-r2", "probit-small-r2", "probit-small-alpha"])
+    def test_degenerate_lever_raises_like_scalar_call(self, model, deltas):
+        spec = GridSpec(**{**self.EXAMPLES[model], "deltas": deltas})
+        with pytest.raises(DegenerateLeverError) as from_grid:
+            sweep_grid(spec)
+        alpha, gamma = spec.alphas()[1], spec.gammas()[1]
+        with pytest.raises(DegenerateLeverError) as from_scalar:
+            if model == "linear":
+                par_linear_exact(LinearParams(spec.mu, spec.beta_norm, gamma), alpha, deltas)
+            else:
+                par_probit_exact(ProbitParams(spec.base_rate, gamma), alpha, deltas)
+        assert str(from_grid.value) == str(from_scalar.value)

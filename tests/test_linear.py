@@ -306,3 +306,31 @@ class TestSandwiches:
             assert 0.5 * t * delta <= inc * (1 + 1e-12)
             assert inc <= t * delta * (1 + 1e-12)
             checked += 1
+
+
+class TestReferenceTable:
+    """40-digit mpmath integrals from tests/data/make_reference.py."""
+
+    def test_values(self, reference):
+        for row in reference["linear_values"]:
+            p = LinearParams(row["mu"], row["beta_norm"], row["gamma_s"])
+            got = value_linear(p, row["alpha"])
+            assert got == pytest.approx(float(row["value"]), rel=1e-13, abs=0.0), row
+
+    def test_pars(self, reference):
+        for row in reference["linear_pars"]:
+            p = LinearParams(row["mu"], row["beta_norm"], row["gamma_s"])
+            got = par_linear_exact(p, row["alpha"], LeverDelta(row["delta_alpha"], row["delta_r2"]))
+            assert got == pytest.approx(float(row["par"]), rel=1e-9, abs=0.0), row
+
+    def test_table_regenerates(self, reference, make_reference):
+        make = make_reference
+        with make.mp.workdps(reference["digits"]):
+            for row in reference["linear_values"][::11]:
+                fresh = make.linear_value(row["mu"], row["beta_norm"], row["gamma_s"],
+                                          row["alpha"])
+                assert make._digits(fresh) == row["value"]
+            row = reference["linear_pars"][-1]
+            ratio, keep = make.linear_par(row["mu"], row["beta_norm"], row["gamma_s"],
+                                          row["alpha"], row["delta_alpha"], row["delta_r2"])
+            assert keep and make._digits(ratio) == row["par"]

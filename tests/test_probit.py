@@ -1,14 +1,9 @@
 """Tests for the probit welfare model's closed-form value and derivatives."""
 
-import importlib.util
-import json
-import math
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
@@ -16,18 +11,7 @@ from partarget import gaussian, oracle
 from partarget.errors import (
     DegenerateLeverError,
     DomainError,
-    NumericsError,
-    PartargetError,
     PreconditionError,
-)
-from partarget.grid import (
-    STATUS_OK,
-    STATUS_SKIPPED_DEGENERATE,
-    STATUS_SKIPPED_REGIME,
-    CostModel,
-    GridSpec,
-    cost_benefit,
-    sweep_grid,
 )
 from partarget.linear import LeverDelta
 from partarget.probit import (
@@ -45,8 +29,6 @@ from partarget.probit import (
 )
 
 FIG_PARAMS = ProbitParams(base_rate=0.1, gamma_s=0.3)
-DATA = Path(__file__).parent / "data"
-REFERENCE = json.loads((DATA / "probit_reference.json").read_text())
 
 
 class TestParams:
@@ -284,30 +266,26 @@ class TestAccessGainBounds:
 
 
 class TestReferenceTable:
-    """40-digit mpmath quadratures from tests/data/make_probit_reference.py."""
+    """40-digit mpmath quadratures from tests/data/make_reference.py."""
 
-    def test_values(self):
-        for row in REFERENCE["values"]:
+    def test_values(self, reference):
+        for row in reference["probit_values"]:
             got = value_probit(ProbitParams(row["base_rate"], row["gamma_s"]), row["alpha"])
             assert got == pytest.approx(float(row["value"]), rel=1e-10, abs=0.0), row
 
-    def test_pars(self):
-        for row in REFERENCE["pars"]:
+    def test_pars(self, reference):
+        for row in reference["probit_pars"]:
             got = par_probit_exact(ProbitParams(row["base_rate"], row["gamma_s"]),
                                    row["alpha"], LeverDelta(row["delta_alpha"], row["delta_r2"]))
             assert got == pytest.approx(float(row["par"]), rel=1e-9, abs=0.0), row
 
-    def test_table_regenerates(self):
-        mp = pytest.importorskip("mpmath")
-        spec = importlib.util.spec_from_file_location(
-            "make_probit_reference", DATA / "make_probit_reference.py")
-        make = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(make)
-        with mp.workdps(REFERENCE["digits"]):
-            for row in REFERENCE["values"][::53]:
+    def test_table_regenerates(self, reference, make_reference):
+        make = make_reference
+        with make.mp.workdps(reference["digits"]):
+            for row in reference["probit_values"][::53]:
                 fresh = make.value(row["base_rate"], row["gamma_s"], row["alpha"])
                 assert make._digits(fresh) == row["value"]
-            row = REFERENCE["pars"][-1]
+            row = reference["probit_pars"][-1]
             ratio, keep = make.par(row["base_rate"], row["gamma_s"], row["alpha"],
                                    row["delta_alpha"], row["delta_r2"])
             assert keep and make._digits(ratio) == row["par"]
@@ -364,68 +342,3 @@ class TestParProperties:
         ok = status == PAR_OK
         assert np.all(par[ok] > 0.0)
         assert np.all(np.isnan(par[~ok]))
-
-
-def _scalar_cell(spec: GridSpec, alpha: float, gamma: float):
-    """Status, PAR and cost-benefit ratio of one cell from scalar calls."""
-    try:
-        par = par_probit_exact(ProbitParams(spec.base_rate, gamma), alpha, spec.deltas)
-        return STATUS_OK, par, cost_benefit(par, spec.costs)
-    except (DegenerateLeverError, NumericsError):
-        return STATUS_SKIPPED_DEGENERATE, None, None
-    except DomainError:
-        return STATUS_SKIPPED_REGIME, None, None
-
-
-@st.composite
-def probit_specs(draw):
-    alpha_lo = draw(st.floats(1e-6, 0.9))
-    gamma_lo = draw(st.sampled_from([0.0, 0.2, 0.7]))
-    return GridSpec(
-        model="probit",
-        alpha_lo=alpha_lo,
-        alpha_hi=draw(st.floats(alpha_lo * 1.01, 0.999)),
-        alpha_count=draw(st.integers(2, 5)),
-        gamma_lo=gamma_lo,
-        gamma_hi=draw(st.sampled_from([gamma_lo + 0.1, 0.9, 1.0])),
-        gamma_count=draw(st.integers(2, 5)),
-        deltas=LeverDelta(draw(st.sampled_from([1e-5, 1e-3, 0.05, 0.3])),
-                          draw(st.sampled_from([1e-5, 1e-3, 0.05]))),
-        costs=CostModel(1.0, draw(st.floats(0.1, 10.0))),
-        base_rate=draw(st.floats(0.001, 0.999)),
-        alpha_spacing=draw(st.sampled_from(["log", "linear"])),
-    )
-
-
-class TestSweepMatchesScalarCalls:
-    EXAMPLE = GridSpec(
-        model="probit", alpha_lo=1e-6, alpha_hi=0.99, alpha_count=5,
-        gamma_lo=0.0, gamma_hi=1.0, gamma_count=5,
-        deltas=LeverDelta(0.05, 1e-5), costs=CostModel(1.0, 0.5), base_rate=0.02)
-
-    def test_example_has_both_skip_kinds(self):
-        statuses = {c.status for c in sweep_grid(self.EXAMPLE).cells}
-        assert statuses == {STATUS_OK, STATUS_SKIPPED_REGIME, STATUS_SKIPPED_DEGENERATE}
-
-    @settings(max_examples=60, deadline=None)
-    @example(EXAMPLE)
-    # Steps that skip the whole grid: no access step, too small a prediction step.
-    @example(replace(EXAMPLE, deltas=LeverDelta(0.0, 1e-3)))
-    @example(replace(EXAMPLE, deltas=LeverDelta(1e-3, 1e-6)))
-    @given(probit_specs())
-    def test_cells_equal_scalar_calls(self, spec):
-        expected = [(a, g, *_scalar_cell(spec, a, g))
-                    for a in spec.alphas() for g in spec.gammas()]
-        if all(status != STATUS_OK for _, _, status, _, _ in expected):
-            with pytest.raises(PartargetError):
-                sweep_grid(spec)
-            return
-        cells = sweep_grid(spec).cells
-        assert len(cells) == len(expected)
-        for c, (alpha, gamma, status, par, cb) in zip(cells, expected):
-            assert (c.alpha, c.gamma_s, c.status) == (alpha, gamma, status)
-            if status == STATUS_OK:
-                assert (c.par, c.cost_benefit) == (par, cb)
-                assert c.cost_benefit_clipped == min(max(cb, spec.clip_lo), spec.clip_hi)
-            else:
-                assert math.isnan(c.par) and math.isnan(c.cost_benefit)
