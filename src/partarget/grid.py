@@ -8,6 +8,8 @@ a copy for display, all as array operations.  Cells whose model
 preconditions fail carry an explicit skip status, mapped from the core's
 status codes, instead of fabricated numbers.  The indifference contour
 (where the cost-benefit ratio crosses 1) is interpolated per alpha column.
+The cells are one NumPy record array, which the contour search and the
+serializers read column by column.
 
 Everything is deterministic: cells are laid out in row-major order with
 alpha as the outer axis, and serialization uses fixed formats, so two
@@ -19,13 +21,12 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .errors import DomainError, PartargetError
 from .linear import (
-    PAR_NOISE,
     PAR_OK,
     PAR_REGIME,
     LeverDelta,
@@ -38,7 +39,6 @@ __all__ = [
     "CostModel",
     "MAX_CELLS",
     "GridSpec",
-    "GridCell",
     "GridResult",
     "cost_benefit",
     "sweep_grid",
@@ -79,7 +79,10 @@ def cost_benefit(par: float, cm: CostModel) -> float:
     """
     if math.isnan(par) or not par > 0.0:
         raise DomainError(f"par must be positive, got {par!r}")
-    return par * cm.cost_prediction / cm.cost_access
+    cb = par * cm.cost_prediction / cm.cost_access
+    if not math.isfinite(cb):
+        raise DomainError(f"cost-benefit ratio of par {par!r} overflows")
+    return cb
 
 
 def _axis(name: str, lo: float, hi: float, n: int, spacing: str) -> tuple[float, ...]:
@@ -138,6 +141,12 @@ class GridSpec:
             raise DomainError(
                 f"gamma range [{self.gamma_lo!r}, {self.gamma_hi!r}] must lie in [0, 1]"
             )
+        ratio = self.costs.cost_prediction / self.costs.cost_access
+        if not 0.0 < ratio < math.inf:
+            raise DomainError(
+                f"cost ratio cost_prediction / cost_access = {ratio!r} must be "
+                "finite and positive"
+            )
         if not self.clip_lo < self.clip_hi:
             raise DomainError("clip_lo must be strictly below clip_hi")
         if self.alpha_spacing not in ("log", "linear"):
@@ -163,25 +172,12 @@ class GridSpec:
         return _axis("gamma", self.gamma_lo, self.gamma_hi, self.gamma_count, "linear")
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "alpha_lo": self.alpha_lo,
-            "alpha_hi": self.alpha_hi,
-            "alpha_count": self.alpha_count,
-            "gamma_lo": self.gamma_lo,
-            "gamma_hi": self.gamma_hi,
-            "gamma_count": self.gamma_count,
-            "delta_alpha": self.deltas.delta_alpha,
-            "delta_r2": self.deltas.delta_r2,
-            "cost_access": self.costs.cost_access,
-            "cost_prediction": self.costs.cost_prediction,
-            "mu": self.mu,
-            "beta_norm": self.beta_norm,
-            "base_rate": self.base_rate,
-            "clip_lo": self.clip_lo,
-            "clip_hi": self.clip_hi,
-            "alpha_spacing": self.alpha_spacing,
-        }
+        """The fields in order, with deltas and costs flattened into theirs."""
+        d = {}
+        for f in fields(self):
+            val = getattr(self, f.name)
+            d.update(asdict(val) if is_dataclass(val) else {f.name: val})
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
@@ -236,36 +232,26 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class GridCell:
-    """One evaluated grid cell; numeric fields are NaN when skipped."""
-
-    alpha: float
-    gamma_s: float
-    par: float
-    cost_benefit: float
-    cost_benefit_clipped: float
-    status: str
-
-
 @dataclass(frozen=True)
 class GridResult:
-    """Evaluated sweep: cells in row-major order with alpha outermost,
-    plus the interpolated indifference contour."""
+    """Evaluated sweep and its interpolated indifference contour.
+
+    ``cells`` is a NumPy record array with the fields of ``CSV_HEADER``, one
+    record per cell in row-major order with alpha outermost, so
+    ``cells.par`` is a column and ``cells[k].par`` one cell's value.
+    Numeric fields are NaN where the status is a skip.
+    """
 
     spec: GridSpec
     alphas: tuple[float, ...]
     gammas: tuple[float, ...]
-    cells: tuple[GridCell, ...]
-    contour: tuple[tuple[float, float], ...] = field(default=())
-
-    def cell(self, i_alpha: int, i_gamma: int) -> GridCell:
-        return self.cells[i_alpha * len(self.gammas) + i_gamma]
+    cells: np.recarray
+    contour: tuple[tuple[float, float], ...] = ()
 
 
-# Grid status of each par_*_array status code.
-_STATUSES = {PAR_OK: STATUS_OK, PAR_REGIME: STATUS_SKIPPED_REGIME,
-             PAR_NOISE: STATUS_SKIPPED_DEGENERATE}
+# Grid status of each par_*_array status code, indexed by the code
+# (PAR_OK, PAR_REGIME, PAR_NOISE are 0, 1, 2).
+_STATUSES = np.array([STATUS_OK, STATUS_SKIPPED_REGIME, STATUS_SKIPPED_DEGENERATE])
 
 
 def sweep_grid(spec: GridSpec) -> GridResult:
@@ -280,48 +266,54 @@ def sweep_grid(spec: GridSpec) -> GridResult:
         par, status = par_linear_array(spec.mu, spec.beta_norm, axis_g, axis_a, spec.deltas)
     else:
         par, status = par_probit_array(spec.base_rate, axis_g, axis_a, spec.deltas)
-    # A ratio that is not positive cannot be priced (cost_benefit refuses it).
-    status = np.where((status == PAR_OK) & ~(par > 0.0), PAR_REGIME, status)
-    par = np.where(status == PAR_OK, par, np.nan)
-    if not (status == PAR_OK).any():
+    with np.errstate(over="ignore"):
+        cb = par * spec.costs.cost_prediction / spec.costs.cost_access
+    # A ratio that is not positive, or whose price is not finite, cannot be
+    # priced (cost_benefit refuses both).
+    ok = (status == PAR_OK) & (par > 0.0) & np.isfinite(cb)
+    status = np.where((status == PAR_OK) & ~ok, PAR_REGIME, status)
+    if not ok.any():
         raise PartargetError(
             "every cell of the grid is infeasible for the chosen model; "
             "check the alpha/gamma ranges against the model's domain"
         )
-    cb = par * spec.costs.cost_prediction / spec.costs.cost_access
+    par, cb = np.where(ok, par, np.nan), np.where(ok, cb, np.nan)
     clipped = np.minimum(np.maximum(cb, spec.clip_lo), spec.clip_hi)
-    # The cells share the axes' float objects rather than one copy each.
-    cells = tuple(map(GridCell, (a for a in alphas for _ in gammas), gammas * len(alphas),
-                      par.tolist(), cb.tolist(), clipped.tolist(),
-                      map(_STATUSES.get, status.tolist())))
-    result = GridResult(spec=spec, alphas=alphas, gammas=gammas, cells=cells)
-    return replace(result, contour=extract_indifference_contour(result))
+    cells = np.rec.fromarrays([axis_a, axis_g, par, cb, clipped, _STATUSES[status]],
+                              names=CSV_HEADER)
+    return GridResult(spec, alphas, gammas, cells, _contour(cells, len(alphas), len(gammas)))
 
 
 def extract_indifference_contour(g: GridResult) -> tuple[tuple[float, float], ...]:
     """Interpolated (alpha, gamma_s) points where cost_benefit crosses 1.
 
     Within each alpha column, adjacent ok cells bracketing 1 contribute a
-    linearly interpolated gamma_s.  An empty tuple is a valid result.
+    linearly interpolated gamma_s, an ok cell at exactly 1 its own gamma_s
+    (if its upper neighbour is ok or it is the last).  Points are in
+    row-major order.  An empty tuple is a valid result.
     """
-    if len(g.alphas) < 2 or len(g.gammas) < 2:
+    return _contour(g.cells, len(g.alphas), len(g.gammas))
+
+
+def _contour(cells: np.recarray, n_alpha: int, n_gamma: int) -> tuple:
+    if n_alpha < 2 or n_gamma < 2:
         raise DomainError("contour extraction needs at least 2 cells per axis")
-    points: list[tuple[float, float]] = []
-    for i, alpha in enumerate(g.alphas):
-        for j in range(len(g.gammas) - 1):
-            lo, hi = g.cell(i, j), g.cell(i, j + 1)
-            if lo.status != STATUS_OK or hi.status != STATUS_OK:
-                continue
-            a, b = lo.cost_benefit - 1.0, hi.cost_benefit - 1.0
-            if a == 0.0:
-                points.append((alpha, lo.gamma_s))
-            elif a * b < 0.0:
-                frac = a / (a - b)
-                points.append((alpha, lo.gamma_s + frac * (hi.gamma_s - lo.gamma_s)))
-        last = g.cell(i, len(g.gammas) - 1)
-        if last.status == STATUS_OK and last.cost_benefit == 1.0:
-            points.append((alpha, last.gamma_s))
-    return tuple(points)
+    shape = (n_alpha, n_gamma)
+    d = np.where(cells.status == STATUS_OK, cells.cost_benefit - 1.0, np.nan).reshape(shape)
+    gs = cells.gamma_s.reshape(shape)
+    # Each cell's upper neighbour along gamma_s.  The last column gets a
+    # finite 0, so that only its exact hit counts; a skipped neighbour's NaN
+    # rules out both a hit and a crossing.
+    d_hi = np.pad(d[:, 1:], ((0, 0), (0, 1)))
+    g_hi = np.pad(gs[:, 1:], ((0, 0), (0, 1)))
+    with np.errstate(over="ignore"):
+        cross = d * d_hi < 0.0
+        i, j = np.nonzero(cross | ((d == 0.0) & ~np.isnan(d_hi)))
+        a, b, lo, hi = d[i, j], d_hi[i, j], gs[i, j], g_hi[i, j]
+        # A hit gets frac = 0 and so lo itself.
+        frac = np.divide(a, a - b, out=np.zeros_like(a), where=cross[i, j])
+        gamma = lo + frac * (hi - lo)
+    return tuple(zip(cells.alpha.reshape(shape)[i, j].tolist(), gamma.tolist()))
 
 
 def _json_number(x: float) -> str:
@@ -345,25 +337,24 @@ def serialize_grid(g: GridResult, format: str) -> bytes:
     The JSON equals ``json.dumps(doc, indent=2, allow_nan=False)`` plus a
     newline, but its fixed-schema cells are written directly, not as dicts.
     """
+    if format not in ("csv", "json"):
+        raise DomainError(f"format must be 'csv' or 'json', got {format!r}")
     out = io.BytesIO()
+    # One row of Python floats and a status string per cell, in cell order.
+    rows = zip(*(g.cells[name].tolist() for name in g.cells.dtype.names))
     if format == "csv":
         out.write(CSV_HEADER.encode("utf-8") + b"\n")
-        for c in g.cells:
-            out.write((_CSV_ROW % (c.alpha, c.gamma_s, c.par, c.cost_benefit,
-                                   c.cost_benefit_clipped, c.status)).encode("utf-8"))
-    elif format == "json":
+        for row in rows:
+            out.write((_CSV_ROW % row).encode("utf-8"))
+    else:
         doc = {"spec": g.spec.to_dict(), "alphas": list(g.alphas),
                "gammas": list(g.gammas), "cells": [],
                "contour": [[a, gm] for a, gm in g.contour]}
         head, _, tail = json.dumps(doc, indent=2, allow_nan=False).partition('"cells": []')
         out.write(head.encode("utf-8") + b'"cells": [\n')
-        num, sep = _json_number, ""
-        for c in g.cells:
-            out.write((_JSON_CELL % (sep, num(c.alpha), num(c.gamma_s), num(c.par),
-                                     num(c.cost_benefit), num(c.cost_benefit_clipped),
-                                     c.status)).encode("utf-8"))
+        sep = ""
+        for *nums, status in rows:
+            out.write((_JSON_CELL % (sep, *map(_json_number, nums), status)).encode("utf-8"))
             sep = ",\n"
         out.write(b"\n  ]" + tail.encode("utf-8") + b"\n")
-    else:
-        raise DomainError(f"format must be 'csv' or 'json', got {format!r}")
     return out.getvalue()

@@ -40,6 +40,26 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {num:2d} {name}: {status}{suffix}")
 
 
+def linear_contour(cost_pred: float, step: float):
+    """The indifference contour of criterion 8's linear grid (mu = 1,
+    beta_norm = 10) with both lever steps at ``step``: its alphas and
+    gamma_s, the correction mu/(beta_norm T) and g(alpha)/T at each point,
+    with T the upper alpha cutoff."""
+    spec = GridSpec(
+        model="linear", alpha_lo=0.005, alpha_hi=0.05, alpha_count=25,
+        gamma_lo=0.0, gamma_hi=0.9, gamma_count=200,
+        deltas=LeverDelta(step, step),
+        costs=CostModel(1.0, cost_pred), mu=1.0, beta_norm=10.0,
+    )
+    res = sweep_grid(spec)
+    assert len(res.contour) >= 5
+    xs = np.array([a for a, _ in res.contour])
+    gs = np.array([g for _, g in res.contour])
+    t = np.array([gaussian.upper_quantile(a) for a in xs])
+    g = np.array([gaussian.phi_of_quantile(a) for a in xs])
+    return xs, gs, 1.0 / (10.0 * t), g / t
+
+
 class TestAcceptance:
     def test_01_linear_value_vs_monte_carlo(self):
         start = time.perf_counter()
@@ -222,26 +242,19 @@ class TestAcceptance:
         start = time.perf_counter()
         failures = []
         raws = []
+        exact_slopes = []
         for cost_pred, target in ((0.25, 4.0), (0.5, 2.0)):
-            spec = GridSpec(
-                model="linear", alpha_lo=0.005, alpha_hi=0.05, alpha_count=25,
-                gamma_lo=0.0, gamma_hi=0.9, gamma_count=200,
-                deltas=LeverDelta(0.01, 0.01),
-                costs=CostModel(1.0, cost_pred), mu=1.0, beta_norm=10.0,
-            )
-            res = sweep_grid(spec)
-            assert len(res.contour) >= 5
-            xs = np.array([a for a, _ in res.contour])
-            gs = np.array([g for _, g in res.contour])
-            corr = np.array([1.0 / (10.0 * gaussian.upper_quantile(a)) for a in xs])
+            xs, gs, corr, g_over_t = linear_contour(cost_pred, 0.01)
             raw_slope = np.polyfit(xs, gs, 1)[0]
             corrected_slope = np.polyfit(xs, gs + corr, 1)[0]
             raws.append(raw_slope)
+            exact_slopes.append(np.polyfit(g_over_t, gs + corr, 1)[0])
             if abs(corrected_slope - target) / target > 0.25:
                 failures.append((target, corrected_slope, raw_slope))
         elapsed = time.perf_counter() - start
         ok = not failures and elapsed <= 10.0
-        detail = f"raw slopes {raws[0]:.3f}/{raws[1]:.3f}, {elapsed:.1f} s"
+        detail = (f"raw slopes {raws[0]:.3f}/{raws[1]:.3f}, corrected slopes on g(alpha)/T "
+                  f"{exact_slopes[0]:.3f}/{exact_slopes[1]:.3f}, {elapsed:.1f} s")
         if failures:
             parts = [f"target {t}: corrected {c:.3f} ({abs(c - t) / t:.0%} off), "
                      f"raw {r:.3f}" for t, c, r in failures]
@@ -253,6 +266,16 @@ class TestAcceptance:
             f"cost ratio: {failures} (the uncorrected slopes {raws} are within "
             "25%; see the decisions ledger)"
         )
+
+    def test_08_exact_contour_slope_on_g_over_t(self):
+        # Criterion 8 regresses gamma_s + mu/(beta T) on alpha, the paper's
+        # first-order step g(alpha) ~ alpha T, which is off by 1 + f(alpha)
+        # (gaussian.phi_of_quantile_slack).  The exact contour's derivative
+        # limit regresses on g(alpha)/T with the cost ratio as its slope.
+        for cost_pred, target in ((0.25, 4.0), (0.5, 2.0)):
+            _, gs, corr, g_over_t = linear_contour(cost_pred, 1e-4)
+            slope = np.polyfit(g_over_t, gs + corr, 1)[0]
+            assert abs(slope - target) / target <= 0.005, (target, slope)
 
     def test_09_probit_small_alpha_dominance(self):
         start = time.perf_counter()

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -176,6 +178,43 @@ class TestGrid:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("costs", [("1e-300", "1e300"), ("1e300", "1e-300")],
+                             ids=["overflow", "underflow"])
+    def test_unpriceable_cost_ratio_is_usage_error(self, capsys, fmt, costs):
+        code, out, err = run_cli(capsys, "grid", "--model", "linear", "--mu", "1",
+                                 "--beta-norm", "10", "--alpha-lo", "0.01",
+                                 "--alpha-hi", "0.04", "--gamma-lo", "0.1", "--gamma-hi", "0.9",
+                                 "--delta-alpha", "0.001", "--delta-r2", "0.01",
+                                 "--cost-access", costs[0], "--cost-prediction", costs[1],
+                                 "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "cost ratio" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_cells_are_skipped(self, capsys, fmt):
+        # PARs run from ~0.26 to ~77, so a cost ratio of 1e308 prices only some
+        code, out, err = run_cli(capsys, "grid", "--model", "linear", "--mu", "1",
+                                 "--beta-norm", "10", "--alpha-lo", "0.01",
+                                 "--alpha-hi", "0.4", "--alpha-count", "3",
+                                 "--gamma-lo", "0", "--gamma-hi", "0.9", "--gamma-count", "3",
+                                 "--delta-alpha", "0.01", "--delta-r2", "0.01",
+                                 "--cost-access", "1", "--cost-prediction", "1e308",
+                                 "--format", fmt)
+        assert code == 0
+        assert err == ""
+        cells = (json.loads(out)["cells"] if fmt == "json"
+                 else list(csv.DictReader(io.StringIO(out))))
+        statuses = [c["status"] for c in cells]
+        assert statuses.count("ok") == 4 and statuses.count("skipped-regime") == 5
+        assert "inf" not in out.lower()
+        for c in cells:
+            if c["status"] == "ok":
+                assert float(c["cost_benefit"]) == float(c["par"]) * 1e308
+            else:
+                assert c["cost_benefit"] in (None, "nan")
 
     @pytest.mark.parametrize("counts", [(grid_mod.MAX_CELLS // 2 + 1, 2), (2, 10**12),
                                         (10**9, 10**9)], ids=["just-over", "long", "huge"])

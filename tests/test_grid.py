@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from partarget.grid import (
     STATUS_SKIPPED_DEGENERATE,
     STATUS_SKIPPED_REGIME,
     CostModel,
+    GridResult,
     GridSpec,
     cost_benefit,
     extract_indifference_contour,
@@ -77,6 +79,11 @@ class TestCostBenefit:
         with pytest.raises(DomainError):
             CostModel(0.0, 1.0)
 
+    def test_overflowing_ratio_refused(self):
+        with pytest.raises(DomainError, match="overflows"):
+            cost_benefit(2.0, CostModel(1.0, 1e308))
+        assert cost_benefit(1.5, CostModel(1.0, 1e308)) == 1.5e308
+
 
 class TestGridSpec:
     def test_validation(self):
@@ -109,6 +116,12 @@ class TestGridSpec:
     def test_dict_round_trip(self):
         spec = probit_spec()
         assert GridSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("costs", [CostModel(1e-300, 1e300), CostModel(1e300, 1e-300)],
+                             ids=["overflow", "underflow"])
+    def test_cost_ratio_must_be_finite_and_positive(self, costs):
+        with pytest.raises(DomainError, match="cost ratio"):
+            linear_spec(costs=costs)
 
     def test_missing_field_named(self):
         d = probit_spec().to_dict()
@@ -173,7 +186,51 @@ class TestSweepGrid:
             serialize_grid(sweep_grid(spec), "json")
 
 
+def reference_contour(g: GridResult) -> tuple[tuple[float, float], ...]:
+    """The contour by a plain loop over adjacent cells of each alpha row."""
+    n = len(g.gammas)
+    ok = (g.cells.status == STATUS_OK).tolist()
+    cb, gs = g.cells.cost_benefit.tolist(), g.cells.gamma_s.tolist()
+    points = []
+    for i, alpha in enumerate(g.alphas):
+        for k in range(i * n, (i + 1) * n - 1):
+            if not (ok[k] and ok[k + 1]):
+                continue
+            a, b = cb[k] - 1.0, cb[k + 1] - 1.0
+            if a == 0.0:
+                points.append((alpha, gs[k]))
+            elif a * b < 0.0:
+                frac = a / (a - b)
+                points.append((alpha, gs[k] + frac * (gs[k + 1] - gs[k])))
+        last = (i + 1) * n - 1
+        if ok[last] and cb[last] == 1.0:
+            points.append((alpha, gs[last]))
+    return tuple(points)
+
+
 class TestContour:
+    def test_branches_match_reference_loop(self):
+        nan = math.nan
+        rows = [
+            [0.5, 1.0, 1.5, 0.8, 1.0],  # exact hit mid-row, a crossing, last column at 1
+            [nan, 0.5, 1.5, nan, 1.0],  # skips on either side of a crossing
+            [1.0, nan, 1.2, 0.9, nan],  # a hit whose neighbour is skipped; a crossing down
+            [1.0, 1.0, 0.9, 1e308, -1e308],  # consecutive hits; crossings that overflow
+            [2.0, 3.0, 4.0, 5.0, 6.0],  # no crossing
+            [0.3, 0.9, nan, 1.0, nan],  # no point: the hit's neighbour and the last are skipped
+        ]
+        alphas = tuple(0.01 * (i + 1) for i in range(len(rows)))
+        gammas = (0.0, 0.1, 0.3, 0.7, 1.0)
+        cb = np.array(rows).ravel()
+        cells = np.rec.fromarrays(
+            [np.repeat(alphas, len(gammas)), np.tile(gammas, len(alphas)), cb, cb, cb,
+             np.where(np.isnan(cb), STATUS_SKIPPED_REGIME, STATUS_OK)], names=CSV_HEADER)
+        g = GridResult(linear_spec(), alphas, gammas, cells)
+        expected = reference_contour(g)
+        assert repr(extract_indifference_contour(g)) == repr(expected)
+        assert [p[1] for p in expected[:3]] == [0.1, pytest.approx(0.3 + 0.4 * 0.5 / 0.7), 1.0]
+        assert len(expected) == 10 and {a for a, _ in expected} == set(alphas[:4])
+
     def test_all_above_one_gives_empty(self):
         spec = probit_spec(alpha_hi=0.005)
         res = sweep_grid(spec)
@@ -346,7 +403,9 @@ class TestSweepMatchesScalarCalls:
             with pytest.raises(PartargetError):
                 sweep_grid(spec)
             return
-        cells = sweep_grid(spec).cells
+        res = sweep_grid(spec)
+        assert repr(res.contour) == repr(reference_contour(res))
+        cells = res.cells
         assert len(cells) == len(expected)
         for c, (alpha, gamma, status, par, cb) in zip(cells, expected):
             assert (c.alpha, c.gamma_s, c.status) == (alpha, gamma, status)
@@ -374,6 +433,11 @@ class TestSweepMatchesScalarCalls:
             "linear-rounded-alpha-step"])
     def test_examples_equal_scalar_calls(self, model, deltas):
         self.check({**self.EXAMPLES[model], "deltas": deltas})
+
+    @pytest.mark.parametrize("model", ["linear", "probit"])
+    def test_overflowing_price_skipped_like_scalar_call(self, model):
+        # cost_prediction / cost_access = 1e308: cells with par above ~1.8 overflow
+        self.check({**self.EXAMPLES[model], "costs": CostModel(1.0, 1e308)})
 
     @pytest.mark.parametrize("model", ["linear", "probit"])
     @settings(max_examples=60, deadline=None)
