@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -170,23 +171,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _read_distribution(path: str) -> oracle.DiscreteDistribution:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DomainError(
+            f"cannot read distribution file {path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"distribution file {path!r} is not valid UTF-8: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    expected = ["label", "mass", "cond_mean"]
+    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
+        raise DomainError(
+            f"distribution file must have header {','.join(expected)!r}"
+        )
     atoms = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["label", "mass", "cond_mean"]
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
-            raise DomainError(
-                f"distribution file must have header {','.join(expected)!r}"
-            )
-        for row in reader:
-            try:
-                atoms.append(oracle.Atom(
-                    label=row["label"],
-                    mass=float(row["mass"]),
-                    cond_mean=float(row["cond_mean"]),
-                ))
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"malformed distribution row {row!r}") from exc
+    for row in reader:
+        try:
+            atoms.append(oracle.Atom(
+                label=row["label"],
+                mass=float(row["mass"]),
+                cond_mean=float(row["cond_mean"]),
+            ))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"malformed distribution row {row!r}") from exc
     return oracle.DiscreteDistribution(tuple(atoms))
 
 

@@ -257,7 +257,8 @@ _STATUSES = np.array([STATUS_OK, STATUS_SKIPPED_REGIME, STATUS_SKIPPED_DEGENERAT
 def sweep_grid(spec: GridSpec) -> GridResult:
     """Evaluate the exact PAR and cost-benefit ratio at every grid cell, each
     bit-equal to its scalar ``par_*_exact`` and :func:`cost_benefit` call.
-    A lever step that leaves every ratio undefined raises its error."""
+    A lever step that leaves every ratio undefined raises its error; a cost
+    ratio whose price overflows at every defined ratio raises DomainError."""
     alphas = spec.alphas()
     gammas = spec.gammas()
     axis_a = np.repeat(alphas, len(gammas))
@@ -270,13 +271,20 @@ def sweep_grid(spec: GridSpec) -> GridResult:
         cb = par * spec.costs.cost_prediction / spec.costs.cost_access
     # A ratio that is not positive, or whose price is not finite, cannot be
     # priced (cost_benefit refuses both).
-    ok = (status == PAR_OK) & (par > 0.0) & np.isfinite(cb)
-    status = np.where((status == PAR_OK) & ~ok, PAR_REGIME, status)
+    defined = (status == PAR_OK) & (par > 0.0) & np.isfinite(par)
+    ok = defined & np.isfinite(cb)
     if not ok.any():
+        if defined.any():
+            ratio = spec.costs.cost_prediction / spec.costs.cost_access
+            raise DomainError(
+                f"cost ratio cost_prediction / cost_access = {ratio!r} prices no cell "
+                "of the grid: its product with every defined PAR overflows"
+            )
         raise PartargetError(
             "every cell of the grid is infeasible for the chosen model; "
             "check the alpha/gamma ranges against the model's domain"
         )
+    status = np.where((status == PAR_OK) & ~ok, PAR_REGIME, status)
     par, cb = np.where(ok, par, np.nan), np.where(ok, cb, np.nan)
     clipped = np.minimum(np.maximum(cb, spec.clip_lo), spec.clip_hi)
     cells = np.rec.fromarrays([axis_a, axis_g, par, cb, clipped, _STATUSES[status]],
@@ -316,45 +324,68 @@ def _contour(cells: np.recarray, n_alpha: int, n_gamma: int) -> tuple:
     return tuple(zip(cells.alpha.reshape(shape)[i, j].tolist(), gamma.tolist()))
 
 
-def _json_number(x: float) -> str:
-    """A float as json.dumps writes it, with null for NaN."""
-    if math.isnan(x):
-        return "null"
-    if math.isinf(x):
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return float.__repr__(x)
+# The text around the six fields of a cell: before alpha, before each of the
+# next five fields, and after status.
+_CSV_KEYS = ("", ",", ",", ",", ",", ",", "\n")
+_JSON_KEYS = ('    {\n      "alpha": ', ',\n      "gamma_s": ', ',\n      "par": ',
+              ',\n      "cost_benefit": ', ',\n      "cost_benefit_clipped": ',
+              ',\n      "status": "', '"\n    }')
 
 
-_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
-_JSON_CELL = ('%s    {\n      "alpha": %s,\n      "gamma_s": %s,\n      "par": %s,\n'
-              '      "cost_benefit": %s,\n      "cost_benefit_clipped": %s,\n'
-              '      "status": "%s"\n    }')
+def _write_cells(out: io.BytesIO, g: GridResult, number, null: str, keys: tuple,
+                 sep: str) -> None:
+    """Write the cells, ``sep`` between two, one alpha row per chunk.
+
+    Each distinct number is formatted once: the axes up front, ``par`` and
+    ``cost_benefit`` at ok cells only, and a clipped ratio is either its
+    cell's ``cost_benefit`` or one of the two clip bounds.  A skipped cell's
+    three numbers are ``null``, the format's text for NaN.
+    """
+    before_alpha, before_gamma, before_par, before_cb, before_clip, before_status, end = keys
+    lo, hi = float(g.spec.clip_lo), float(g.spec.clip_hi)
+    lo_text, hi_text = number(lo), number(hi)
+    # gamma_s with the text around it, up to the par field, per column.
+    columns = [before_gamma + number(float(x)) + before_par for x in g.gammas]
+    ok_end = before_status + STATUS_OK + end
+    skipped = {s: f"{null}{before_cb}{null}{before_clip}{null}{before_status}{s}{end}"
+               for s in (STATUS_SKIPPED_REGIME, STATUS_SKIPPED_DEGENERATE)}
+    n = len(g.gammas)
+    par, cb, status = g.cells["par"], g.cells["cost_benefit"], g.cells["status"]
+    for i, alpha in enumerate(g.alphas):
+        head = before_alpha + number(float(alpha))
+        row = slice(i * n, (i + 1) * n)
+        texts = []
+        for column, s, p, c in zip(columns, status[row].tolist(), par[row].tolist(),
+                                   cb[row].tolist()):
+            if s == STATUS_OK:
+                c_text = number(c)
+                clip_text = c_text if lo <= c <= hi else lo_text if c < lo else hi_text
+                texts.append(f"{head}{column}{number(p)}{before_cb}{c_text}"
+                             f"{before_clip}{clip_text}{ok_end}")
+            else:
+                texts.append(f"{head}{column}{skipped[s]}")
+        out.write(((sep if i else "") + sep.join(texts)).encode("utf-8"))
 
 
 def serialize_grid(g: GridResult, format: str) -> bytes:
     """Render a grid as CSV (cells only) or JSON (cells, contour, spec echo).
 
-    The JSON equals ``json.dumps(doc, indent=2, allow_nan=False)`` plus a
-    newline, but its fixed-schema cells are written directly, not as dicts.
+    The CSV writes every number as ``%.17g``.  The JSON equals
+    ``json.dumps(doc, indent=2, allow_nan=False)`` plus a newline, but its
+    fixed-schema cells are written row by row, not as dicts.
     """
     if format not in ("csv", "json"):
         raise DomainError(f"format must be 'csv' or 'json', got {format!r}")
     out = io.BytesIO()
-    # One row of Python floats and a status string per cell, in cell order.
-    rows = zip(*(g.cells[name].tolist() for name in g.cells.dtype.names))
     if format == "csv":
         out.write(CSV_HEADER.encode("utf-8") + b"\n")
-        for row in rows:
-            out.write((_CSV_ROW % row).encode("utf-8"))
+        _write_cells(out, g, "%.17g".__mod__, "nan", _CSV_KEYS, "")
     else:
         doc = {"spec": g.spec.to_dict(), "alphas": list(g.alphas),
                "gammas": list(g.gammas), "cells": [],
                "contour": [[a, gm] for a, gm in g.contour]}
         head, _, tail = json.dumps(doc, indent=2, allow_nan=False).partition('"cells": []')
         out.write(head.encode("utf-8") + b'"cells": [\n')
-        sep = ""
-        for *nums, status in rows:
-            out.write((_JSON_CELL % (sep, *map(_json_number, nums), status)).encode("utf-8"))
-            sep = ",\n"
+        _write_cells(out, g, float.__repr__, "null", _JSON_KEYS, ",\n")
         out.write(b"\n  ]" + tail.encode("utf-8") + b"\n")
     return out.getvalue()

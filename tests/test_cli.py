@@ -216,6 +216,39 @@ class TestGrid:
             else:
                 assert c["cost_benefit"] in (None, "nan")
 
+    OVERFLOW_FLAGS = ["--model", "linear", "--mu", "1", "--beta-norm", "10",
+                      "--alpha-lo", "0.005", "--alpha-hi", "0.03",
+                      "--gamma-lo", "0.1", "--gamma-hi", "0.8",
+                      "--delta-alpha", "0.01", "--delta-r2", "0.01",
+                      "--cost-access", "1", "--cost-prediction", "1e308"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_all_overflowing_grid_names_cost_ratio(self, capsys, fmt):
+        # every PAR lies above ~4, so no cell can be priced at a ratio of 1e308
+        code, out, err = run_cli(capsys, "grid", *self.OVERFLOW_FLAGS, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cost ratio cost_prediction / cost_access = 1e+308")
+
+    def test_all_regime_grid_is_numerical_failure(self, capsys):
+        # alpha + delta_alpha >= 0.5 in every row
+        code, out, err = run_cli(capsys, "grid", "--model", "linear", "--mu", "1",
+                                 "--beta-norm", "10", "--alpha-lo", "0.492",
+                                 "--alpha-hi", "0.499", "--gamma-lo", "0.1",
+                                 "--gamma-hi", "0.8", "--delta-alpha", "0.01",
+                                 "--delta-r2", "0.01", "--cost-access", "1",
+                                 "--cost-prediction", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical failure: every cell of the grid is infeasible")
+
+    def test_unwritable_out_is_io_error(self, capsys, tmp_path):
+        flags = [*self.OVERFLOW_FLAGS[:-1], "1"]
+        code, out, err = run_cli(capsys, "grid", *flags, "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("i/o error:")
+
     @pytest.mark.parametrize("counts", [(grid_mod.MAX_CELLS // 2 + 1, 2), (2, 10**12),
                                         (10**9, 10**9)], ids=["just-over", "long", "huge"])
     def test_cell_count_ceiling(self, capsys, monkeypatch, tmp_path, counts):
@@ -300,6 +333,20 @@ class TestAllocate:
                                "--brute-force")
         assert code == 0
         assert "brute_force_welfare 0.5" in out
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("absent.csv", None, "cannot read distribution file"),
+        ("", None, "cannot read distribution file"),  # the directory itself
+        ("utf16.csv", b"\xff\xfe", "is not valid UTF-8"),
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_dist_is_usage_error(self, capsys, tmp_path, name, content, message):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        code, out, err = run_cli(capsys, "allocate", "--dist", str(path), "--alpha", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
 
     def test_bad_header_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

@@ -208,6 +208,26 @@ def reference_contour(g: GridResult) -> tuple[tuple[float, float], ...]:
     return tuple(points)
 
 
+def reference_serialize(g: GridResult, format: str) -> bytes:
+    """The grid's CSV or JSON by formatting every field of every cell."""
+    def json_number(x):
+        return "null" if math.isnan(x) else float.__repr__(x)
+
+    csv_row = "%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
+    json_cell = ('%s    {\n      "alpha": %s,\n      "gamma_s": %s,\n      "par": %s,\n'
+                 '      "cost_benefit": %s,\n      "cost_benefit_clipped": %s,\n'
+                 '      "status": "%s"\n    }')
+    rows = zip(*(g.cells[name].tolist() for name in g.cells.dtype.names))
+    if format == "csv":
+        return (CSV_HEADER + "\n" + "".join(csv_row % row for row in rows)).encode("utf-8")
+    doc = {"spec": g.spec.to_dict(), "alphas": list(g.alphas), "gammas": list(g.gammas),
+           "cells": [], "contour": [[a, gm] for a, gm in g.contour]}
+    head, _, tail = json.dumps(doc, indent=2, allow_nan=False).partition('"cells": []')
+    cells = ",\n".join(json_cell % ("", *map(json_number, nums), status)
+                       for *nums, status in rows)
+    return (head + '"cells": [\n' + cells + "\n  ]" + tail + "\n").encode("utf-8")
+
+
 class TestContour:
     def test_branches_match_reference_loop(self):
         nan = math.nan
@@ -330,18 +350,22 @@ class TestSerialize:
 
 
 def _scalar_cell(spec: GridSpec, alpha: float, gamma: float):
-    """Status, PAR and cost-benefit ratio of one cell from scalar calls."""
+    """Status, PAR and cost-benefit ratio of one cell from scalar calls; a
+    cell that cannot be priced keeps its PAR."""
     try:
         if spec.model == "linear":
             p = LinearParams(spec.mu, spec.beta_norm, gamma)
             par = par_linear_exact(p, alpha, spec.deltas)
         else:
             par = par_probit_exact(ProbitParams(spec.base_rate, gamma), alpha, spec.deltas)
-        return STATUS_OK, par, cost_benefit(par, spec.costs)
     except (DegenerateLeverError, NumericsError):
         return STATUS_SKIPPED_DEGENERATE, None, None
     except DomainError:
         return STATUS_SKIPPED_REGIME, None, None
+    try:
+        return STATUS_OK, par, cost_benefit(par, spec.costs)
+    except DomainError:  # a zero PAR, or a price that overflows
+        return STATUS_SKIPPED_REGIME, par, None
 
 
 @st.composite
@@ -400,11 +424,17 @@ class TestSweepMatchesScalarCalls:
         expected = [(a, g, *_scalar_cell(spec, a, g))
                     for a in spec.alphas() for g in spec.gammas()]
         if all(status != STATUS_OK for _, _, status, _, _ in expected):
-            with pytest.raises(PartargetError):
-                sweep_grid(spec)
+            if any(par is not None and 0.0 < par < math.inf for _, _, _, par, _ in expected):
+                with pytest.raises(DomainError, match="cost ratio"):
+                    sweep_grid(spec)
+            else:
+                with pytest.raises(PartargetError):
+                    sweep_grid(spec)
             return
         res = sweep_grid(spec)
         assert repr(res.contour) == repr(reference_contour(res))
+        for fmt in ("json", "csv"):
+            assert serialize_grid(res, fmt) == reference_serialize(res, fmt)
         cells = res.cells
         assert len(cells) == len(expected)
         for c, (alpha, gamma, status, par, cb) in zip(cells, expected):
@@ -438,6 +468,78 @@ class TestSweepMatchesScalarCalls:
     def test_overflowing_price_skipped_like_scalar_call(self, model):
         # cost_prediction / cost_access = 1e308: cells with par above ~1.8 overflow
         self.check({**self.EXAMPLES[model], "costs": CostModel(1.0, 1e308)})
+
+    # Every PAR here lies above ~4 (linear) or ~44 (probit), so a cost ratio
+    # of 1e308 prices no cell.
+    ALL_OVERFLOW = {
+        "linear": dict(
+            model="linear", alpha_lo=0.005, alpha_hi=0.03, alpha_count=3,
+            gamma_lo=0.1, gamma_hi=0.8, gamma_count=3, deltas=LeverDelta(0.01, 0.01),
+            costs=CostModel(1.0, 1e308), mu=1.0, beta_norm=10.0),
+        "probit": dict(
+            model="probit", alpha_lo=0.001, alpha_hi=0.005, alpha_count=3,
+            gamma_lo=0.1, gamma_hi=0.9, gamma_count=3, deltas=LeverDelta(0.001, 0.001),
+            costs=CostModel(1.0, 1e308), base_rate=0.1),
+    }
+
+    @pytest.mark.parametrize("model", ["linear", "probit"])
+    def test_all_overflowing_price_names_cost_ratio(self, model):
+        self.check(self.ALL_OVERFLOW[model])
+
+    # Grids with ok cells on both sides of each clip bound and of 1, and a
+    # skipped top column (gamma_s + delta_r2 passes 1).
+    PRICED = {
+        "linear": dict(
+            model="linear", alpha_lo=0.005, alpha_hi=0.4, alpha_count=5,
+            gamma_lo=0.0, gamma_hi=1.0, gamma_count=6, deltas=LeverDelta(0.01, 0.01),
+            costs=CostModel(1.0, 0.25), mu=1.0, beta_norm=10.0),
+        "probit": dict(
+            model="probit", alpha_lo=0.001, alpha_hi=0.3, alpha_count=5,
+            gamma_lo=0.1, gamma_hi=1.0, gamma_count=6, deltas=LeverDelta(0.001, 0.001),
+            costs=CostModel(1.0, 0.25), base_rate=0.1),
+    }
+
+    @pytest.mark.parametrize("model", ["linear", "probit"])
+    def test_clip_bounds_at_cells(self, model):
+        cb = sweep_grid(GridSpec(**self.PRICED[model])).cells.cost_benefit
+        ratios = np.unique(cb[~np.isnan(cb)]).tolist()
+        lo, hi = ratios[len(ratios) // 4], ratios[3 * len(ratios) // 4]
+        self.check({**self.PRICED[model], "clip_lo": lo, "clip_hi": hi})
+
+    @pytest.mark.parametrize("model", ["linear", "probit"])
+    def test_int_clip_bounds(self, model):
+        fields = {**self.PRICED[model], "clip_lo": 1, "clip_hi": 3}
+        self.check(fields)
+        text = serialize_grid(sweep_grid(GridSpec(**fields)), "json")
+        assert b'"cost_benefit_clipped": 1.0,' in text
+        assert b'"cost_benefit_clipped": 3.0,' in text
+
+    @pytest.mark.parametrize("model", ["linear", "probit"])
+    def test_cost_ratio_one(self, model):
+        self.check({**self.PRICED[model], "costs": CostModel(1.0, 1.0)})
+
+    def test_all_ok_grid(self):
+        fields = {**self.PRICED["linear"], "gamma_hi": 0.9}
+        self.check(fields)
+        assert set(sweep_grid(GridSpec(**fields)).cells.status) == {STATUS_OK}
+
+    def test_one_ok_cell_grid(self):
+        # alpha + delta_alpha reaches 0.5 in the second row
+        fields = {**self.PRICED["linear"], "alpha_lo": 0.3, "alpha_hi": 0.495,
+                  "alpha_count": 2, "gamma_lo": 0.5, "gamma_count": 2}
+        self.check(fields)
+        assert list(sweep_grid(GridSpec(**fields)).cells.status).count(STATUS_OK) == 1
+
+    @pytest.mark.parametrize("model", ["linear", "probit"])
+    def test_int_gamma_bounds(self, model):
+        fields = {**self.PRICED[model], "gamma_lo": 0, "gamma_hi": 1}
+        self.check(fields)
+        # With two columns the gamma_s column itself holds ints; the cells
+        # still write them as floats.
+        res = sweep_grid(GridSpec(**{**fields, "gamma_count": 2}))
+        text = serialize_grid(res, "json")
+        assert json.loads(text)["gammas"] == [0, 1] and b'"gamma_s": 0.0,' in text
+        assert serialize_grid(res, "csv") == reference_serialize(res, "csv")
 
     @pytest.mark.parametrize("model", ["linear", "probit"])
     @settings(max_examples=60, deadline=None)
