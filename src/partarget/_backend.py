@@ -67,9 +67,11 @@ def _treated(seed: int, start: int, count: int, threshold: float):
     """z_s and z_t of the treated samples among indices [start, start + count).
 
     z_s >= threshold can only hold where the uniform is above
-    ndtr(threshold) - 1e-9 (ndtri is monotone and far more accurate than
-    that), so the z_s stream is scanned in cache-sized chunks and z_s is
-    computed and tested only at the bits past that cut.
+    ndtr(threshold) - 1e-9: a 1e-9 shift of the uniform moves z_s by far
+    more than the error of ndtri (up to about 6 ulps) or of ndtr, so no
+    uniform below the cut can round up to a z_s past the threshold.  The
+    z_s stream is scanned in cache-sized chunks, and z_s is computed and
+    tested only at the bits past that cut.
     """
     cut = np.uint64(int(max(0.0, ndtr(threshold) - 1e-9) * 2.0**53) << 11)
     stop = start + count
@@ -102,7 +104,10 @@ def _block_sums(block_fn, n: int, block: int) -> tuple[float, float]:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda job: block_fn(*job), jobs))
-    return math.fsum(p[0] for p in parts), math.fsum(p[1] for p in parts)
+    try:
+        return math.fsum(p[0] for p in parts), math.fsum(p[1] for p in parts)
+    except (OverflowError, ValueError):  # a total past the largest double, or inf - inf
+        return math.nan, math.nan
 
 
 def linear_sums(
@@ -117,11 +122,13 @@ def linear_sums(
     """Sum and sum-of-squares of treated welfare over n linear-model draws.
 
     Sample i: w = s_scale*z_s + t_scale*z_t + mu, treated iff z_s >= threshold.
+    Sums that overflow come back as inf or NaN, without a warning.
     """
     def sums(start: int, count: int) -> tuple[float, float]:
         zs, zt = _treated(seed, start, count, threshold)
-        x = s_scale * zs + t_scale * zt + mu
-        return float(x.sum()), float((x * x).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = s_scale * zs + t_scale * zt + mu
+            return float(x.sum()), float((x * x).sum())
 
     return _block_sums(sums, n, block)
 

@@ -118,23 +118,9 @@ def _grid_spec_from_args(args: argparse.Namespace) -> grid_mod.GridSpec:
     if missing:
         flags = ", ".join("--" + name.replace("_", "-") for name in missing)
         raise DomainError(f"grid needs either --spec or all of: {flags}")
-    return grid_mod.GridSpec(
-        model=args.model,
-        alpha_lo=args.alpha_lo,
-        alpha_hi=args.alpha_hi,
-        alpha_count=args.alpha_count,
-        gamma_lo=args.gamma_lo,
-        gamma_hi=args.gamma_hi,
-        gamma_count=args.gamma_count,
-        deltas=linear.LeverDelta(args.delta_alpha, args.delta_r2),
-        costs=grid_mod.CostModel(args.cost_access, args.cost_prediction),
-        mu=args.mu,
-        beta_norm=args.beta_norm,
-        base_rate=args.base_rate,
-        clip_lo=args.clip_lo,
-        clip_hi=args.clip_hi,
-        alpha_spacing=args.alpha_spacing,
-    )
+    # The flags' dest names are the spec's field names; from_dict ignores
+    # the others (format, out, ...) and fills in the defaults.
+    return grid_mod.GridSpec.from_dict({k: v for k, v in vars(args).items() if v is not None})
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
@@ -252,9 +238,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--delta-r2", type=float)
     sub.add_argument("--cost-access", type=float)
     sub.add_argument("--cost-prediction", type=float)
-    sub.add_argument("--clip-lo", type=float, default=0.5)
-    sub.add_argument("--clip-hi", type=float, default=2.0)
-    sub.add_argument("--alpha-spacing", choices=("log", "linear"), default="log")
+    sub.add_argument("--clip-lo", type=float)
+    sub.add_argument("--clip-hi", type=float)
+    sub.add_argument("--alpha-spacing", choices=("log", "linear"))
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="output path; stdout when omitted")
     sub.set_defaults(handler=_cmd_grid)

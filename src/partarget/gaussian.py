@@ -1,17 +1,17 @@
 """Standard-normal special functions used throughout the package.
 
-Everything here is scalar, pure and stateless.  The quantile is the one
-primitive the rest of the package leans on (thresholds, closed forms and
-the Monte Carlo sampler all use it), and it meets a tight round-trip
-contract:
+Everything here is scalar, pure and stateless, except :func:`pdf_array`,
+the unchecked density the linear array core shares with :func:`pdf`.  The
+quantile is the one primitive the rest of the package leans on
+(thresholds, closed forms and the Monte Carlo sampler all use it), and it
+meets a tight round-trip contract:
 
     |cdf(quantile(p)) - p| <= 1e-12   for p in [1e-10, 1 - 1e-10].
 
 Implementation notes
 --------------------
-* ``cdf`` goes through the complementary error function, which keeps full
-  relative accuracy deep into either tail (``math.erfc`` covers the
-  asymptotic regime internally, so no separate tail branch is needed).
+* ``cdf`` and ``sf`` are ``scipy.special.ndtr`` (``sf`` at -t, never
+  ``1 - cdf``), the CDF of the probit core and the Monte Carlo kernel.
 * ``quantile`` is ``scipy.special.ndtri``, the same inverse CDF as the
   array closed forms and the Monte Carlo kernel, so the package has one
   implementation of it (within about 3e-16 relative of a 40-digit
@@ -28,13 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import ndtri
+import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, NumericsError, PreconditionError
 
 __all__ = [
     "BoundPair",
     "pdf",
+    "pdf_array",
     "cdf",
     "sf",
     "quantile",
@@ -48,7 +50,6 @@ __all__ = [
 
 INV_SQRT_2PI = 0.3989422804014327
 SQRT_2PI = 2.5066282746310002
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -77,32 +78,29 @@ def _reject_nan(x: float, name: str) -> None:
         raise DomainError(f"{name} is NaN")
 
 
+def pdf_array(z):
+    """Standard normal density (1/sqrt(2*pi)) * exp(-z^2/2), unchecked."""
+    return INV_SQRT_2PI * np.exp(-0.5 * z * z)
+
+
 def pdf(z: float) -> float:
-    """Standard normal density (1/sqrt(2*pi)) * exp(-z^2/2)."""
+    """Standard normal density at a finite z."""
     _reject_nan(z, "z")
     if math.isinf(z):
         raise DomainError("pdf requires a finite argument")
-    return INV_SQRT_2PI * math.exp(-0.5 * z * z)
+    return float(pdf_array(z))
 
 
 def cdf(t: float) -> float:
     """Standard normal CDF; +/-inf map to 1/0."""
     _reject_nan(t, "t")
-    if t == math.inf:
-        return 1.0
-    if t == -math.inf:
-        return 0.0
-    return 0.5 * math.erfc(-t / _SQRT2)
+    return float(ndtr(t))
 
 
 def sf(t: float) -> float:
     """Upper tail probability Pr(Z >= t), accurate for large t."""
     _reject_nan(t, "t")
-    if t == math.inf:
-        return 0.0
-    if t == -math.inf:
-        return 1.0
-    return 0.5 * math.erfc(t / _SQRT2)
+    return float(ndtr(-t))
 
 
 def quantile(p: float) -> float:

@@ -94,7 +94,7 @@ def _axis(name: str, lo: float, hi: float, n: int, spacing: str) -> tuple[float,
         vals = [lo * ratio ** (i / (n - 1)) for i in range(n)]
     else:
         vals = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    vals[0], vals[-1] = lo, hi
+    vals[0], vals[-1] = float(lo), float(hi)
     return tuple(vals)
 
 
@@ -154,12 +154,17 @@ class GridSpec:
                 f"alpha_spacing must be 'log' or 'linear', got {self.alpha_spacing!r}"
             )
         # The model parameters are shared by every cell, so a bad one is
-        # refused here rather than turning each cell into a skip.
+        # refused here rather than turning each cell into a skip, and so is
+        # one of the other model.
         if self.model == "linear":
+            if self.base_rate is not None:
+                raise DomainError("base_rate is only valid with the probit model")
             if self.mu is None or self.beta_norm is None:
                 raise DomainError("linear model requires mu and beta_norm")
             LinearParams(self.mu, self.beta_norm, self.gamma_lo)
         else:
+            if self.mu is not None or self.beta_norm is not None:
+                raise DomainError("mu/beta_norm are only valid with the linear model")
             if self.base_rate is None:
                 raise DomainError("probit model requires base_rate")
             ProbitParams(self.base_rate, self.gamma_lo)
@@ -181,11 +186,12 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        """Rebuild a spec from its :meth:`to_dict` form, as read from JSON.
+        """Build a spec from its :meth:`to_dict` form, as read from a JSON
+        spec file or gathered from the ``grid`` flags.
 
         Types are checked strictly: a count must be an integer and every
         other numeric field a number, so booleans, strings and fractional
-        counts are refused rather than coerced.
+        counts are refused rather than coerced.  Unknown keys are ignored.
         """
         if not isinstance(d, dict):
             raise DomainError(f"grid spec must be a JSON object, got {type(d).__name__}")
@@ -226,9 +232,9 @@ class GridSpec:
             mu=optional("mu"),
             beta_norm=optional("beta_norm"),
             base_rate=optional("base_rate"),
-            clip_lo=number("clip_lo", 0.5),
-            clip_hi=number("clip_hi", 2.0),
-            alpha_spacing=d.get("alpha_spacing", "log"),
+            clip_lo=number("clip_lo", cls.clip_lo),
+            clip_hi=number("clip_hi", cls.clip_hi),
+            alpha_spacing=d.get("alpha_spacing", cls.alpha_spacing),
         )
 
 
@@ -345,14 +351,14 @@ def _write_cells(out: io.BytesIO, g: GridResult, number, null: str, keys: tuple,
     lo, hi = float(g.spec.clip_lo), float(g.spec.clip_hi)
     lo_text, hi_text = number(lo), number(hi)
     # gamma_s with the text around it, up to the par field, per column.
-    columns = [before_gamma + number(float(x)) + before_par for x in g.gammas]
+    columns = [before_gamma + number(x) + before_par for x in g.gammas]
     ok_end = before_status + STATUS_OK + end
     skipped = {s: f"{null}{before_cb}{null}{before_clip}{null}{before_status}{s}{end}"
                for s in (STATUS_SKIPPED_REGIME, STATUS_SKIPPED_DEGENERATE)}
     n = len(g.gammas)
     par, cb, status = g.cells["par"], g.cells["cost_benefit"], g.cells["status"]
     for i, alpha in enumerate(g.alphas):
-        head = before_alpha + number(float(alpha))
+        head = before_alpha + number(alpha)
         row = slice(i * n, (i + 1) * n)
         texts = []
         for column, s, p, c in zip(columns, status[row].tolist(), par[row].tolist(),

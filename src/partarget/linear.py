@@ -34,7 +34,7 @@ from .errors import (
     PreconditionError,
     RegimeError,
 )
-from .gaussian import INV_SQRT_2PI, BoundPair
+from .gaussian import BoundPair, pdf_array
 
 __all__ = [
     "LinearParams",
@@ -141,8 +141,7 @@ def value_linear_array(mu, beta_norm, gamma_s, alpha) -> np.ndarray | np.float64
     """
     # [()] turns 0-d arrays into NumPy scalars, as in value_probit_array.
     gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
-    z = ndtri(alpha)
-    return alpha * mu + gamma_s * beta_norm * (INV_SQRT_2PI * np.exp(-0.5 * z * z))
+    return alpha * mu + gamma_s * beta_norm * pdf_array(ndtri(alpha))
 
 
 def value_linear(p: LinearParams, alpha: float) -> float:

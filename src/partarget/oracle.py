@@ -25,7 +25,7 @@ from itertools import combinations
 
 from . import gaussian
 from ._backend import linear_sums, probit_sums
-from .errors import DomainError
+from .errors import DomainError, NumericsError
 from .linear import LinearParams
 from .probit import ProbitParams
 
@@ -128,6 +128,11 @@ class Allocation:
 
 
 def _estimate(total: float, total_sq: float, n: int) -> Estimate:
+    if not (math.isfinite(total_sq) and math.isfinite(total * total)):
+        raise NumericsError(
+            f"the Monte Carlo sums overflow (sum {total!r}, sum of squares {total_sq!r}); "
+            "the welfare scale is too large to simulate"
+        )
     mean = total / n
     var = max(0.0, (total_sq - total * total / n) / (n - 1))
     return Estimate(mean=mean, std_error=math.sqrt(var / n), samples=n)

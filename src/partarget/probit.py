@@ -306,8 +306,14 @@ def par_probit_bounds(
     prefactor = (d.delta_alpha * gt / d.delta_r2) / (p.base_rate * t_b)
     core = 1.0 / (SQRT_2PI * alpha * t_alpha)
     eps_up = eps / (1.0 - eps)
-    lower = 0.3 * prefactor * (core / 1.01) ** ((1.0 - eps) ** 2 / (gt * gt))
-    upper = 3.0 * prefactor * core ** ((1.0 + eps_up) ** 2 / (gt * gt))
+    try:
+        lower = 0.3 * prefactor * (core / 1.01) ** ((1.0 - eps) ** 2 / (gt * gt))
+        upper = 3.0 * prefactor * core ** ((1.0 + eps_up) ** 2 / (gt * gt))
+    except OverflowError as exc:
+        raise NumericsError(
+            f"the bounds overflow: 1/(sqrt(2 pi) alpha T) = {core:.6g} is raised to a power "
+            f"of order 1/gamma_t^2 = {1.0 / (gt * gt):.6g}, past the largest double"
+        ) from exc
     return BoundPair(lower, upper)
 
 

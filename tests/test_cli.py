@@ -1,12 +1,17 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partarget import cli, grid as grid_mod, oracle
 
@@ -15,6 +20,13 @@ def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, so that tracebacks and warnings
+    reach stderr as a user would see them."""
+    return subprocess.run([sys.executable, "-m", "partarget.cli", *argv],
+                          capture_output=True, text=True)
 
 
 class TestValue:
@@ -69,8 +81,87 @@ class TestBounds:
         assert code == 2
         assert "--eps" in err
 
+    def test_probit_overflow_is_numerical_failure(self):
+        # 1/(sqrt(2 pi) alpha T) ~ 129 raised to a power ~ 1/gamma_t^2 = 500
+        proc = run_process("bounds", "--model", "probit", "--base-rate", "0.05",
+                           "--gamma-s", "0.999", "--alpha", "0.001",
+                           "--delta-alpha", "0.0001", "--delta-r2", "0.001")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("numerical failure: the bounds overflow")
+        assert "Traceback" not in proc.stderr
+
+
+def _flags(fields: dict) -> list[str]:
+    """grid flags that give the spec fields, one --flag=value per key (the =
+    keeps a negative value such as -1e-5 from reading as a flag)."""
+    return [f"--{key.replace('_', '-')}={val}" for key, val in fields.items()]
+
+
+@st.composite
+def grid_fields(draw):
+    """Spec fields of a small grid, valid or not, as a spec file holds them."""
+    model = draw(st.sampled_from(["linear", "probit"]))
+    f = {"model": model}
+    if model == "linear":
+        f["mu"] = draw(st.floats(-1.0, 5.0))
+        f["beta_norm"] = draw(st.floats(0.5, 20.0))
+    else:
+        f["base_rate"] = draw(st.floats(-0.1, 1.1))
+    a_lo, a_hi = sorted(draw(st.lists(st.floats(1e-3, 0.45), min_size=2, max_size=2)))
+    g_lo, g_hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    f.update(alpha_lo=a_lo, alpha_hi=a_hi, alpha_count=draw(st.integers(2, 5)),
+             gamma_lo=draw(st.sampled_from([0.0, g_lo])), gamma_hi=draw(st.sampled_from([1.0, g_hi])),
+             gamma_count=draw(st.integers(2, 5)),
+             delta_alpha=draw(st.sampled_from([0.0, 0.001, 0.002, 0.005, 0.01, 0.02])),
+             delta_r2=draw(st.sampled_from([0.0, 1e-6, 0.001, 0.002, 0.005, 0.01, 0.02])),
+             cost_access=draw(st.floats(0.1, 4.0)),
+             cost_prediction=draw(st.sampled_from([1e308, 0.05, 0.25, 0.5, 1.0, 2.0, 4.0])))
+    for key, values in (("clip_lo", st.floats(0.1, 1.5)), ("clip_hi", st.floats(0.5, 4.0)),
+                        ("alpha_spacing", st.sampled_from(["log", "linear"]))):
+        if draw(st.booleans()):
+            f[key] = draw(values)
+    return f
+
 
 class TestGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(fields=grid_fields(), fmt=st.sampled_from(["csv", "json"]))
+    def test_flags_and_spec_build_the_same_grid(self, fields, fmt):
+        def run(*argv):
+            out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(["grid", *argv, "--format", fmt])
+            out.flush()
+            return code, out.buffer.getvalue(), err.getvalue()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_path = Path(tmp) / "spec.json"
+            spec_path.write_text(json.dumps(fields))
+            from_spec = run("--spec", str(spec_path))
+        assert run(*_flags(fields)) == from_spec
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"model": "linear", "mu": 1.0, "beta_norm": 10.0, "base_rate": 0.1},
+         "error: base_rate is only valid with the probit model"),
+        ({"model": "probit", "base_rate": 0.1, "mu": 1.0},
+         "error: mu/beta_norm are only valid with the linear model"),
+        ({"model": "probit", "base_rate": 0.1, "beta_norm": 10.0},
+         "error: mu/beta_norm are only valid with the linear model"),
+    ], ids=["linear-base-rate", "probit-mu", "probit-beta-norm"])
+    def test_other_models_parameter_is_usage_error(self, capsys, tmp_path, fields, named):
+        fields = {**fields, "alpha_lo": 0.01, "alpha_hi": 0.04, "alpha_count": 3,
+                  "gamma_lo": 0.1, "gamma_hi": 0.9, "gamma_count": 3,
+                  "delta_alpha": 0.001, "delta_r2": 0.01,
+                  "cost_access": 1.0, "cost_prediction": 1.0}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(fields))
+        for argv in (_flags(fields), ["--spec", str(spec_path)]):
+            code, out, err = run_cli(capsys, "grid", *argv)
+            assert code == 2
+            assert out == ""
+            assert err == named + "\n"
+
     def test_csv_to_file_and_determinism(self, capsys, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["grid", "--model", "linear", "--mu", "1", "--beta-norm", "10",
@@ -291,6 +382,15 @@ class TestVerify:
         _, out1, _ = run_cli(capsys, *self.ARGV)
         _, out2, _ = run_cli(capsys, *self.ARGV)
         assert out1 == out2
+
+    def test_overflowing_sums_are_numerical_failure(self):
+        proc = run_process("verify", "--model", "linear", "--mu", "1", "--beta-norm", "1e308",
+                           "--gamma-s", "0.5", "--alpha", "0.1", "--samples", "10000",
+                           "--seed", "1")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("numerical failure: the Monte Carlo sums overflow")
+        assert proc.stderr.count("\n") == 1
 
     def test_probit_verify(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--model", "probit", "--base-rate",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
+from scipy.special import ndtr
 
 from partarget import gaussian
 from partarget.errors import DomainError, NumericsError, PreconditionError
@@ -46,6 +47,11 @@ class TestPdf:
         with pytest.raises(DomainError):
             gaussian.pdf(math.nan)
 
+    @given(st.lists(st.floats(-40, 40), min_size=1, max_size=50))
+    def test_scalar_is_the_array_density(self, zs):
+        # the density the linear array core uses, element for element
+        assert gaussian.pdf_array(np.array(zs)).tolist() == [gaussian.pdf(z) for z in zs]
+
 
 class TestCdf:
     def test_at_zero(self):
@@ -54,6 +60,16 @@ class TestCdf:
     def test_infinities(self):
         assert gaussian.cdf(math.inf) == 1.0
         assert gaussian.cdf(-math.inf) == 0.0
+        assert gaussian.sf(math.inf) == 0.0
+        assert gaussian.sf(-math.inf) == 1.0
+
+    @given(st.floats(allow_nan=False))
+    @example(-37.5)
+    @example(8.3)
+    def test_is_ndtr(self, t):
+        # the CDF of the probit core and the Monte Carlo kernel, bit for bit
+        assert gaussian.cdf(t) == float(ndtr(t))
+        assert gaussian.sf(t) == float(ndtr(-t))
 
     def test_against_independent_quadrature(self):
         ref, err = scipy_integrate.quad(gaussian.pdf, -np.inf, 1.0, epsabs=1e-14)

@@ -534,11 +534,13 @@ class TestSweepMatchesScalarCalls:
     def test_int_gamma_bounds(self, model):
         fields = {**self.PRICED[model], "gamma_lo": 0, "gamma_hi": 1}
         self.check(fields)
-        # With two columns the gamma_s column itself holds ints; the cells
-        # still write them as floats.
+        # With two columns every gamma_s is an end point; they are floats
+        # all the same.
         res = sweep_grid(GridSpec(**{**fields, "gamma_count": 2}))
+        assert res.cells.gamma_s.dtype == np.float64
+        assert res.gammas == (0.0, 1.0) and all(type(g) is float for g in res.gammas)
         text = serialize_grid(res, "json")
-        assert json.loads(text)["gammas"] == [0, 1] and b'"gamma_s": 0.0,' in text
+        assert b'"gammas": [\n    0.0,\n    1.0\n  ]' in text and b'"gamma_s": 0.0,' in text
         assert serialize_grid(res, "csv") == reference_serialize(res, "csv")
 
     @pytest.mark.parametrize("model", ["linear", "probit"])

@@ -86,6 +86,12 @@ class TestValue:
         v = value_linear(FIG_PARAMS, 0.5 - 1e-12)
         assert v == pytest.approx(0.5 + 3.0 / math.sqrt(2 * math.pi), abs=1e-9)
 
+    @given(st.floats(0.01, 100.0), st.floats(1e-12, 0.4999))
+    def test_density_is_phi_of_quantile(self, mu, alpha):
+        # the core's g(alpha) and the scalar one share one density
+        p = LinearParams(mu, 1.0, 1.0)
+        assert value_linear(p, alpha) == alpha * mu + gaussian.phi_of_quantile(alpha)
+
     def test_against_monte_carlo(self):
         est = oracle.simulate_linear_value(
             FIG_PARAMS, 0.05, oracle.SimConfig(samples=1_000_000, seed=42))

@@ -1,12 +1,13 @@
 """Tests for the Monte Carlo and discrete-allocation oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from partarget import oracle
-from partarget.errors import DomainError
+from partarget.errors import DomainError, NumericsError
 from partarget.linear import LinearParams
 from partarget.oracle import (
     MAX_SAMPLES,
@@ -86,6 +87,18 @@ class TestSimulateLinear:
         a = simulate_linear_value(p, 0.05, SimConfig(samples=100_000, seed=1))
         b = simulate_linear_value(p, 0.05, SimConfig(samples=100_000, seed=2))
         assert a.mean != b.mean
+
+    @pytest.mark.parametrize("mu, beta_norm, samples", [
+        (1.0, 1e308, 10_000),      # the samples themselves overflow
+        (1e152, 1.0, 10_000),      # the sum of squares is finite, the squared sum is not
+        (1e303, 1.0, 3_000_000),   # each block's sum is finite, their total is not
+    ], ids=["samples", "square-of-sum", "blocks"])
+    def test_overflowing_sums_raise(self, mu, beta_norm, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="overflow"):
+                simulate_linear_value(LinearParams(mu, beta_norm, 0.5), 0.1,
+                                      SimConfig(samples=samples, seed=1))
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):

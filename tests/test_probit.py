@@ -11,6 +11,7 @@ from partarget import gaussian, oracle
 from partarget.errors import (
     DegenerateLeverError,
     DomainError,
+    NumericsError,
     PreconditionError,
 )
 from partarget.linear import LeverDelta
@@ -221,6 +222,11 @@ class TestParBounds:
             par_probit_bounds(ProbitParams(0.1, 0.0), 0.001, d)
         with pytest.raises(DomainError):
             par_probit_bounds(ProbitParams(0.1, 0.5), 0.001, d, eps=0.5)
+
+    def test_overflow_near_gamma_one(self):
+        # the core factor ~129 is raised to a power ~500 = 1/gamma_t^2
+        with pytest.raises(NumericsError, match="overflow"):
+            par_probit_bounds(ProbitParams(0.05, 0.999), 0.001, LeverDelta(1e-4, 1e-3))
 
     def test_exponent_from_gamma_t(self):
         # doubling the core factor must scale the upper bound by 2^(1/gamma_t^2)
