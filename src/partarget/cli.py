@@ -15,9 +15,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
-from . import grid as grid_mod, linear, oracle, probit
+from . import grid as grid_mod, linear, oracle
 from .errors import DomainError, NumericsError, PartargetError
 
 __all__ = ["main", "run"]
@@ -28,7 +29,7 @@ def _fmt(x: float, machine: bool) -> str:
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", required=True, choices=("linear", "probit"))
+    sub.add_argument("--model", required=True, choices=tuple(grid_mod.MODELS))
     sub.add_argument("--mu", type=float, help="mean welfare improvement (linear only)")
     sub.add_argument("--beta-norm", type=float,
                      help="welfare standard deviation (linear only)")
@@ -47,53 +48,31 @@ def _add_delta_flags(sub: argparse.ArgumentParser) -> None:
                      help="proposed prediction increment")
 
 
-def _model_params(args: argparse.Namespace):
-    if args.model == "linear":
-        if args.base_rate is not None:
-            raise DomainError("--base-rate is only valid with --model probit")
-        if args.mu is None or args.beta_norm is None:
-            raise DomainError("--model linear requires --mu and --beta-norm")
-        return linear.LinearParams(args.mu, args.beta_norm, args.gamma_s)
-    if args.mu is not None or args.beta_norm is not None:
-        raise DomainError("--mu/--beta-norm are only valid with --model linear")
-    if args.base_rate is None:
-        raise DomainError("--model probit requires --base-rate")
-    return probit.ProbitParams(args.base_rate, args.gamma_s)
+def _model(args: argparse.Namespace) -> tuple[grid_mod.Model, object]:
+    """The model's functions and its parameters, from the flags."""
+    return grid_mod.MODELS[args.model], grid_mod.model_params(
+        args.model, args.gamma_s, args.mu, args.beta_norm, args.base_rate)
 
 
 def _cmd_value(args: argparse.Namespace) -> int:
-    p = _model_params(args)
-    if args.model == "linear":
-        v = linear.value_linear(p, args.alpha)
-    else:
-        v = probit.value_probit(p, args.alpha)
-    print(_fmt(v, args.machine))
+    model, p = _model(args)
+    print(_fmt(model.value(p, args.alpha), args.machine))
     return 0
 
 
 def _cmd_par(args: argparse.Namespace) -> int:
-    p = _model_params(args)
+    model, p = _model(args)
     d = linear.LeverDelta(args.delta_alpha, args.delta_r2)
-    if args.model == "linear":
-        ratio = linear.par_linear_exact(p, args.alpha, d)
-    else:
-        ratio = probit.par_probit_exact(p, args.alpha, d)
-    print(_fmt(ratio, args.machine))
+    print(_fmt(model.par(p, args.alpha, d), args.machine))
     return 0
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    p = _model_params(args)
+    model, p = _model(args)
     d = linear.LeverDelta(args.delta_alpha, args.delta_r2)
-    if args.model == "linear":
-        if args.eps is not None:
-            raise DomainError("--eps is only valid with --model probit")
-        pair = linear.par_linear_bounds(p, args.alpha, d)
-        exact = linear.par_linear_exact(p, args.alpha, d)
-    else:
-        eps = 0.05 if args.eps is None else args.eps
-        pair = probit.par_probit_bounds(p, args.alpha, d, eps=eps)
-        exact = probit.par_probit_exact(p, args.alpha, d)
+    pair = (model.bounds(p, args.alpha, d) if args.eps is None
+            else model.bounds(p, args.alpha, d, args.eps))
+    exact = model.par(p, args.alpha, d)
     m = args.machine
     print(f"lower {_fmt(pair.lower, m)}")
     print(f"upper {_fmt(pair.upper, m)}")
@@ -137,17 +116,21 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    p = _model_params(args)
+    model, p = _model(args)
     cfg = oracle.SimConfig(samples=args.samples, seed=args.seed)
-    if args.model == "linear":
-        target = linear.value_linear(p, args.alpha)
-        est = oracle.simulate_linear_value(p, args.alpha, cfg)
-    else:
-        target = probit.value_probit(p, args.alpha)
-        est = oracle.simulate_probit_value(p, args.alpha, cfg)
+    target = model.value(p, args.alpha)
+    est = model.simulate(p, args.alpha, cfg)
+    judged = est
+    if not est.std_error:
+        # A sample without spread, as when nothing was a hit, is judged
+        # against the spread the closed form implies.
+        var = model.second_moment(p, args.alpha) - target * target
+        if not var < math.inf:
+            raise NumericsError(f"the closed-form spread at the value {target!r} overflows")
+        judged = oracle.Estimate(est.mean, math.sqrt(var / est.samples), est.samples)
     m = args.machine
-    z = est.z_score(target)
-    ok = est.within(target, 4.0)
+    z = judged.z_score(target)
+    ok = judged.within(target, 4.0)
     print(f"closed_form {_fmt(target, m)}")
     print(f"mc_mean {_fmt(est.mean, m)}")
     print(f"mc_std_error {_fmt(est.std_error, m)}")
@@ -198,8 +181,20 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes every string float() reads as a value,
+    where argparse would take -1e-5 or -inf for an unknown flag."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="partarget",
         description="Welfare value functions, prediction-access ratios and "
                     "cost-benefit grids for budget-constrained targeting.",
@@ -224,22 +219,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("grid", help="cost-benefit grid sweep with contour")
     sub.add_argument("--spec", help="JSON grid spec file (overrides flags)")
-    sub.add_argument("--model", choices=("linear", "probit"))
-    sub.add_argument("--mu", type=float)
-    sub.add_argument("--beta-norm", type=float)
-    sub.add_argument("--base-rate", type=float)
-    sub.add_argument("--alpha-lo", type=float)
-    sub.add_argument("--alpha-hi", type=float)
-    sub.add_argument("--alpha-count", type=int, default=20)
-    sub.add_argument("--gamma-lo", type=float)
-    sub.add_argument("--gamma-hi", type=float)
-    sub.add_argument("--gamma-count", type=int, default=20)
-    sub.add_argument("--delta-alpha", type=float)
-    sub.add_argument("--delta-r2", type=float)
-    sub.add_argument("--cost-access", type=float)
-    sub.add_argument("--cost-prediction", type=float)
-    sub.add_argument("--clip-lo", type=float)
-    sub.add_argument("--clip-hi", type=float)
+    sub.add_argument("--model", choices=tuple(grid_mod.MODELS))
+    # The spec's numeric fields in its order; each dest is the field's name.
+    for name in ("mu", "beta_norm", "base_rate", "alpha_lo", "alpha_hi", "alpha_count",
+                 "gamma_lo", "gamma_hi", "gamma_count", "delta_alpha", "delta_r2",
+                 "cost_access", "cost_prediction", "clip_lo", "clip_hi"):
+        count = name.endswith("_count")
+        sub.add_argument("--" + name.replace("_", "-"), type=int if count else float,
+                         default=20 if count else None)
     sub.add_argument("--alpha-spacing", choices=("log", "linear"))
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="output path; stdout when omitted")

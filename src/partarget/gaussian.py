@@ -1,7 +1,9 @@
 """Standard-normal special functions used throughout the package.
 
 Everything here is scalar, pure and stateless, except :func:`pdf_array`,
-the unchecked density the linear array core shares with :func:`pdf`.  The
+the unchecked density the linear array core shares with :func:`pdf`, and
+:func:`conditional_sd`, the gamma_t of both models.  The ``check_alpha_*``
+functions hold the four access-level domains the models use.  The
 quantile is the one primitive the rest of the package leans on
 (thresholds, closed forms and the Monte Carlo sampler all use it), and it
 meets a tight round-trip contract:
@@ -31,10 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DomainError, NumericsError, PreconditionError
+from .errors import DomainError, NumericsError, PreconditionError, RegimeError
 
 __all__ = [
     "BoundPair",
+    "conditional_sd",
     "pdf",
     "pdf_array",
     "cdf",
@@ -78,6 +81,32 @@ def _reject_nan(x: float, name: str) -> None:
         raise DomainError(f"{name} is NaN")
 
 
+def _alpha_check(inside, domain: str, error=DomainError, why: str = ""):
+    """The check that alpha lies in ``domain``, which ``inside`` tests."""
+    def check(alpha: float) -> None:
+        _reject_nan(alpha, "alpha")
+        if not inside(alpha):
+            raise error(f"alpha must lie in {domain}, got {alpha!r}{why}")
+    return check
+
+
+# The four access-level domains of the models and oracles.  Above 1/2 the
+# linear model's positivity constraint binds, so its regime is (0, 0.5).
+check_alpha_half = _alpha_check(
+    lambda a: 0.0 < a < 0.5, "(0, 0.5)", RegimeError,
+    " (above 0.5 the positivity constraint binds and the closed form does not apply)")
+check_alpha_open = _alpha_check(lambda a: 0.0 < a < 1.0, "(0, 1)")
+check_alpha_open_closed = _alpha_check(lambda a: 0.0 < a <= 1.0, "(0, 1]")
+check_alpha_closed = _alpha_check(lambda a: 0.0 <= a <= 1.0, "[0, 1]")
+
+
+def conditional_sd(rho):
+    """sqrt(1 - rho^2), the standard deviation of one standard normal given
+    another at correlation rho, formed as sqrt((1 - rho)(1 + rho)) so that
+    it keeps its relative accuracy as rho approaches 1."""
+    return np.sqrt((1.0 - rho) * (1.0 + rho))
+
+
 def pdf_array(z):
     """Standard normal density (1/sqrt(2*pi)) * exp(-z^2/2), unchecked."""
     return INV_SQRT_2PI * np.exp(-0.5 * z * z)
@@ -117,12 +146,8 @@ def upper_quantile(alpha: float) -> float:
     Equals ``quantile(1 - alpha)`` by symmetry but stays fully accurate
     for very small alpha.  alpha = 1 maps to -inf (treat-everyone limit).
     """
-    _reject_nan(alpha, "alpha")
-    if alpha == 1.0:
-        return -math.inf
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"upper_quantile requires 0 < alpha <= 1, got {alpha!r}")
-    return -quantile(alpha)
+    check_alpha_open_closed(alpha)
+    return -math.inf if alpha == 1.0 else -quantile(alpha)
 
 
 def mills_conditional_mean(mu: float, sigma: float, a: float) -> float:
@@ -160,9 +185,7 @@ def tail_bounds(t: float) -> BoundPair:
 
 def phi_of_quantile(alpha: float) -> float:
     """g(alpha) = pdf(quantile(1 - alpha)), the density at the access cutoff."""
-    _reject_nan(alpha, "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"phi_of_quantile requires 0 < alpha < 1, got {alpha!r}")
+    check_alpha_open(alpha)
     # pdf is symmetric, so evaluate at quantile(alpha) directly.
     return pdf(quantile(alpha))
 
@@ -196,8 +219,7 @@ def k_phi_of_quantile_bounds(k: float, alpha: float, eps: float) -> BoundPair:
         raise DomainError(f"k must be positive, got {k!r}")
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    check_alpha_open(alpha)
     t = upper_quantile(alpha)
     g = phi_of_quantile(alpha)
     if alpha >= 0.15 or t <= 1.0 or g > (1.0 + eps) * alpha * t:

@@ -21,23 +21,20 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
+from . import linear, oracle, probit
 from .errors import DomainError, PartargetError
-from .linear import (
-    PAR_OK,
-    PAR_REGIME,
-    LeverDelta,
-    LinearParams,
-    par_linear_array,
-)
-from .probit import ProbitParams, par_probit_array
+from .linear import PAR_OK, PAR_REGIME, LeverDelta
 
 __all__ = [
     "CostModel",
     "MAX_CELLS",
+    "MODELS",
+    "model_params",
     "GridSpec",
     "GridResult",
     "cost_benefit",
@@ -85,6 +82,52 @@ def cost_benefit(par: float, cm: CostModel) -> float:
     return cb
 
 
+def model_params(model: str, gamma_s: float, mu: float | None = None,
+                 beta_norm: float | None = None, base_rate: float | None = None):
+    """The parameters of one model at gamma_s: LinearParams from mu and
+    beta_norm, or ProbitParams from base_rate.  An unknown model, a missing
+    parameter and a parameter of the other model raise DomainError."""
+    if model == "linear":
+        if base_rate is not None:
+            raise DomainError("base_rate is only valid with the probit model")
+        if mu is None or beta_norm is None:
+            raise DomainError("linear model requires mu and beta_norm")
+        return linear.LinearParams(mu, beta_norm, gamma_s)
+    if model == "probit":
+        if mu is not None or beta_norm is not None:
+            raise DomainError("mu/beta_norm are only valid with the linear model")
+        if base_rate is None:
+            raise DomainError("probit model requires base_rate")
+        return probit.ProbitParams(base_rate, gamma_s)
+    raise DomainError(f"model must be 'linear' or 'probit', got {model!r}")
+
+
+# One model's functions, each taking its model_params first: value(p, alpha),
+# par(p, alpha, deltas), par_array(p, gamma_s, alpha, deltas) -> (par, status),
+# bounds(p, alpha, deltas[, eps]), simulate(p, alpha, SimConfig) -> Estimate,
+# and second_moment(p, alpha), the mean square of one simulated sample.
+Model = namedtuple("Model", "value par par_array bounds simulate second_moment")
+
+
+def _linear_bounds(p, alpha: float, d: LeverDelta, eps: float | None = None):
+    if eps is not None:
+        raise DomainError("--eps is only valid with --model probit")
+    return linear.par_linear_bounds(p, alpha, d)
+
+
+MODELS = {
+    "linear": Model(
+        linear.value_linear, linear.par_linear_exact,
+        lambda p, g, a, d: linear.par_linear_array(p.mu, p.beta_norm, g, a, d),
+        _linear_bounds, oracle.simulate_linear_value, oracle.linear_second_moment),
+    # A simulated probit sample is 0 or 1, so its mean square is the value.
+    "probit": Model(
+        probit.value_probit, probit.par_probit_exact,
+        lambda p, g, a, d: probit.par_probit_array(p.base_rate, g, a, d),
+        probit.par_probit_bounds, oracle.simulate_probit_value, probit.value_probit),
+}
+
+
 def _axis(name: str, lo: float, hi: float, n: int, spacing: str) -> tuple[float, ...]:
     """n points from lo to hi, evenly or geometrically spaced, ends exact."""
     if lo == hi:
@@ -119,55 +162,37 @@ class GridSpec:
     alpha_spacing: str = "log"
 
     def __post_init__(self) -> None:
-        if self.model not in ("linear", "probit"):
-            raise DomainError(f"model must be 'linear' or 'probit', got {self.model!r}")
         if self.alpha_count < 2 or self.gamma_count < 2:
             raise DomainError("each axis needs at least 2 cells")
         if self.alpha_count * self.gamma_count > MAX_CELLS:
-            raise DomainError(
-                f"grid has {self.alpha_count} x {self.gamma_count} cells; "
-                f"at most {MAX_CELLS} are allowed"
-            )
+            raise DomainError(f"grid has {self.alpha_count} x {self.gamma_count} cells; "
+                              f"at most {MAX_CELLS} are allowed")
         if self.deltas.delta_alpha == 0.0:
-            raise DomainError(
-                "delta_alpha must be positive for a grid: a zero access step "
-                "gives a zero PAR, which cannot be priced"
-            )
+            raise DomainError("delta_alpha must be positive for a grid: a zero access "
+                              "step gives a zero PAR, which cannot be priced")
         if not 0.0 < self.alpha_lo <= self.alpha_hi < 1.0:
-            raise DomainError(
-                f"alpha range [{self.alpha_lo!r}, {self.alpha_hi!r}] must lie in (0, 1)"
-            )
+            raise DomainError(f"alpha range [{self.alpha_lo!r}, {self.alpha_hi!r}] "
+                              "must lie in (0, 1)")
         if not 0.0 <= self.gamma_lo <= self.gamma_hi <= 1.0:
-            raise DomainError(
-                f"gamma range [{self.gamma_lo!r}, {self.gamma_hi!r}] must lie in [0, 1]"
-            )
+            raise DomainError(f"gamma range [{self.gamma_lo!r}, {self.gamma_hi!r}] "
+                              "must lie in [0, 1]")
         ratio = self.costs.cost_prediction / self.costs.cost_access
         if not 0.0 < ratio < math.inf:
-            raise DomainError(
-                f"cost ratio cost_prediction / cost_access = {ratio!r} must be "
-                "finite and positive"
-            )
+            raise DomainError(f"cost ratio cost_prediction / cost_access = {ratio!r} "
+                              "must be finite and positive")
         if not self.clip_lo < self.clip_hi:
             raise DomainError("clip_lo must be strictly below clip_hi")
         if self.alpha_spacing not in ("log", "linear"):
-            raise DomainError(
-                f"alpha_spacing must be 'log' or 'linear', got {self.alpha_spacing!r}"
-            )
+            raise DomainError("alpha_spacing must be 'log' or 'linear', "
+                              f"got {self.alpha_spacing!r}")
         # The model parameters are shared by every cell, so a bad one is
-        # refused here rather than turning each cell into a skip, and so is
-        # one of the other model.
-        if self.model == "linear":
-            if self.base_rate is not None:
-                raise DomainError("base_rate is only valid with the probit model")
-            if self.mu is None or self.beta_norm is None:
-                raise DomainError("linear model requires mu and beta_norm")
-            LinearParams(self.mu, self.beta_norm, self.gamma_lo)
-        else:
-            if self.mu is not None or self.beta_norm is not None:
-                raise DomainError("mu/beta_norm are only valid with the linear model")
-            if self.base_rate is None:
-                raise DomainError("probit model requires base_rate")
-            ProbitParams(self.base_rate, self.gamma_lo)
+        # refused here rather than turning each cell into a skip.
+        self.params()
+
+    def params(self):
+        """The model's parameters at gamma_lo (:func:`model_params`)."""
+        return model_params(self.model, self.gamma_lo, self.mu, self.beta_norm,
+                            self.base_rate)
 
     def alphas(self) -> tuple[float, ...]:
         return _axis("alpha", self.alpha_lo, self.alpha_hi, self.alpha_count,
@@ -269,10 +294,7 @@ def sweep_grid(spec: GridSpec) -> GridResult:
     gammas = spec.gammas()
     axis_a = np.repeat(alphas, len(gammas))
     axis_g = np.tile(gammas, len(alphas))
-    if spec.model == "linear":
-        par, status = par_linear_array(spec.mu, spec.beta_norm, axis_g, axis_a, spec.deltas)
-    else:
-        par, status = par_probit_array(spec.base_rate, axis_g, axis_a, spec.deltas)
+    par, status = MODELS[spec.model].par_array(spec.params(), axis_g, axis_a, spec.deltas)
     with np.errstate(over="ignore"):
         cb = par * spec.costs.cost_prediction / spec.costs.cost_access
     # A ratio that is not positive, or whose price is not finite, cannot be

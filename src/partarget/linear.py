@@ -34,7 +34,7 @@ from .errors import (
     PreconditionError,
     RegimeError,
 )
-from .gaussian import BoundPair, pdf_array
+from .gaussian import BoundPair, check_alpha_half, check_alpha_closed, pdf_array
 
 __all__ = [
     "LinearParams",
@@ -71,21 +71,18 @@ class LinearParams:
 
     def __post_init__(self) -> None:
         for name in ("mu", "beta_norm", "gamma_s"):
-            val = getattr(self, name)
-            if math.isnan(val):
+            if math.isnan(getattr(self, name)):
                 raise DomainError(f"{name} is NaN")
-        if not self.mu > 0.0 or not math.isfinite(self.mu):
-            raise DomainError(f"mu must be finite and positive, got {self.mu!r}")
-        if not self.beta_norm > 0.0 or not math.isfinite(self.beta_norm):
-            raise DomainError(
-                f"beta_norm must be finite and positive, got {self.beta_norm!r}"
-            )
+        for name in ("mu", "beta_norm"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(
+                    f"{name} must be finite and positive, got {getattr(self, name)!r}")
         if not 0.0 <= self.gamma_s <= 1.0:
             raise DomainError(f"gamma_s must lie in [0, 1], got {self.gamma_s!r}")
 
     @property
     def gamma_t(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.gamma_s * self.gamma_s))
+        return float(gaussian.conditional_sd(self.gamma_s))
 
     def with_gamma_s(self, gamma_s: float) -> "LinearParams":
         return LinearParams(self.mu, self.beta_norm, gamma_s)
@@ -115,20 +112,10 @@ PAR_REGIME = 1  # a lever step leaves the model's supported regime
 PAR_NOISE = 2   # the prediction gain is too small to divide by
 
 
-def _check_alpha_half(alpha: float) -> None:
-    if math.isnan(alpha):
-        raise DomainError("alpha is NaN")
-    if not 0.0 < alpha < 0.5:
-        raise RegimeError(
-            f"alpha must lie in (0, 0.5); got {alpha!r} (above 0.5 the "
-            "positivity constraint binds and the closed form does not apply)"
-        )
-
-
 def policy_threshold_linear(p: LinearParams, alpha: float) -> float:
     """Score cutoff of the optimal policy: treat units with observable
     score component above quantile(1 - alpha) * gamma_s * beta_norm."""
-    _check_alpha_half(alpha)
+    check_alpha_half(alpha)
     return gaussian.upper_quantile(alpha) * p.gamma_s * p.beta_norm
 
 
@@ -146,14 +133,13 @@ def value_linear_array(mu, beta_norm, gamma_s, alpha) -> np.ndarray | np.float64
 
 def value_linear(p: LinearParams, alpha: float) -> float:
     """Expected welfare of the optimal policy at access level alpha."""
-    _check_alpha_half(alpha)
+    check_alpha_half(alpha)
     return float(value_linear_array(p.mu, p.beta_norm, p.gamma_s, alpha))
 
 
 def random_value(p: LinearParams, alpha: float) -> float:
     """Expected welfare of random assignment at the same budget: alpha * mu."""
-    if math.isnan(alpha) or not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
+    check_alpha_closed(alpha)
     return alpha * p.mu
 
 
@@ -163,7 +149,7 @@ def random_to_optimal_ratio(p: LinearParams, alpha: float) -> float:
     The denominator uses gamma_s = 1 (the best any predictor could do),
     so the ratio isolates how much prediction matters at this budget.
     """
-    _check_alpha_half(alpha)
+    check_alpha_half(alpha)
     g = gaussian.phi_of_quantile(alpha)
     return 1.0 / (1.0 + (p.beta_norm / p.mu) * g / alpha)
 
@@ -210,7 +196,7 @@ def par_linear_array(
 def par_linear_exact(p: LinearParams, alpha: float, d: LeverDelta) -> float:
     """Exact prediction-access ratio: :func:`par_linear_array` at one
     cell, with its statuses raised as errors."""
-    _check_alpha_half(alpha)
+    check_alpha_half(alpha)
     par, status = par_linear_array(p.mu, p.beta_norm, p.gamma_s, alpha, d)
     if status == PAR_REGIME:
         if not alpha + d.delta_alpha < 0.5:
@@ -233,7 +219,7 @@ def par_linear_bounds(p: LinearParams, alpha: float, d: LeverDelta) -> BoundPair
     with T the upper alpha cutoff; lower = upper/4.  Valid only under the
     hypotheses checked below; each violation is named in the error.
     """
-    _check_alpha_half(alpha)
+    check_alpha_half(alpha)
     if not 0.0 < p.gamma_s < 1.0:
         raise PreconditionError(f"requires gamma_s in (0, 1), got {p.gamma_s!r}")
     if not 0.0 < d.delta_r2 < 1.0:
@@ -254,7 +240,7 @@ def par_linear_bounds(p: LinearParams, alpha: float, d: LeverDelta) -> BoundPair
 
 def quality_gain_linear(p: LinearParams, alpha: float, delta_mu: float) -> float:
     """Welfare gain from raising the mean improvement by delta_mu: alpha * delta_mu."""
-    _check_alpha_half(alpha)
+    check_alpha_half(alpha)
     if math.isnan(delta_mu) or not delta_mu > 0.0:
         raise DomainError(f"delta_mu must be positive, got {delta_mu!r}")
     return delta_mu * alpha

@@ -26,6 +26,7 @@ from itertools import combinations
 from . import gaussian
 from ._backend import linear_sums, probit_sums
 from .errors import DomainError, NumericsError
+from .gaussian import check_alpha_closed, check_alpha_half, check_alpha_open_closed
 from .linear import LinearParams
 from .probit import ProbitParams
 
@@ -39,6 +40,7 @@ __all__ = [
     "Allocation",
     "simulate_linear_value",
     "simulate_probit_value",
+    "linear_second_moment",
     "greedy_allocate",
     "brute_force_allocate",
 ]
@@ -145,34 +147,28 @@ def simulate_linear_value(p: LinearParams, alpha: float, cfg: SimConfig) -> Esti
     top-alpha threshold policy on the observable one, and averages the
     treated welfare.  Deterministic for fixed cfg.
     """
-    if math.isnan(alpha) or not 0.0 < alpha < 0.5:
-        raise DomainError(f"alpha must lie in (0, 0.5), got {alpha!r}")
-    threshold = gaussian.upper_quantile(alpha)
-    total, total_sq = linear_sums(
-        cfg.seed,
-        cfg.samples,
-        p.mu,
-        p.gamma_s * p.beta_norm,
-        p.gamma_t * p.beta_norm,
-        threshold,
-    )
+    check_alpha_half(alpha)
+    total, total_sq = linear_sums(cfg.seed, cfg.samples, p.mu, p.gamma_s * p.beta_norm,
+                                  p.gamma_t * p.beta_norm, gaussian.upper_quantile(alpha))
     return _estimate(total, total_sq, cfg.samples)
 
 
 def simulate_probit_value(p: ProbitParams, alpha: float, cfg: SimConfig) -> Estimate:
     """Monte Carlo estimate of the probit model's optimal-policy welfare."""
-    if math.isnan(alpha) or not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    threshold = gaussian.upper_quantile(alpha)
-    total, total_sq = probit_sums(
-        cfg.seed,
-        cfg.samples,
-        p.mu_over_beta,
-        p.gamma_s,
-        p.gamma_t,
-        threshold,
-    )
+    check_alpha_open_closed(alpha)
+    total, total_sq = probit_sums(cfg.seed, cfg.samples, p.mu_over_beta, p.gamma_s,
+                                  p.gamma_t, gaussian.upper_quantile(alpha))
     return _estimate(total, total_sq, cfg.samples)
+
+
+def linear_second_moment(p: LinearParams, alpha: float) -> float:
+    """Mean square of one sample of :func:`simulate_linear_value`: treated
+    welfare a z_s + c z_t + mu on z_s >= T, with a = gamma_s beta_norm and
+    c = gamma_t beta_norm, has a^2 (alpha + T g) + (c^2 + mu^2) alpha + 2 a mu g,
+    where g is the density at T."""
+    t, g = gaussian.upper_quantile(alpha), gaussian.phi_of_quantile(alpha)
+    a, c = p.gamma_s * p.beta_norm, p.gamma_t * p.beta_norm
+    return a * a * (alpha + t * g) + (c * c + p.mu * p.mu) * alpha + 2.0 * a * p.mu * g
 
 
 def greedy_allocate(dist: DiscreteDistribution, alpha: float) -> Allocation:
@@ -182,8 +178,7 @@ def greedy_allocate(dist: DiscreteDistribution, alpha: float) -> Allocation:
     the mean is positive and the running mass stays within alpha; stops
     at the first atom that would overflow the budget.
     """
-    if math.isnan(alpha) or not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
+    check_alpha_closed(alpha)
     ranked = sorted(dist.atoms, key=lambda a: -a.cond_mean)
     treated: list[str] = []
     masses: list[float] = []
@@ -206,8 +201,7 @@ def greedy_allocate(dist: DiscreteDistribution, alpha: float) -> Allocation:
 
 def brute_force_allocate(dist: DiscreteDistribution, alpha: float) -> Allocation:
     """Exhaustive optimum over all deterministic assignments (n <= 20)."""
-    if math.isnan(alpha) or not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
+    check_alpha_closed(alpha)
     n = len(dist.atoms)
     if n > 20:
         raise DomainError(f"brute force supports at most 20 atoms, got {n}")

@@ -34,7 +34,7 @@ from .errors import (
     NumericsError,
     PreconditionError,
 )
-from .gaussian import SQRT_2PI, BoundPair
+from .gaussian import SQRT_2PI, BoundPair, check_alpha_open, check_alpha_open_closed
 from .linear import PAR_NOISE, PAR_OK, PAR_REGIME, LeverDelta, par_from_values
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
     "CutoffResult",
     "MIN_DELTA",
     "GAIN_FLOOR",
+    "BOUNDS_MAX_ALPHA",
+    "BOUNDS_MAX_DELTA_R2",
     "PAR_OK",
     "PAR_REGIME",
     "PAR_NOISE",
@@ -61,6 +63,10 @@ MIN_DELTA = 1e-5
 # A prediction gain at or below this (absolute) is not trusted as the
 # denominator of a ratio of two value differences.
 GAIN_FLOOR = 1e-9
+# The PAR bounds are asymptotic in alpha and hold only below a smallness
+# threshold the result leaves unspecified; these stand in for it.
+BOUNDS_MAX_ALPHA = 0.01
+BOUNDS_MAX_DELTA_R2 = 0.01
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,7 @@ class ProbitParams:
             if math.isnan(getattr(self, name)):
                 raise DomainError(f"{name} is NaN")
         if not 0.0 < self.base_rate < 1.0:
-            raise DomainError(
-                f"base_rate must lie in (0, 1), got {self.base_rate!r}"
-            )
+            raise DomainError(f"base_rate must lie in (0, 1), got {self.base_rate!r}")
         if not 0.0 <= self.gamma_s <= 1.0:
             raise DomainError(f"gamma_s must lie in [0, 1], got {self.gamma_s!r}")
 
@@ -92,7 +96,7 @@ class ProbitParams:
 
     @property
     def gamma_t(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.gamma_s * self.gamma_s))
+        return float(gaussian.conditional_sd(self.gamma_s))
 
     def with_gamma_s(self, gamma_s: float) -> "ProbitParams":
         return ProbitParams(self.base_rate, gamma_s)
@@ -107,16 +111,9 @@ class CutoffResult:
     degenerate: bool
 
 
-def _check_alpha_open(alpha: float) -> None:
-    if math.isnan(alpha):
-        raise DomainError("alpha is NaN")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-
-
 def policy_threshold_probit(p: ProbitParams, alpha: float) -> float:
     """Standardized observable-score cutoff of the optimal policy."""
-    _check_alpha_open(alpha)
+    check_alpha_open(alpha)
     return gaussian.upper_quantile(alpha)
 
 
@@ -139,7 +136,7 @@ def value_probit_array(base_rate, gamma_s, alpha) -> np.ndarray | np.float64:
     # Phi_2 is symmetric in its limits; the form below wants h <= k.
     h, k = ndtri(alpha), ndtri(b)
     h, k = np.minimum(h, k), np.maximum(h, k)
-    s = np.sqrt((1.0 - rho) * (1.0 + rho))
+    s = gaussian.conditional_sd(rho)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Owen's form is Phi_2 = [Phi(h)/2 - T(h, a_h)] + [Phi(k)/2 - T(k, a_k)]
         # - [hk < 0]/2 with a_h = (k - rho h)/(h s) and a_k = (h - rho k)/(k s).
@@ -172,36 +169,29 @@ def value_probit(p: ProbitParams, alpha: float) -> float:
     alpha * base_rate, gamma_s = 1 gives min(alpha, base_rate), and
     alpha = 1 gives base_rate exactly.
     """
-    if math.isnan(alpha):
-        raise DomainError("alpha is NaN")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
+    check_alpha_open_closed(alpha)
     return float(value_probit_array(p.base_rate, p.gamma_s, alpha))
 
 
 def dvalue_dalpha_probit(p: ProbitParams, alpha: float) -> float:
     """Marginal value of the access budget: the benefit probability of
     the marginal treated unit, Phi((gamma_s*T + m)/gamma_t)."""
-    _check_alpha_open(alpha)
+    check_alpha_open(alpha)
     if p.gamma_s == 1.0:
-        raise DomainError(
-            "gamma_s = 1 leaves no residual variance; the derivative formula "
-            "is degenerate"
-        )
+        raise DomainError("gamma_s = 1 leaves no residual variance; the derivative "
+                          "formula is degenerate")
     t = gaussian.upper_quantile(alpha)
     return gaussian.cdf((p.gamma_s * t + p.mu_over_beta) / p.gamma_t)
 
 
 def dvalue_dgamma_probit(p: ProbitParams, alpha: float) -> float:
     """Marginal value of the prediction level gamma_s."""
-    _check_alpha_open(alpha)
+    check_alpha_open(alpha)
     if not 0.0 < p.gamma_s < 1.0:
         raise DomainError(
             f"derivative requires gamma_s strictly inside (0, 1), got {p.gamma_s!r}"
         )
-    t = gaussian.upper_quantile(alpha)
-    m = p.mu_over_beta
-    gt = p.gamma_t
+    t, m, gt = gaussian.upper_quantile(alpha), p.mu_over_beta, p.gamma_t
     return gaussian.pdf(m) * gaussian.pdf((t + m * p.gamma_s) / gt) / gt
 
 
@@ -245,7 +235,7 @@ def par_probit_exact(p: ProbitParams, alpha: float, d: LeverDelta) -> float:
     below GAIN_FLOOR, where rounding in the two values it differences
     could dominate the ratio.
     """
-    _check_alpha_open(alpha)
+    check_alpha_open(alpha)
     par, status = par_probit_array(p.base_rate, p.gamma_s, alpha, d)
     if status == PAR_REGIME:
         raise DomainError(
@@ -265,17 +255,15 @@ def par_probit_bounds(
     alpha: float,
     d: LeverDelta,
     eps: float = 0.05,
-    max_alpha: float = 0.01,
-    max_delta_r2: float = 0.01,
 ) -> BoundPair:
     """Asymptotic sandwich around the exact prediction-access ratio.
 
     The underlying result is asymptotic in alpha: it only applies below
-    an unspecified smallness threshold.  max_alpha and max_delta_r2 stand
-    in for that threshold and are deliberately configurable; violations
-    of any checked hypothesis raise :class:`PreconditionError` naming it.
+    an unspecified smallness threshold, for which BOUNDS_MAX_ALPHA and
+    BOUNDS_MAX_DELTA_R2 stand in.  Violations of any checked hypothesis
+    raise :class:`PreconditionError` naming it.
     """
-    _check_alpha_open(alpha)
+    check_alpha_open(alpha)
     if math.isnan(eps) or not 0.0 < eps < 0.1:
         raise DomainError(f"eps must lie in (0, 0.1), got {eps!r}")
     if not 0.0 < p.gamma_s < 1.0:
@@ -289,13 +277,13 @@ def par_probit_bounds(
             f"requires delta_alpha <= alpha; got delta_alpha={d.delta_alpha!r} "
             f"with alpha={alpha!r}"
         )
-    if alpha > max_alpha:
+    if alpha > BOUNDS_MAX_ALPHA:
         raise PreconditionError(
-            f"requires alpha <= {max_alpha!r} (smallness threshold), got {alpha!r}"
+            f"requires alpha <= {BOUNDS_MAX_ALPHA!r} (smallness threshold), got {alpha!r}"
         )
-    if d.delta_r2 > max_delta_r2:
+    if d.delta_r2 > BOUNDS_MAX_DELTA_R2:
         raise PreconditionError(
-            f"requires delta_r2 <= {max_delta_r2!r} (smallness threshold), "
+            f"requires delta_r2 <= {BOUNDS_MAX_DELTA_R2!r} (smallness threshold), "
             f"got {d.delta_r2!r}"
         )
     if d.delta_r2 <= 0.0:
@@ -329,7 +317,7 @@ def probit_cutoff_check(
     the right-hand side then vanishes for alpha < 1 and the result is
     flagged degenerate.
     """
-    _check_alpha_open(alpha)
+    check_alpha_open(alpha)
     cr = cost_ratio_access_over_prediction
     if math.isnan(cr) or not cr > 0.0:
         raise DomainError(f"cost ratio must be positive, got {cr!r}")

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -140,27 +141,6 @@ class TestGrid:
             spec_path.write_text(json.dumps(fields))
             from_spec = run("--spec", str(spec_path))
         assert run(*_flags(fields)) == from_spec
-
-    @pytest.mark.parametrize("fields, named", [
-        ({"model": "linear", "mu": 1.0, "beta_norm": 10.0, "base_rate": 0.1},
-         "error: base_rate is only valid with the probit model"),
-        ({"model": "probit", "base_rate": 0.1, "mu": 1.0},
-         "error: mu/beta_norm are only valid with the linear model"),
-        ({"model": "probit", "base_rate": 0.1, "beta_norm": 10.0},
-         "error: mu/beta_norm are only valid with the linear model"),
-    ], ids=["linear-base-rate", "probit-mu", "probit-beta-norm"])
-    def test_other_models_parameter_is_usage_error(self, capsys, tmp_path, fields, named):
-        fields = {**fields, "alpha_lo": 0.01, "alpha_hi": 0.04, "alpha_count": 3,
-                  "gamma_lo": 0.1, "gamma_hi": 0.9, "gamma_count": 3,
-                  "delta_alpha": 0.001, "delta_r2": 0.01,
-                  "cost_access": 1.0, "cost_prediction": 1.0}
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(fields))
-        for argv in (_flags(fields), ["--spec", str(spec_path)]):
-            code, out, err = run_cli(capsys, "grid", *argv)
-            assert code == 2
-            assert out == ""
-            assert err == named + "\n"
 
     def test_csv_to_file_and_determinism(self, capsys, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -413,6 +393,147 @@ class TestVerify:
         assert err.startswith("error: samples must lie in")
 
 
+class TestVerifyWithoutSpread:
+    """A run whose sample has no spread (no hit at all) is judged against the
+    spread the closed form implies; every other run is judged as before."""
+
+    NO_HIT = {
+        # expects 2.8 hits in 10,000 samples and draws none
+        "probit": ["--model", "probit", "--base-rate", "0.25249576438414895",
+                   "--gamma-s", "0.24935022693918818", "--alpha", "0.00047612558661011474",
+                   "--samples", "10000", "--seed", "9854801201985000845"],
+        "linear": ["--model", "linear", "--mu", "1", "--beta-norm", "1", "--gamma-s", "0.3",
+                   "--alpha", "1e-6", "--samples", "10000", "--seed", "1"],
+    }
+
+    @pytest.mark.parametrize("model", ["probit", "linear"])
+    def test_no_hit_passes(self, capsys, model):
+        code, out, _ = run_cli(capsys, "verify", *self.NO_HIT[model], "--machine")
+        fields = dict(line.split(" ", 1) for line in out.splitlines())
+        assert code == 0
+        assert fields["mc_mean"] == "0" and fields["mc_std_error"] == "0"
+        assert fields["result"] == "pass (4 standard errors)"
+        v = float(fields["closed_form"])
+        if model == "probit":
+            se = math.sqrt(v * (1.0 - v) / 10_000)
+            assert float(fields["z_score"]) == pytest.approx(-v / se, rel=1e-12)
+        assert -4.0 < float(fields["z_score"]) < 0.0
+
+    @pytest.mark.parametrize("model, argv", [
+        ("probit", ["--base-rate", "0.1", "--gamma-s", "0.3", "--alpha", "0.02"]),
+        ("linear", ["--mu", "1", "--beta-norm", "10", "--gamma-s", "0.3", "--alpha", "0.05"]),
+    ])
+    def test_no_hit_where_many_are_expected_fails(self, capsys, monkeypatch, model, argv):
+        # n V is 56 (probit) and 3594 (linear): a kernel that finds no hit is wrong.
+        monkeypatch.setattr(oracle, f"{model}_sums", lambda *args: (0.0, 0.0))
+        code, out, _ = run_cli(capsys, "verify", "--model", model, *argv,
+                               "--samples", "10000", "--seed", "1")
+        assert code == 1
+        assert "mc_std_error 0\n" in out
+        assert "result fail (4 standard errors)" in out
+
+    @pytest.mark.parametrize("scale", [["--mu", "1e200", "--beta-norm", "1"],
+                                       ["--mu", "1", "--beta-norm", "1e160"]])
+    def test_no_hit_with_an_overflowing_spread_is_numerical_failure(self, capsys, scale):
+        code, out, err = run_cli(capsys, "verify", "--model", "linear", *scale,
+                                 "--gamma-s", "0.3", "--alpha", "1e-6", "--samples", "10000",
+                                 "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("numerical failure: the closed-form spread at the value")
+
+    @pytest.mark.parametrize("argv, stdout", [
+        (["--model", "linear", "--mu", "1", "--beta-norm", "10", "--gamma-s", "0.3",
+          "--alpha", "0.05", "--samples", "200000", "--seed", "7"],
+         "closed_form 0.359407\nmc_mean 0.364039\nmc_std_error 0.00599892\n"
+         "z_score 0.772221\nresult pass (4 standard errors)\n"),
+        (["--model", "probit", "--base-rate", "0.1", "--gamma-s", "0.3", "--alpha", "0.02",
+          "--samples", "500000", "--seed", "11", "--machine"],
+         "closed_form 0.0056249857897803955\nmc_mean 0.0056319999999999999\n"
+         "mc_std_error 0.00010583280943623818\nz_score 0.066276330156672975\n"
+         "result pass (4 standard errors)\n"),
+        (["--model", "probit", "--base-rate", "0.25", "--gamma-s", "0.25", "--alpha", "0.001",
+          "--samples", "10000", "--seed", "5"],
+         "closed_form 0.000568399\nmc_mean 0.0006\nmc_std_error 0.000244888\n"
+         "z_score 0.129043\nresult pass (4 standard errors)\n"),
+    ], ids=["linear", "probit-machine", "probit-six-hits"])
+    def test_runs_with_spread_are_unchanged(self, capsys, argv, stdout):
+        assert run_cli(capsys, "verify", *argv) == (0, stdout, "")
+
+
+# The three ways to pass a parameter of the other model.
+CROSS_MODEL = [
+    ({"model": "linear", "mu": 1.0, "beta_norm": 10.0, "base_rate": 0.1},
+     "error: base_rate is only valid with the probit model\n"),
+    ({"model": "probit", "base_rate": 0.1, "mu": 1.0},
+     "error: mu/beta_norm are only valid with the linear model\n"),
+    ({"model": "probit", "base_rate": 0.1, "beta_norm": 10.0},
+     "error: mu/beta_norm are only valid with the linear model\n"),
+]
+GRID_FIELDS = {"alpha_lo": 0.01, "alpha_hi": 0.04, "alpha_count": 3, "gamma_lo": 0.1,
+               "gamma_hi": 0.9, "gamma_count": 3, "delta_alpha": 0.001, "delta_r2": 0.01,
+               "cost_access": 1.0, "cost_prediction": 1.0}
+
+
+class TestSingleParameterRule:
+    """Every subcommand that takes a model refuses the other model's
+    parameters with the same line, from the one parameter builder."""
+
+    @pytest.mark.parametrize("command", ["value", "par", "bounds", "verify", "grid",
+                                         "grid-spec"])
+    @pytest.mark.parametrize("fields, error", CROSS_MODEL,
+                             ids=["linear-base-rate", "probit-mu", "probit-beta-norm"])
+    def test_other_models_parameter(self, capsys, tmp_path, command, fields, error):
+        scalar = {"gamma_s": 0.3, "alpha": 0.02}
+        extra = {"par": {"delta_alpha": 0.001, "delta_r2": 0.01},
+                 "bounds": {"delta_alpha": 0.001, "delta_r2": 0.01},
+                 "verify": {"samples": 10_000, "seed": 1}}
+        if command == "grid-spec":
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps({**fields, **GRID_FIELDS}))
+            argv = ["grid", "--spec", str(spec_path)]
+        elif command == "grid":
+            argv = ["grid", *_flags({**fields, **GRID_FIELDS})]
+        else:
+            argv = [command, *_flags({**fields, **scalar, **extra.get(command, {})})]
+        assert run_cli(capsys, *argv) == (2, "", error)
+
+
+class TestNegativeValues:
+    """Every value float() reads reaches the domain check, also a negative
+    one in exponent notation or an infinity, which argparse alone would
+    take for an unknown flag."""
+
+    VALUE = ["value", "--model", "linear", "--beta-norm", "1", "--gamma-s", "0.3",
+             "--alpha", "0.1"]
+
+    @pytest.mark.parametrize("mu", [["--mu", "-1e-5"], ["--mu=-1e-5"], ["--mu", "-1E-5"],
+                                    ["--mu", "-inf"], ["--mu=-inf"], ["--mu", "-Infinity"],
+                                    ["--mu", "-1"]])
+    def test_negative_mu_is_refused_by_name(self, capsys, mu):
+        value = float(mu[-1].split("=")[-1])
+        assert run_cli(capsys, *self.VALUE, *mu) == (
+            2, "", f"error: mu must be finite and positive, got {value!r}\n")
+
+    @pytest.mark.parametrize("base_rate", [["--base-rate", "-2e-313"],
+                                           ["--base-rate=-2e-313"]])
+    def test_grid_negative_base_rate(self, capsys, base_rate):
+        argv = ["grid", "--model", "probit", *base_rate, *_flags(GRID_FIELDS)]
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: base_rate must lie in (0, 1), got -2e-313\n")
+
+    def test_negative_alpha_reaches_the_regime_check(self, capsys):
+        code, out, err = run_cli(capsys, "value", "--model", "linear", "--mu", "1",
+                                 "--beta-norm", "1", "--gamma-s", "0.3", "--alpha", "-1e-5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: alpha must lie in (0, 0.5), got -1e-05")
+
+    def test_stray_number_is_still_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run([*self.VALUE, "--mu", "1", "-1e-5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -1e-5" in capsys.readouterr().err
+
+
 class TestAllocate:
     def write_dist(self, tmp_path):
         path = tmp_path / "dist.csv"
@@ -469,7 +590,7 @@ class TestExitCodes:
                                "--beta-norm", "10", "--base-rate", "0.1",
                                "--gamma-s", "0", "--alpha", "0.3")
         assert code == 2
-        assert "--base-rate" in err
+        assert err == "error: base_rate is only valid with the probit model\n"
 
     def test_unknown_flag_is_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,7 @@ from scipy import integrate as scipy_integrate
 from scipy.special import ndtr
 
 from partarget import gaussian
-from partarget.errors import DomainError, NumericsError, PreconditionError
+from partarget.errors import DomainError, NumericsError, PreconditionError, RegimeError
 from partarget.gaussian import BoundPair
 
 
@@ -297,6 +297,45 @@ class TestIdentities:
             lhs = gaussian.pdf((gs * zs + m) / gt) * gaussian.pdf(zs)
             rhs = gaussian.pdf(m) * gaussian.pdf((zs + m * gs) / gt)
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+class TestAlphaDomains:
+    @pytest.mark.parametrize("check, inside, outside", [
+        (gaussian.check_alpha_half, [5e-324, 0.25, np.nextafter(0.5, 0.0)],
+         [0.0, 0.5, -1e-5, math.inf]),
+        (gaussian.check_alpha_open, [5e-324, 0.5, np.nextafter(1.0, 0.0)],
+         [0.0, 1.0, -math.inf]),
+        (gaussian.check_alpha_open_closed, [5e-324, 1.0], [0.0, np.nextafter(1.0, 2.0)]),
+        (gaussian.check_alpha_closed, [0.0, 0.5, 1.0], [-5e-324, np.nextafter(1.0, 2.0)]),
+    ], ids=["(0, 0.5)", "(0, 1)", "(0, 1]", "[0, 1]"])
+    def test_domain(self, check, inside, outside):
+        for alpha in inside:
+            check(alpha)
+        for alpha in outside:
+            with pytest.raises(DomainError, match="alpha must lie in"):
+                check(alpha)
+        with pytest.raises(DomainError, match="alpha is NaN"):
+            check(math.nan)
+
+    def test_linear_regime_is_a_regime_error(self):
+        with pytest.raises(RegimeError, match="positivity"):
+            gaussian.check_alpha_half(0.5)
+
+
+class TestConditionalSd:
+    def test_full_accuracy_near_one(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for rho in (0.0, 0.3, 0.6, 0.99, 1.0 - 1e-9, 1.0 - 2**-52, 1.0):
+            exact = float(mpmath.sqrt(1 - mpmath.mpf(rho) ** 2))
+            assert gaussian.conditional_sd(rho) == pytest.approx(exact, rel=2e-16, abs=0.0)
+
+    def test_is_both_models_gamma_t(self):
+        from partarget.linear import LinearParams
+        from partarget.probit import ProbitParams
+        for g in (0.0, 0.6, 0.999999999, 1.0):
+            gt = float(gaussian.conditional_sd(g))
+            assert LinearParams(1.0, 1.0, g).gamma_t == gt == ProbitParams(0.1, g).gamma_t
 
 
 class TestBoundPair:

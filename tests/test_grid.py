@@ -24,9 +24,11 @@ from partarget.grid import (
     STATUS_SKIPPED_REGIME,
     CostModel,
     GridResult,
+    MODELS,
     GridSpec,
     cost_benefit,
     extract_indifference_contour,
+    model_params,
     serialize_grid,
     sweep_grid,
 )
@@ -54,6 +56,34 @@ def probit_spec(**overrides) -> GridSpec:
     )
     base.update(overrides)
     return GridSpec(**base)
+
+
+class TestModelParams:
+    def test_builds_each_models_parameters(self):
+        assert model_params("linear", 0.3, mu=1.0, beta_norm=2.0) == LinearParams(1.0, 2.0, 0.3)
+        assert model_params("probit", 0.3, base_rate=0.1) == ProbitParams(0.1, 0.3)
+        assert sorted(MODELS) == ["linear", "probit"]
+
+    @pytest.mark.parametrize("model, kwargs, message", [
+        ("logit", {"base_rate": 0.1}, "model must be 'linear' or 'probit', got 'logit'"),
+        ("linear", {"mu": 1.0}, "linear model requires mu and beta_norm"),
+        ("probit", {}, "probit model requires base_rate"),
+        ("linear", {"mu": 1.0, "beta_norm": 1.0, "base_rate": 0.1},
+         "base_rate is only valid with the probit model"),
+        ("probit", {"base_rate": 0.1, "beta_norm": 1.0},
+         "mu/beta_norm are only valid with the linear model"),
+    ])
+    def test_refusals(self, model, kwargs, message):
+        with pytest.raises(DomainError) as exc:
+            model_params(model, 0.3, **kwargs)
+        assert str(exc.value) == message
+        # A grid spec refuses the same parameters with the same words.
+        fields = dict(model=model, alpha_lo=0.01, alpha_hi=0.02, alpha_count=2, gamma_lo=0.3,
+                      gamma_hi=0.5, gamma_count=2, deltas=LeverDelta(0.001, 0.01),
+                      costs=CostModel(1.0, 1.0))
+        with pytest.raises(DomainError) as exc:
+            GridSpec(**fields, **kwargs)
+        assert str(exc.value) == message
 
 
 class TestCostBenefit:

@@ -1,13 +1,14 @@
 """Tests for the Monte Carlo and discrete-allocation oracles."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from partarget import oracle
-from partarget.errors import DomainError, NumericsError
+from partarget.errors import DomainError, NumericsError, RegimeError
 from partarget.linear import LinearParams
 from partarget.oracle import (
     MAX_SAMPLES,
@@ -35,6 +36,40 @@ def make_distribution(rng, n: int) -> DiscreteDistribution:
         for i in range(n)
     )
     return DiscreteDistribution(atoms)
+
+
+class TestLinearSecondMoment:
+    @pytest.mark.parametrize("mu, beta, gamma_s, alpha", [
+        (1.0, 10.0, 0.3, 0.05), (1.0, 1.0, 0.3, 1e-6), (0.5, 3.0, 0.99, 0.3), (2.0, 1.0, 0.0, 0.01),
+    ])
+    def test_matches_quadrature(self, mu, beta, gamma_s, alpha):
+        from scipy import integrate
+        from scipy.special import ndtri
+        p = LinearParams(mu, beta, gamma_s)
+        a, c, t = gamma_s * beta, p.gamma_t * beta, -float(ndtri(alpha))
+        # E[x^2 1{z_s >= T}] with x = a z_s + c z_t + mu, integrated over z_s.
+        want, _ = integrate.quad(
+            lambda z: math.exp(-z * z / 2) / math.sqrt(2 * math.pi) * ((a * z + mu) ** 2 + c * c),
+            t, math.inf, epsabs=0.0, epsrel=1e-13)
+        assert oracle.linear_second_moment(p, alpha) == pytest.approx(want, rel=1e-11)
+
+
+class TestSharedAlphaChecks:
+    """The oracles refuse alpha with the checks of the closed forms they test."""
+
+    @pytest.mark.parametrize("call, alpha, error, domain", [
+        (lambda a: simulate_linear_value(LinearParams(1, 1, 0.3), a, SimConfig(10_000, 1)),
+         0.5, RegimeError, "(0, 0.5)"),
+        (lambda a: simulate_probit_value(ProbitParams(0.1, 0.3), a, SimConfig(10_000, 1)),
+         0.0, DomainError, "(0, 1]"),
+        (lambda a: greedy_allocate(DiscreteDistribution((Atom("a", 1.0, 1.0),)), a),
+         1.5, DomainError, "[0, 1]"),
+        (lambda a: brute_force_allocate(DiscreteDistribution((Atom("a", 1.0, 1.0),)), a),
+         -0.5, DomainError, "[0, 1]"),
+    ], ids=["simulate-linear", "simulate-probit", "greedy", "brute-force"])
+    def test_domain(self, call, alpha, error, domain):
+        with pytest.raises(error, match=f"alpha must lie in {re.escape(domain)}"):
+            call(alpha)
 
 
 class TestConfigTypes:

@@ -1,13 +1,15 @@
 """Tests for the probit welfare model's closed-form value and derivatives."""
 
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
-from partarget import gaussian, oracle
+from partarget import gaussian, oracle, probit
 from partarget.errors import (
     DegenerateLeverError,
     DomainError,
@@ -222,6 +224,18 @@ class TestParBounds:
             par_probit_bounds(ProbitParams(0.1, 0.0), 0.001, d)
         with pytest.raises(DomainError):
             par_probit_bounds(ProbitParams(0.1, 0.5), 0.001, d, eps=0.5)
+
+    def test_smallness_thresholds_are_constants(self):
+        assert list(inspect.signature(par_probit_bounds).parameters) == ["p", "alpha", "d",
+                                                                         "eps"]
+        p, d = ProbitParams(0.1, 0.5), LeverDelta(0.001, 0.001)
+        par_probit_bounds(p, probit.BOUNDS_MAX_ALPHA, d)
+        with pytest.raises(PreconditionError, match="smallness"):
+            par_probit_bounds(p, np.nextafter(probit.BOUNDS_MAX_ALPHA, 1.0), d)
+        par_probit_bounds(p, 0.005, LeverDelta(0.001, probit.BOUNDS_MAX_DELTA_R2))
+        with pytest.raises(PreconditionError, match="smallness"):
+            par_probit_bounds(p, 0.005, LeverDelta(0.001, np.nextafter(
+                probit.BOUNDS_MAX_DELTA_R2, 1.0)))
 
     def test_overflow_near_gamma_one(self):
         # the core factor ~129 is raised to a power ~500 = 1/gamma_t^2
