@@ -604,3 +604,115 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.3"
+
+
+VALUE_ARGV = ("value", "--model", "linear", "--mu", "1", "--beta-norm", "10",
+              "--gamma-s", "0.3", "--alpha", "0.05")
+ALPHA_ARGV = VALUE_ARGV[:-1] + ("0.7",)
+ALPHA_ERROR = ("error: alpha must lie in (0, 0.5), got 0.7 (above 0.5 the positivity"
+               " constraint binds and the closed form does not apply)\n")
+BIG_GRID_FIELDS = {"model": "linear", "mu": 1.0, "beta_norm": 10.0, "alpha_lo": 0.001,
+               "alpha_hi": 0.4, "alpha_count": 200, "gamma_lo": 0.0, "gamma_hi": 0.99,
+               "gamma_count": 200, "delta_alpha": 0.001, "delta_r2": 0.001,
+               "cost_access": 1.0, "cost_prediction": 0.25}
+BIG_GRID_ARGV = ("grid", *_flags(BIG_GRID_FIELDS))
+
+
+@pytest.fixture(scope="module")
+def grid_csv() -> bytes:
+    """The 200x200 grid of BIG_GRID_ARGV as CSV, serialized in process."""
+    spec = grid_mod.GridSpec.from_dict(BIG_GRID_FIELDS)
+    return grid_mod.serialize_grid(grid_mod.sweep_grid(spec), "csv")
+
+
+def run_redirected(redirect, *argv):
+    """Run ``python -m partarget.cli`` with a shell redirection of its streams."""
+    return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh",
+                           sys.executable, "-m", "partarget.cli", *argv],
+                          capture_output=True, text=True)
+
+
+class TestProcessExit:
+    """`main` flushes and ends the process with `os._exit`; each exit path
+    keeps its code and bytes.  `test_console_script_entry_point` and
+    `TestBounds::test_probit_overflow_is_numerical_failure` cover exit 0
+    and exit 1 through `main`."""
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (ALPHA_ARGV, 2, "", ALPHA_ERROR),
+        (VALUE_ARGV + ("--bogus",), 2, "",
+         "usage: partarget [-h] {value,par,bounds,grid,verify,allocate} ...\n"
+         "partarget: error: unrecognized arguments: --bogus\n"),
+    ], ids=["domain-error", "usage-error"])
+    def test_exit_code_and_streams(self, argv, code, out, err):
+        proc = run_process(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    def test_help(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the help text wraps to the terminal width
+        proc = run_process("--help")
+        assert proc.returncode == 0
+        assert proc.stdout == cli._build_parser().format_help()
+        assert proc.stderr == ""
+
+    def test_grid_to_stdout_is_complete(self, grid_csv):
+        proc = subprocess.run([sys.executable, "-m", "partarget.cli", *BIG_GRID_ARGV],
+                              capture_output=True)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert len(proc.stdout) > 3_000_000
+        assert proc.stdout == grid_csv
+
+    def test_grid_to_out_is_complete(self, grid_csv, tmp_path):
+        out = tmp_path / "grid.csv"
+        proc = run_process(*BIG_GRID_ARGV, "--out", str(out))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert out.read_bytes() == grid_csv
+
+    def test_uncaught_exception_keeps_its_traceback(self):
+        script = ("import sys\n"
+                  "from partarget import cli\n"
+                  "def fail(args):\n"
+                  "    raise RuntimeError('handler failed')\n"
+                  "cli._cmd_value = fail\n"
+                  f"sys.argv = ['partarget', *{VALUE_ARGV!r}]\n"
+                  "cli.main()\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("Traceback (most recent call last):\n")
+        assert proc.stderr.endswith("\nRuntimeError: handler failed\n")
+
+    def test_teardown_is_skipped(self):
+        # The ordinary exit would run the wrapper's atexit handler.
+        script = ("import atexit, sys\n"
+                  "from partarget import cli\n"
+                  "atexit.register(print, 'atexit ran')\n"
+                  f"sys.argv = ['partarget', *{VALUE_ARGV!r}]\n"
+                  "cli.main()\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0.359407\n", "")
+
+    @pytest.mark.parametrize("redirect, argv, code, out, err", [
+        (">&-", VALUE_ARGV, 0, "", ""),
+        ("2>&-", VALUE_ARGV, 0, "0.359407\n", ""),
+        # print() with no stderr writes the error line to stdout.
+        ("2>&-", ALPHA_ARGV, 2, ALPHA_ERROR, ""),
+        (">/dev/full", VALUE_ARGV, 1, "", "i/o error: [Errno 28] No space left on device\n"),
+        (">/dev/full", BIG_GRID_ARGV, 1, "", "i/o error: [Errno 28] No space left on device\n"),
+    ], ids=["stdout-closed", "stderr-closed", "stderr-closed-error", "stdout-full",
+            "grid-stdout-full"])
+    def test_closed_or_full_stream(self, redirect, argv, code, out, err):
+        if "/dev/full" in redirect and not Path("/dev/full").exists():
+            pytest.skip("no /dev/full")
+        proc = run_redirected(redirect, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    def test_grid_to_a_pipe_the_reader_closed(self):
+        proc = subprocess.Popen([sys.executable, "-m", "partarget.cli", *BIG_GRID_ARGV],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b"i/o error: [Errno 32] Broken pipe\n"
