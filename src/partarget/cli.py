@@ -6,12 +6,14 @@ environment or config-file state, so identical invocations produce
 byte-identical output.
 
 Exit codes: 0 success, 2 domain/precondition violations and bad usage,
-1 internal numerical failure (including a failed `verify`).
+1 internal numerical failure (including a failed `verify`) or an output
+failure: stdout closed, a full disk, or a reader that left part-way.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -28,6 +30,10 @@ __all__ = ["main", "run"]
 
 def _fmt(x: float, machine: bool) -> str:
     return ("%.17g" if machine else "%.6g") % x
+
+
+def _lines(*lines: str) -> bytes:
+    return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
@@ -56,31 +62,27 @@ def _model(args: argparse.Namespace) -> tuple[grid_mod.Model, object]:
         args.model, args.gamma_s, args.mu, args.beta_norm, args.base_rate)
 
 
-def _cmd_value(args: argparse.Namespace) -> int:
+def _cmd_value(args: argparse.Namespace) -> tuple[int, bytes]:
     model, p = _model(args)
-    print(_fmt(model.value(p, args.alpha), args.machine))
-    return 0
+    return 0, _lines(_fmt(model.value(p, args.alpha), args.machine))
 
 
-def _cmd_par(args: argparse.Namespace) -> int:
+def _cmd_par(args: argparse.Namespace) -> tuple[int, bytes]:
     model, p = _model(args)
     d = linear.LeverDelta(args.delta_alpha, args.delta_r2)
-    print(_fmt(model.par(p, args.alpha, d), args.machine))
-    return 0
+    return 0, _lines(_fmt(model.par(p, args.alpha, d), args.machine))
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> tuple[int, bytes]:
     model, p = _model(args)
     d = linear.LeverDelta(args.delta_alpha, args.delta_r2)
     pair = (model.bounds(p, args.alpha, d) if args.eps is None
             else model.bounds(p, args.alpha, d, args.eps))
     exact = model.par(p, args.alpha, d)
     m = args.machine
-    print(f"lower {_fmt(pair.lower, m)}")
-    print(f"upper {_fmt(pair.upper, m)}")
-    print(f"exact {_fmt(exact, m)}")
-    print(f"contained {'yes' if pair.contains(exact) else 'no'}")
-    return 0
+    return 0, _lines(f"lower {_fmt(pair.lower, m)}", f"upper {_fmt(pair.upper, m)}",
+                     f"exact {_fmt(exact, m)}",
+                     f"contained {'yes' if pair.contains(exact) else 'no'}")
 
 
 def _grid_spec_from_args(args: argparse.Namespace) -> grid_mod.GridSpec:
@@ -104,20 +106,12 @@ def _grid_spec_from_args(args: argparse.Namespace) -> grid_mod.GridSpec:
     return grid_mod.GridSpec.from_dict({k: v for k, v in vars(args).items() if v is not None})
 
 
-def _cmd_grid(args: argparse.Namespace) -> int:
-    spec = _grid_spec_from_args(args)
-    result = grid_mod.sweep_grid(spec)
-    payload = grid_mod.serialize_grid(result, args.format)
-    if args.out is None:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-    else:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
-    return 0
+def _cmd_grid(args: argparse.Namespace) -> tuple[int, bytes]:
+    result = grid_mod.sweep_grid(_grid_spec_from_args(args))
+    return 0, grid_mod.serialize_grid(result, args.format)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, bytes]:
     model, p = _model(args)
     cfg = oracle.SimConfig(samples=args.samples, seed=args.seed)
     target = model.value(p, args.alpha)
@@ -133,12 +127,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     m = args.machine
     z = judged.z_score(target)
     ok = judged.within(target, 4.0)
-    print(f"closed_form {_fmt(target, m)}")
-    print(f"mc_mean {_fmt(est.mean, m)}")
-    print(f"mc_std_error {_fmt(est.std_error, m)}")
-    print(f"z_score {_fmt(z, m)}")
-    print(f"result {'pass' if ok else 'fail'} (4 standard errors)")
-    return 0 if ok else 1
+    return 0 if ok else 1, _lines(
+        f"closed_form {_fmt(target, m)}", f"mc_mean {_fmt(est.mean, m)}",
+        f"mc_std_error {_fmt(est.std_error, m)}", f"z_score {_fmt(z, m)}",
+        f"result {'pass' if ok else 'fail'} (4 standard errors)")
 
 
 def _read_distribution(path: str) -> oracle.DiscreteDistribution:
@@ -169,18 +161,37 @@ def _read_distribution(path: str) -> oracle.DiscreteDistribution:
     return oracle.DiscreteDistribution(tuple(atoms))
 
 
-def _cmd_allocate(args: argparse.Namespace) -> int:
+def _cmd_allocate(args: argparse.Namespace) -> tuple[int, bytes]:
     dist = _read_distribution(args.dist)
     alloc = oracle.greedy_allocate(dist, args.alpha)
     m = args.machine
-    print(f"treated {','.join(alloc.treated) if alloc.treated else '(none)'}")
-    print(f"treated_mass {_fmt(alloc.treated_mass, m)}")
-    print(f"welfare {_fmt(alloc.welfare, m)}")
+    lines = [f"treated {','.join(alloc.treated) if alloc.treated else '(none)'}",
+             f"treated_mass {_fmt(alloc.treated_mass, m)}", f"welfare {_fmt(alloc.welfare, m)}"]
     if args.brute_force:
         best = oracle.brute_force_allocate(dist, args.alpha)
-        print(f"brute_force_treated {','.join(best.treated) if best.treated else '(none)'}")
-        print(f"brute_force_welfare {_fmt(best.welfare, m)}")
-    return 0
+        lines += [f"brute_force_treated {','.join(best.treated) if best.treated else '(none)'}",
+                  f"brute_force_welfare {_fmt(best.welfare, m)}"]
+    return 0, _lines(*lines)
+
+
+def _write_all(payload: bytes, path: str | None) -> None:
+    """Write all of ``payload`` to the file at ``path``, or to stdout, and flush it.
+    A short write, as to a reader that left part-way, is retried with the rest, which raises."""
+    if path is None and sys.stdout is None:  # fd 1 was closed at start-up
+        raise OSError("stdout is closed")
+    with open(path, "wb") if path is not None else contextlib.nullcontext(sys.stdout.buffer) as fh:
+        view = memoryview(payload)
+        while view:
+            view = view[fh.write(view):]
+        fh.flush()
+
+
+def _say(message: str) -> None:
+    """Write one message line to stderr.  With stderr closed (None) or
+    unwritable the line is dropped, and the exit code alone reports the failure."""
+    with contextlib.suppress(AttributeError, OSError):
+        sys.stderr.write(message + "\n")
+        sys.stderr.flush()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,6 +204,14 @@ class _Parser(argparse.ArgumentParser):
         except ValueError:
             return super()._parse_optional(arg_string)
         return None
+
+    def error(self, message: str) -> NoReturn:  # usage and message go to stderr only
+        _say(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(2)
+
+    def _print_message(self, message, file=None):
+        if file is not None:  # stdout is closed: drop the help, never print it on stderr
+            super()._print_message(message, file)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -258,15 +277,17 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code, payload = args.handler(args)
+        _write_all(payload, getattr(args, "out", None))
+        return code
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 2
     except (NumericsError, PartargetError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _say(f"numerical failure: {exc}")
         return 1
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        _say(f"i/o error: {exc}")
         return 1
 
 
@@ -275,8 +296,9 @@ def main() -> NoReturn:
 
     ``run()`` is the in-process API.  ``main()`` flushes stdout and stderr and
     skips interpreter teardown (90 to 170 ms a command), so atexit handlers of
-    a wrapping caller do not run.  A closed stream, a failed flush or an
-    uncaught exception takes the ordinary exit, which reports them as before.
+    a wrapping caller do not run.  A stream that is closed (None) or fails to
+    flush is passed over, as ``run()`` reported any failed write; an uncaught
+    exception takes the ordinary exit, which reports it as before.
     """
     try:
         code = run()
@@ -284,11 +306,9 @@ def main() -> NoReturn:
         if not isinstance(exc.code, int):
             raise
         code = exc.code
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except (AttributeError, OSError):  # a stream closed at start-up is None
-        sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(AttributeError, OSError):
+            stream.flush()
     os._exit(code)
 
 

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -569,6 +570,16 @@ class TestAllocate:
         assert out == ""
         assert err.startswith("error:") and message in err
 
+    def test_output_is_utf8_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "dist.csv"
+        path.write_text("label,mass,cond_mean\ncafé,0.25,2.0\nb,0.75,-1.0\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "partarget.cli", "allocate", "--dist", str(path),
+             "--alpha", "0.5"],
+            capture_output=True, env={**os.environ, "PYTHONIOENCODING": "ascii"})
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.startswith("treated café\n".encode("utf-8"))
+
     def test_bad_header_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("name,weight,mean\na,1.0,1.0\n")
@@ -694,23 +705,33 @@ class TestProcessExit:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0.359407\n", "")
 
     @pytest.mark.parametrize("redirect, argv, code, out, err", [
-        (">&-", VALUE_ARGV, 0, "", ""),
+        (">&-", VALUE_ARGV, 1, "", "i/o error: stdout is closed\n"),
+        (">&-", BIG_GRID_ARGV, 1, "", "i/o error: stdout is closed\n"),
+        (">&-", (*BIG_GRID_ARGV, "--out", "{tmp}/grid.csv"), 0, "", ""),
+        (">&-", ("--help",), 0, "", ""),
         ("2>&-", VALUE_ARGV, 0, "0.359407\n", ""),
-        # print() with no stderr writes the error line to stdout.
-        ("2>&-", ALPHA_ARGV, 2, ALPHA_ERROR, ""),
+        ("2>&-", ALPHA_ARGV, 2, "", ""),
+        ("2</dev/null", ALPHA_ARGV, 2, "", ""),
+        ("2</dev/null", VALUE_ARGV + ("--bogus",), 2, "", ""),
         (">/dev/full", VALUE_ARGV, 1, "", "i/o error: [Errno 28] No space left on device\n"),
         (">/dev/full", BIG_GRID_ARGV, 1, "", "i/o error: [Errno 28] No space left on device\n"),
-    ], ids=["stdout-closed", "stderr-closed", "stderr-closed-error", "stdout-full",
+    ], ids=["stdout-closed", "grid-stdout-closed", "grid-out-stdout-closed",
+            "help-stdout-closed", "stderr-closed", "stderr-closed-error",
+            "stderr-unwritable-error", "stderr-unwritable-usage-error", "stdout-full",
             "grid-stdout-full"])
-    def test_closed_or_full_stream(self, redirect, argv, code, out, err):
+    def test_closed_or_full_stream(self, redirect, argv, code, out, err, tmp_path, grid_csv):
         if "/dev/full" in redirect and not Path("/dev/full").exists():
             pytest.skip("no /dev/full")
-        proc = run_redirected(redirect, *argv)
+        proc = run_redirected(redirect, *(arg.format(tmp=tmp_path) for arg in argv))
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        if "--out" in argv:
+            assert (tmp_path / "grid.csv").read_bytes() == grid_csv
 
-    def test_grid_to_a_pipe_the_reader_closed(self):
+    @pytest.mark.parametrize("read", [0, 100_000], ids=["at-once", "part-way"])
+    def test_grid_to_a_pipe_the_reader_closed(self, read):
         proc = subprocess.Popen([sys.executable, "-m", "partarget.cli", *BIG_GRID_ARGV],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(read)) == read
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
