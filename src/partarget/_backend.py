@@ -7,7 +7,7 @@ z_s and z_t, from counters 2i and 2i + 1 by the inverse normal CDF
 untreated samples add exactly 0 to every sum, so z_t is drawn only for
 treated ones.
 
-The n samples are cut into blocks of ``block`` consecutive indices.
+The n samples are cut into blocks of ``_BLOCK`` consecutive indices.
 Blocks are independent, so they run on a thread pool with one worker per
 usable CPU (NumPy and SciPy release the GIL in their array loops), and
 the per-block partial sums are combined in block order with
@@ -94,10 +94,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _block_sums(block_fn, n: int, block: int) -> tuple[float, float]:
+def _block_sums(block_fn, n: int) -> tuple[float, float]:
     """Run block_fn(start, count) over the blocks of n samples; combine the
     (sum, sum of squares) pairs in block order."""
-    jobs = [(start, min(block, n - start)) for start in range(0, n, block)]
+    jobs = [(start, min(_BLOCK, n - start)) for start in range(0, n, _BLOCK)]
     workers = min(_usable_cpus(), len(jobs))
     if workers <= 1:
         parts = [block_fn(*job) for job in jobs]
@@ -117,7 +117,6 @@ def linear_sums(
     s_scale: float,
     t_scale: float,
     threshold: float,
-    block: int = _BLOCK,
 ) -> tuple[float, float]:
     """Sum and sum-of-squares of treated welfare over n linear-model draws.
 
@@ -130,7 +129,7 @@ def linear_sums(
             x = s_scale * zs + t_scale * zt + mu
             return float(x.sum()), float((x * x).sum())
 
-    return _block_sums(sums, n, block)
+    return _block_sums(sums, n)
 
 
 def probit_sums(
@@ -140,7 +139,6 @@ def probit_sums(
     gamma_s: float,
     gamma_t: float,
     threshold: float,
-    block: int = _BLOCK,
 ) -> tuple[float, float]:
     """Sum and sum-of-squares of treated benefit indicators over n draws.
 
@@ -153,4 +151,4 @@ def probit_sums(
         hits = float(np.count_nonzero(gamma_s * zs + gamma_t * zt + m > 0.0))
         return hits, hits
 
-    return _block_sums(sums, n, block)
+    return _block_sums(sums, n)

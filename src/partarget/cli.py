@@ -209,9 +209,8 @@ class _Parser(argparse.ArgumentParser):
         _say(f"{self.format_usage()}{self.prog}: error: {message}")
         self.exit(2)
 
-    def _print_message(self, message, file=None):
-        if file is not None:  # stdout is closed: drop the help, never print it on stderr
-            super()._print_message(message, file)
+    def print_help(self, file=None) -> None:  # help is output, written as every output is
+        _write_all(self.format_help().encode("utf-8"), None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -267,19 +266,21 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also print the exhaustive optimum (at most 20 atoms)")
     sub.set_defaults(handler=_cmd_allocate)
 
-    for sp in subs.choices.values():
-        sp.add_argument("--machine", action="store_true",
-                        help="print full 17-significant-digit precision")
+    for name in ("value", "par", "bounds", "verify", "allocate"):  # grid writes every digit
+        subs.choices[name].add_argument("--machine", action="store_true",
+                                        help="print full 17-significant-digit precision")
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run the command in ``argv`` (default ``sys.argv[1:]``) and return its exit code."""
     try:
+        args = _build_parser().parse_args(argv)
         code, payload = args.handler(args)
         _write_all(payload, getattr(args, "out", None))
         return code
+    except SystemExit as exc:  # argparse: 0 after help, 2 after a usage error
+        return exc.code
     except DomainError as exc:
         _say(f"error: {exc}")
         return 2
@@ -300,12 +301,7 @@ def main() -> NoReturn:
     flush is passed over, as ``run()`` reported any failed write; an uncaught
     exception takes the ordinary exit, which reports it as before.
     """
-    try:
-        code = run()
-    except SystemExit as exc:  # argparse: a usage error or --help
-        if not isinstance(exc.code, int):
-            raise
-        code = exc.code
+    code = run()
     for stream in (sys.stdout, sys.stderr):
         with contextlib.suppress(AttributeError, OSError):
             stream.flush()

@@ -128,10 +128,8 @@ MODELS = {
 }
 
 
-def _axis(name: str, lo: float, hi: float, n: int, spacing: str) -> tuple[float, ...]:
+def _axis(lo: float, hi: float, n: int, spacing: str) -> tuple[float, ...]:
     """n points from lo to hi, evenly or geometrically spaced, ends exact."""
-    if lo == hi:
-        raise DomainError(f"{name} range is degenerate with count >= 2")
     if spacing == "log":
         ratio = hi / lo
         vals = [lo * ratio ** (i / (n - 1)) for i in range(n)]
@@ -188,6 +186,17 @@ class GridSpec:
         # The model parameters are shared by every cell, so a bad one is
         # refused here rather than turning each cell into a skip.
         self.params()
+        # What the axes and the JSON output cannot hold.
+        for name, lo, hi in (("alpha", self.alpha_lo, self.alpha_hi),
+                             ("gamma", self.gamma_lo, self.gamma_hi)):
+            if lo == hi:
+                raise DomainError(f"{name} range is degenerate with count >= 2")
+        if self.alpha_spacing == "log" and not self.alpha_hi / self.alpha_lo < math.inf:
+            raise DomainError(f"alpha range [{self.alpha_lo!r}, {self.alpha_hi!r}] is too "
+                              "wide for log spacing: alpha_hi / alpha_lo overflows")
+        if math.isinf(self.clip_lo) or math.isinf(self.clip_hi):
+            raise DomainError(f"clip bounds [{self.clip_lo!r}, {self.clip_hi!r}] "
+                              "must be finite")
 
     def params(self):
         """The model's parameters at gamma_lo (:func:`model_params`)."""
@@ -195,11 +204,10 @@ class GridSpec:
                             self.base_rate)
 
     def alphas(self) -> tuple[float, ...]:
-        return _axis("alpha", self.alpha_lo, self.alpha_hi, self.alpha_count,
-                     self.alpha_spacing)
+        return _axis(self.alpha_lo, self.alpha_hi, self.alpha_count, self.alpha_spacing)
 
     def gammas(self) -> tuple[float, ...]:
-        return _axis("gamma", self.gamma_lo, self.gamma_hi, self.gamma_count, "linear")
+        return _axis(self.gamma_lo, self.gamma_hi, self.gamma_count, "linear")
 
     def to_dict(self) -> dict:
         """The fields in order, with deltas and costs flattened into theirs."""
@@ -298,8 +306,8 @@ def sweep_grid(spec: GridSpec) -> GridResult:
     with np.errstate(over="ignore"):
         cb = par * spec.costs.cost_prediction / spec.costs.cost_access
     # A ratio that is not positive, or whose price is not finite, cannot be
-    # priced (cost_benefit refuses both).
-    defined = (status == PAR_OK) & (par > 0.0) & np.isfinite(par)
+    # priced (cost_benefit refuses both); an ok ratio is finite.
+    defined = (status == PAR_OK) & (par > 0.0)
     ok = defined & np.isfinite(cb)
     if not ok.any():
         if defined.any():

@@ -158,17 +158,18 @@ def par_from_values(value, gamma_s, alpha, d: LeverDelta, regime, gain_floor: fl
     """The finite-difference ratio [V(alpha + delta_alpha) - V(alpha)] /
     [V(gamma_s + delta_r2) - V(gamma_s)] of a model's array value function
     ``value(gamma_s, alpha)``, and a status code per cell: PAR_REGIME where
-    ``regime`` is set, PAR_NOISE where the prediction gain is at most
-    gain_floor.  Both carry a NaN ratio."""
+    ``regime`` is set, PAR_NOISE where the gain is not above gain_floor or the
+    ratio is not finite.  Both carry a NaN ratio, so an ok ratio is finite."""
     # Steps out of the regime are evaluated at the cell itself, then masked.
     v0 = value(gamma_s, alpha)
     va = value(gamma_s, np.where(regime, alpha, alpha + d.delta_alpha))
     vg = value(np.where(regime, gamma_s, gamma_s + d.delta_r2), alpha)
-    gain = vg - v0
-    status = np.where(regime, PAR_REGIME, np.where(gain <= gain_floor, PAR_NOISE, PAR_OK))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        par = np.where(status == PAR_OK, (va - v0) / gain, np.nan)
-    return par, status
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gain = vg - v0
+        par = (va - v0) / gain
+    ok = (gain > gain_floor) & np.isfinite(par)
+    status = np.where(regime, PAR_REGIME, np.where(ok, PAR_OK, PAR_NOISE))
+    return np.where(status == PAR_OK, par, np.nan), status
 
 
 def par_linear_array(
@@ -182,7 +183,7 @@ def par_linear_array(
     (gamma_s, alpha) inputs, and a status code per cell (see
     :func:`par_from_values`): PAR_REGIME where alpha + delta_alpha reaches
     0.5 or gamma_s + delta_r2 exceeds 1, PAR_NOISE where the prediction gain
-    is not positive.  delta_r2 <= 0 raises :class:`DegenerateLeverError`;
+    is too small to divide by.  delta_r2 <= 0 raises :class:`DegenerateLeverError`;
     alpha > 0 and valid mu and beta_norm are the caller's to check.
     """
     if d.delta_r2 <= 0.0:
@@ -208,7 +209,7 @@ def par_linear_exact(p: LinearParams, alpha: float, d: LeverDelta) -> float:
         )
     if status == PAR_NOISE:
         raise DegenerateLeverError("prediction gain V(gamma_s + delta_r2) - V(gamma_s) "
-                                   "is not positive")
+                                   "is not positive, or too small to divide by")
     return float(par)
 
 

@@ -295,6 +295,8 @@ def par_probit_bounds(
     core = 1.0 / (SQRT_2PI * alpha * t_alpha)
     eps_up = eps / (1.0 - eps)
     try:
+        if core == math.inf:  # alpha T underflows, and 0 * inf would make the bounds NaN
+            raise OverflowError
         lower = 0.3 * prefactor * (core / 1.01) ** ((1.0 - eps) ** 2 / (gt * gt))
         upper = 3.0 * prefactor * core ** ((1.0 + eps_up) ** 2 / (gt * gt))
     except OverflowError as exc:

@@ -73,14 +73,15 @@ class TestNumpyKernel:
         assert s == sq and s == int(s)
 
     @pytest.mark.parametrize("threshold", THRESHOLDS)
-    def test_probit_equals_full_draw_reference(self, threshold):
+    def test_probit_equals_full_draw_reference(self, monkeypatch, threshold):
         args = {**ARGS_PROBIT, "threshold": threshold}
         zs, zt = _reference_normals(args["seed"], args["n"])
         benefit = args["gamma_s"] * zs + args["gamma_t"] * zt + args["m"] > 0.0
         count = float(np.count_nonzero(benefit & (zs >= threshold)))
         assert count > 0
         assert probit_sums(**args) == (count, count)
-        assert probit_sums(**args, block=2**15) == (count, count)
+        monkeypatch.setattr(_backend, "_BLOCK", 2**15)
+        assert probit_sums(**args) == (count, count)
 
     @pytest.mark.parametrize("threshold", THRESHOLDS)
     def test_linear_matches_full_draw_reference(self, threshold):
@@ -92,23 +93,24 @@ class TestNumpyKernel:
         assert total == pytest.approx(math.fsum(x), rel=1e-12)
         assert total_sq == pytest.approx(math.fsum(x * x), rel=1e-12)
 
-    def test_probit_block_size_invariance(self):
-        n = ARGS_PROBIT["n"]
-        assert probit_sums(**ARGS_PROBIT, block=n) == \
-            probit_sums(**ARGS_PROBIT, block=2**16)
+    def test_probit_block_size_invariance(self, monkeypatch):
+        monkeypatch.setattr(_backend, "_BLOCK", ARGS_PROBIT["n"])
+        want = probit_sums(**ARGS_PROBIT)
+        monkeypatch.setattr(_backend, "_BLOCK", 2**16)
+        assert probit_sums(**ARGS_PROBIT) == want
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_identical_for_any_worker_count(self, monkeypatch, cpus):
         # n / block = 19 blocks, more than any worker count tried
-        block = 2**14
-        want_linear = linear_sums(**ARGS_LINEAR, block=block)
-        want_probit = probit_sums(**ARGS_PROBIT, block=block)
+        monkeypatch.setattr(_backend, "_BLOCK", 2**14)
+        want_linear = linear_sums(**ARGS_LINEAR)
+        want_probit = probit_sums(**ARGS_PROBIT)
         monkeypatch.setattr(_backend, "_usable_cpus", lambda: cpus)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
             for _ in range(3):
-                assert linear_sums(**ARGS_LINEAR, block=block) == want_linear
-                assert probit_sums(**ARGS_PROBIT, block=block) == want_probit
+                assert linear_sums(**ARGS_LINEAR) == want_linear
+                assert probit_sums(**ARGS_PROBIT) == want_probit
         finally:
             sys.setswitchinterval(interval)

@@ -24,11 +24,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def stream_env(unbuffered: bool = False) -> dict:
+    """The caller's environment with buffered stdout and stderr, the default a
+    user gets, or with the unbuffered ones of PYTHONUNBUFFERED=1."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
 def run_process(*argv):
     """Run the CLI in a fresh interpreter, so that tracebacks and warnings
     reach stderr as a user would see them."""
     return subprocess.run([sys.executable, "-m", "partarget.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=stream_env())
 
 
 class TestValue:
@@ -63,6 +70,16 @@ class TestPar:
         assert float(out) == par_linear_exact(
             LinearParams(1, 10, 0.3), 0.02, LeverDelta(0.01, 0.01))
 
+    @pytest.mark.parametrize("alpha", ["1e-310", "5e-324"])
+    def test_linear_vanishing_alpha_is_degenerate(self, alpha):
+        # the prediction gain is about 1e-310 or smaller, and the ratio overflows
+        proc = run_process("par", "--model", "linear", "--mu", "1", "--beta-norm", "10",
+                           "--gamma-s", "0.3", "--alpha", alpha, "--delta-alpha", "0.01",
+                           "--delta-r2", "0.01")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: prediction gain V(gamma_s + delta_r2) - V(gamma_s) is not "
+                   "positive, or too small to divide by\n")
+
 
 class TestBounds:
     def test_linear_containment_report(self, capsys):
@@ -92,6 +109,15 @@ class TestBounds:
         assert proc.stdout == ""
         assert proc.stderr.startswith("numerical failure: the bounds overflow")
         assert "Traceback" not in proc.stderr
+
+    def test_probit_vanishing_alpha_is_numerical_failure(self, capsys):
+        # 1/(sqrt(2 pi) alpha T) is inf, and a zero access step times inf is NaN
+        code, out, err = run_cli(capsys, "bounds", "--model", "probit", "--base-rate", "0.05",
+                                 "--gamma-s", "0.3", "--alpha", "5e-324",
+                                 "--delta-alpha", "0", "--delta-r2", "0.001")
+        assert (code, out) == (1, "")
+        assert err.startswith("numerical failure: the bounds overflow: "
+                              "1/(sqrt(2 pi) alpha T) = inf")
 
 
 def _flags(fields: dict) -> list[str]:
@@ -197,6 +223,12 @@ class TestGrid:
         (json.dumps({**GOOD_SPEC, "alpha_count": 3.0}), "'alpha_count' must be an integer"),
         (json.dumps({**GOOD_SPEC, "gamma_count": "3"}), "'gamma_count' must be an integer"),
         (json.dumps({**GOOD_SPEC, "gamma_count": True}), "'gamma_count' must be an integer"),
+        (json.dumps({**GOOD_SPEC, "alpha_hi": 0.01}), "alpha range is degenerate"),
+        (json.dumps({**GOOD_SPEC, "gamma_lo": 0.9}), "gamma range is degenerate"),
+        (json.dumps({**GOOD_SPEC, "alpha_lo": 1e-310}), "alpha_hi / alpha_lo overflows"),
+        (json.dumps({**GOOD_SPEC, "clip_hi": math.inf}), "must be finite"),
+        (json.dumps({**GOOD_SPEC, "clip_lo": -math.inf}), "must be finite"),
+        (json.dumps({**GOOD_SPEC, "clip_lo": math.nan}), "clip_lo must be strictly below"),
     ])
     def test_malformed_spec_is_usage_error(self, capsys, tmp_path, text, named):
         spec_path = tmp_path / "spec.json"
@@ -205,6 +237,17 @@ class TestGrid:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("flags, error", [
+        (["--alpha-lo", "1e-310"], "error: alpha range [1e-310, 0.04] is too wide for log "
+                                   "spacing: alpha_hi / alpha_lo overflows\n"),
+        (["--clip-hi", "inf"], "error: clip bounds [0.5, inf] must be finite\n"),
+    ], ids=["log-overflow", "infinite-clip"])
+    def test_unsweepable_flags_are_usage_errors(self, capsys, fmt, flags, error):
+        code, out, err = run_cli(capsys, "grid", *_flags(self.GOOD_SPEC), *flags,
+                                 "--format", fmt)
+        assert (code, out, err) == (2, "", error)
 
     def test_unreadable_spec_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "absent.json"
@@ -529,9 +572,7 @@ class TestNegativeValues:
         assert err.startswith("error: alpha must lie in (0, 0.5), got -1e-05")
 
     def test_stray_number_is_still_refused(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.run([*self.VALUE, "--mu", "1", "-1e-5"])
-        assert exc.value.code == 2
+        assert cli.run([*self.VALUE, "--mu", "1", "-1e-5"]) == 2
         assert "unrecognized arguments: -1e-5" in capsys.readouterr().err
 
 
@@ -603,10 +644,22 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: base_rate is only valid with the probit model\n"
 
-    def test_unknown_flag_is_two(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.run(["value", "--bogus", "1"])
-        assert exc.value.code == 2
+    def test_unknown_flag_is_two(self, capsys):
+        code, out, err = run_cli(capsys, "value", "--bogus", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: partarget value [-h]")
+        assert err.endswith("partarget value: error: the following arguments are "
+                            "required: --model, --gamma-s, --alpha\n")
+
+    def test_help_is_zero(self, capsys):
+        assert run_cli(capsys, "--help") == (0, cli._build_parser().format_help(), "")
+
+    def test_grid_has_no_machine_flag(self, capsys):
+        # a grid always writes every digit
+        fields = {"model": "linear", "mu": 1.0, "beta_norm": 10.0, **GRID_FIELDS}
+        assert run_cli(capsys, "grid", *_flags(fields), "--machine") == (
+            2, "", "usage: partarget [-h] {value,par,bounds,grid,verify,allocate} ...\n"
+                   "partarget: error: unrecognized arguments: --machine\n")
 
     def test_console_script_entry_point(self):
         proc = subprocess.run(
@@ -636,11 +689,34 @@ def grid_csv() -> bytes:
     return grid_mod.serialize_grid(grid_mod.sweep_grid(spec), "csv")
 
 
-def run_redirected(redirect, *argv):
+def run_redirected(redirect, *argv, unbuffered=False):
     """Run ``python -m partarget.cli`` with a shell redirection of its streams."""
     return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh",
                            sys.executable, "-m", "partarget.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=stream_env(unbuffered))
+
+
+# Each row: redirection, argv, exit code, stdout, stderr.
+STREAM_CASES = {
+    "stdout-closed": (">&-", VALUE_ARGV, 1, "", "i/o error: stdout is closed\n"),
+    "grid-stdout-closed": (">&-", BIG_GRID_ARGV, 1, "", "i/o error: stdout is closed\n"),
+    "grid-out-stdout-closed": (">&-", (*BIG_GRID_ARGV, "--out", "{tmp}/grid.csv"), 0, "", ""),
+    "help-stdout-closed": (">&-", ("--help",), 1, "", "i/o error: stdout is closed\n"),
+    "stderr-closed": ("2>&-", VALUE_ARGV, 0, "0.359407\n", ""),
+    "stderr-closed-error": ("2>&-", ALPHA_ARGV, 2, "", ""),
+    "stderr-unwritable-error": ("2</dev/null", ALPHA_ARGV, 2, "", ""),
+    "stderr-unwritable-usage-error": ("2</dev/null", VALUE_ARGV + ("--bogus",), 2, "", ""),
+    "stdout-full": (">/dev/full", VALUE_ARGV, 1, "",
+                    "i/o error: [Errno 28] No space left on device\n"),
+    "grid-stdout-full": (">/dev/full", BIG_GRID_ARGV, 1, "",
+                         "i/o error: [Errno 28] No space left on device\n"),
+    "help-stdout-full": (">/dev/full", ("--help",), 1, "",
+                         "i/o error: [Errno 28] No space left on device\n"),
+}
+# The rows whose write fails, which fail differently on unbuffered streams:
+# these run both ways, the others buffered only.
+FAILED_WRITES = ("stderr-unwritable-error", "stderr-unwritable-usage-error", "stdout-full",
+                 "grid-stdout-full", "help-stdout-full")
 
 
 class TestProcessExit:
@@ -668,7 +744,7 @@ class TestProcessExit:
 
     def test_grid_to_stdout_is_complete(self, grid_csv):
         proc = subprocess.run([sys.executable, "-m", "partarget.cli", *BIG_GRID_ARGV],
-                              capture_output=True)
+                              capture_output=True, env=stream_env())
         assert proc.returncode == 0
         assert proc.stderr == b""
         assert len(proc.stdout) > 3_000_000
@@ -688,7 +764,8 @@ class TestProcessExit:
                   "cli._cmd_value = fail\n"
                   f"sys.argv = ['partarget', *{VALUE_ARGV!r}]\n"
                   "cli.main()\n")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=stream_env())
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("Traceback (most recent call last):\n")
@@ -701,36 +778,32 @@ class TestProcessExit:
                   "atexit.register(print, 'atexit ran')\n"
                   f"sys.argv = ['partarget', *{VALUE_ARGV!r}]\n"
                   "cli.main()\n")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=stream_env())
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0.359407\n", "")
 
-    @pytest.mark.parametrize("redirect, argv, code, out, err", [
-        (">&-", VALUE_ARGV, 1, "", "i/o error: stdout is closed\n"),
-        (">&-", BIG_GRID_ARGV, 1, "", "i/o error: stdout is closed\n"),
-        (">&-", (*BIG_GRID_ARGV, "--out", "{tmp}/grid.csv"), 0, "", ""),
-        (">&-", ("--help",), 0, "", ""),
-        ("2>&-", VALUE_ARGV, 0, "0.359407\n", ""),
-        ("2>&-", ALPHA_ARGV, 2, "", ""),
-        ("2</dev/null", ALPHA_ARGV, 2, "", ""),
-        ("2</dev/null", VALUE_ARGV + ("--bogus",), 2, "", ""),
-        (">/dev/full", VALUE_ARGV, 1, "", "i/o error: [Errno 28] No space left on device\n"),
-        (">/dev/full", BIG_GRID_ARGV, 1, "", "i/o error: [Errno 28] No space left on device\n"),
-    ], ids=["stdout-closed", "grid-stdout-closed", "grid-out-stdout-closed",
-            "help-stdout-closed", "stderr-closed", "stderr-closed-error",
-            "stderr-unwritable-error", "stderr-unwritable-usage-error", "stdout-full",
-            "grid-stdout-full"])
-    def test_closed_or_full_stream(self, redirect, argv, code, out, err, tmp_path, grid_csv):
+    @pytest.mark.parametrize("unbuffered, redirect, argv, code, out, err", [
+        *(pytest.param(False, *row, id=name) for name, row in STREAM_CASES.items()),
+        *(pytest.param(True, *STREAM_CASES[name], id=name + "-unbuffered")
+          for name in FAILED_WRITES)])
+    def test_closed_or_full_stream(self, unbuffered, redirect, argv, code, out, err,
+                                   tmp_path, grid_csv):
         if "/dev/full" in redirect and not Path("/dev/full").exists():
             pytest.skip("no /dev/full")
-        proc = run_redirected(redirect, *(arg.format(tmp=tmp_path) for arg in argv))
+        proc = run_redirected(redirect, *(arg.format(tmp=tmp_path) for arg in argv),
+                              unbuffered=unbuffered)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
         if "--out" in argv:
             assert (tmp_path / "grid.csv").read_bytes() == grid_csv
 
-    @pytest.mark.parametrize("read", [0, 100_000], ids=["at-once", "part-way"])
-    def test_grid_to_a_pipe_the_reader_closed(self, read):
+    @pytest.mark.parametrize("read, unbuffered", [
+        pytest.param(0, False, id="at-once"), pytest.param(100_000, False, id="part-way"),
+        pytest.param(0, True, id="at-once-unbuffered"),
+        pytest.param(100_000, True, id="part-way-unbuffered")])
+    def test_grid_to_a_pipe_the_reader_closed(self, read, unbuffered):
         proc = subprocess.Popen([sys.executable, "-m", "partarget.cli", *BIG_GRID_ARGV],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=stream_env(unbuffered))
         assert len(proc.stdout.read(read)) == read
         proc.stdout.close()
         err = proc.stderr.read()

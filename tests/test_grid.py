@@ -127,6 +127,18 @@ class TestGridSpec:
             probit_spec(base_rate=None)
         with pytest.raises(DomainError):
             linear_spec(alpha_spacing="cubic")
+        with pytest.raises(DomainError, match="alpha range is degenerate"):
+            linear_spec(alpha_lo=0.01, alpha_hi=0.01)
+        with pytest.raises(DomainError, match="gamma range is degenerate"):
+            linear_spec(gamma_lo=0.5, gamma_hi=0.5)
+        with pytest.raises(DomainError, match="alpha_hi / alpha_lo overflows"):
+            linear_spec(alpha_lo=1e-310, alpha_hi=0.02)
+        with pytest.raises(DomainError, match="clip bounds"):
+            linear_spec(clip_hi=math.inf)
+        with pytest.raises(DomainError, match="clip bounds"):
+            linear_spec(clip_lo=-math.inf)
+        # the same range with even spacing has no ratio to overflow
+        assert linear_spec(alpha_lo=1e-310, alpha_hi=0.02, alpha_spacing="linear").alphas()
 
     def test_cell_count_ceiling(self):
         # rejection only: a spec over the ceiling never reaches its axes
@@ -511,6 +523,18 @@ class TestSweepMatchesScalarCalls:
             gamma_lo=0.1, gamma_hi=0.9, gamma_count=3, deltas=LeverDelta(0.001, 0.001),
             costs=CostModel(1.0, 1e308), base_rate=0.1),
     }
+
+    def test_overflowing_ratio_skipped_like_scalar_call(self):
+        # at alpha ~ 1e-310 the linear prediction gain is of order 1e-310, and
+        # the ratio overflows at gamma_s = 0.3
+        fields = dict(model="linear", alpha_lo=1e-310, alpha_hi=0.02, alpha_count=3,
+                      gamma_lo=0.0, gamma_hi=0.6, gamma_count=3, deltas=LeverDelta(0.01, 0.01),
+                      costs=CostModel(1.0, 0.25), mu=1.0, beta_norm=10.0,
+                      alpha_spacing="linear")
+        self.check(fields)
+        cell = sweep_grid(GridSpec(**fields)).cells[1]
+        assert (cell.alpha, cell.gamma_s) == (1e-310, 0.3)
+        assert cell.status == STATUS_SKIPPED_DEGENERATE
 
     @pytest.mark.parametrize("model", ["linear", "probit"])
     def test_all_overflowing_price_names_cost_ratio(self, model):

@@ -169,6 +169,13 @@ class TestParExact:
         with pytest.raises(DegenerateLeverError):
             par_linear_exact(FIG_PARAMS, 0.02, LeverDelta(0.01, 0.0))
 
+    @pytest.mark.parametrize("alpha", [1e-310, 5e-324])
+    def test_ratio_that_overflows_is_degenerate(self, alpha):
+        # a positive prediction gain of order alpha * T, too small to divide by
+        p = LinearParams(1.0, 10.0, 0.3)
+        with pytest.raises(DegenerateLeverError, match="too small to divide by"):
+            par_linear_exact(p, alpha, LeverDelta(0.01, 0.01))
+
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(0.0, 1.0),
            st.floats(1e-6, 0.5), st.floats(1e-6, 0.5), st.floats(1e-6, 1.0))

@@ -242,6 +242,11 @@ class TestParBounds:
         with pytest.raises(NumericsError, match="overflow"):
             par_probit_bounds(ProbitParams(0.05, 0.999), 0.001, LeverDelta(1e-4, 1e-3))
 
+    def test_overflow_at_vanishing_alpha(self):
+        # the core factor is inf, and times a zero access step it would be NaN
+        with pytest.raises(NumericsError, match="overflow"):
+            par_probit_bounds(ProbitParams(0.05, 0.3), 5e-324, LeverDelta(0.0, 1e-3))
+
     def test_exponent_from_gamma_t(self):
         # doubling the core factor must scale the upper bound by 2^(1/gamma_t^2)
         p = ProbitParams(0.1, 0.6)
