@@ -3,7 +3,7 @@
 Sampling uses a counter-based splitmix64 stream: the uniform at counter c
 is a pure function of (seed, c), and sample i takes its two normals,
 z_s and z_t, from counters 2i and 2i + 1 by the inverse normal CDF
-(``scipy.special.ndtri``).  A sample is treated iff z_s >= threshold;
+(``gaussian.ndtri``).  A sample is treated iff z_s >= threshold;
 untreated samples add exactly 0 to every sum, so z_t is drawn only for
 treated ones.
 
@@ -22,7 +22,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+
+from . import gaussian
 
 __all__ = ["BACKEND", "linear_sums", "probit_sums"]
 
@@ -63,27 +64,35 @@ def _uniform(seed: int, counter: np.ndarray) -> np.ndarray:
     return _unit(_bits(seed, counter))
 
 
-def _treated(seed: int, start: int, count: int, threshold: float):
-    """z_s and z_t of the treated samples among indices [start, start + count).
+def _cut(threshold: float) -> np.uint64:
+    """The splitmix64 output below which z_s < threshold for certain.
 
     z_s >= threshold can only hold where the uniform is above
     ndtr(threshold) - 1e-9: a 1e-9 shift of the uniform moves z_s by far
     more than the error of ndtri (up to about 6 ulps) or of ndtr, so no
-    uniform below the cut can round up to a z_s past the threshold.  The
-    z_s stream is scanned in cache-sized chunks, and z_s is computed and
-    tested only at the bits past that cut.
+    uniform below the cut can round up to a z_s past the threshold.  It is
+    computed once per call, on the calling thread, so the pool threads are
+    never the first to use the normal functions.
     """
-    cut = np.uint64(int(max(0.0, ndtr(threshold) - 1e-9) * 2.0**53) << 11)
+    return np.uint64(int(max(0.0, gaussian.ndtr(threshold) - 1e-9) * 2.0**53) << 11)
+
+
+def _treated(seed: int, start: int, count: int, threshold: float, cut: np.uint64):
+    """z_s and z_t of the treated samples among indices [start, start + count).
+
+    The z_s stream is scanned in cache-sized chunks, and z_s is computed
+    and tested only at the bits at or past ``cut`` (see :func:`_cut`).
+    """
     stop = start + count
     zs_parts, zt_parts = [], []
     for lo in range(start, stop, _CHUNK):
         bits = _bits(seed, 2 * np.arange(lo, min(lo + _CHUNK, stop), dtype=np.uint64))
         near = np.flatnonzero(bits >= cut)
-        zs = ndtri(_unit(bits[near]))
+        zs = gaussian.ndtri(_unit(bits[near]))
         hit = zs >= threshold
         idx = (near[hit] + lo).astype(np.uint64)
         zs_parts.append(zs[hit])
-        zt_parts.append(ndtri(_uniform(seed, 2 * idx + 1)))
+        zt_parts.append(gaussian.ndtri(_uniform(seed, 2 * idx + 1)))
     return np.concatenate(zs_parts), np.concatenate(zt_parts)
 
 
@@ -123,8 +132,10 @@ def linear_sums(
     Sample i: w = s_scale*z_s + t_scale*z_t + mu, treated iff z_s >= threshold.
     Sums that overflow come back as inf or NaN, without a warning.
     """
+    cut = _cut(threshold)
+
     def sums(start: int, count: int) -> tuple[float, float]:
-        zs, zt = _treated(seed, start, count, threshold)
+        zs, zt = _treated(seed, start, count, threshold, cut)
         with np.errstate(over="ignore", invalid="ignore"):
             x = s_scale * zs + t_scale * zt + mu
             return float(x.sum()), float((x * x).sum())
@@ -146,8 +157,10 @@ def probit_sums(
     z_s >= threshold; the summand is w * treated, so both sums are the
     count of treated benefiting samples.
     """
+    cut = _cut(threshold)
+
     def sums(start: int, count: int) -> tuple[float, float]:
-        zs, zt = _treated(seed, start, count, threshold)
+        zs, zt = _treated(seed, start, count, threshold, cut)
         hits = float(np.count_nonzero(gamma_s * zs + gamma_t * zt + m > 0.0))
         return hits, hits
 

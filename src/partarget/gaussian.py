@@ -12,12 +12,17 @@ meets a tight round-trip contract:
 
 Implementation notes
 --------------------
-* ``cdf`` and ``sf`` are ``scipy.special.ndtr`` (``sf`` at -t, never
-  ``1 - cdf``), the CDF of the probit core and the Monte Carlo kernel.
-* ``quantile`` is ``scipy.special.ndtri``, the same inverse CDF as the
-  array closed forms and the Monte Carlo kernel, so the package has one
-  implementation of it (within about 3e-16 relative of a 40-digit
-  reference, ``tests/data/reference.json``).
+* This is the one module that names ``scipy.special``.  Its ufuncs
+  ``ndtr``, ``ndtri`` and ``owens_t`` are reached as ``gaussian.ndtr``,
+  ``gaussian.ndtri`` and ``gaussian.owens_t``, and ``scipy.special`` is
+  imported at the first call of any of them, not when the package loads
+  (see :func:`_stub`).
+* ``cdf`` and ``sf`` are ``ndtr`` (``sf`` at -t, never ``1 - cdf``), the
+  CDF of the probit core and the Monte Carlo kernel.
+* ``quantile`` is ``ndtri``, the same inverse CDF as the array closed
+  forms and the Monte Carlo kernel, so the package has one implementation
+  of it (within about 3e-16 relative of a 40-digit reference,
+  ``tests/data/reference.json``).
 * ``upper_quantile(alpha)`` returns the (1 - alpha) quantile without ever
   forming ``1 - alpha``, so it stays accurate for alpha down to the
   smallest normal doubles.
@@ -31,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, NumericsError, PreconditionError, RegimeError
 
@@ -53,6 +57,30 @@ __all__ = [
 
 INV_SQRT_2PI = 0.3989422804014327
 SQRT_2PI = 2.5066282746310002
+
+
+def _stub(name: str):
+    """A stand-in for scipy.special's ``name``.  Its first call imports
+    scipy.special and binds ndtr, ndtri and owens_t in place of the three
+    stubs, so that every later call is a plain lookup of the ufunc.
+
+    The import is about half of a command's start-up, and commands that
+    evaluate no normal function (allocate, help, input refused before the
+    core runs) never pay it.  A thread that calls a stub while another is
+    importing waits on the import lock for the finished module.
+    """
+    def first_call(*args, **kwargs):
+        from scipy.special import ndtr, ndtri, owens_t
+
+        globals().update(ndtr=ndtr, ndtri=ndtri, owens_t=owens_t)
+        return globals()[name](*args, **kwargs)
+
+    return first_call
+
+
+# Call these through the module (gaussian.ndtri), never as names copied by
+# ``from .gaussian import ...``: a copy stays the stub and imports on every call.
+ndtr, ndtri, owens_t = (_stub(name) for name in ("ndtr", "ndtri", "owens_t"))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import gaussian
 from .errors import (
@@ -128,7 +127,7 @@ def value_linear_array(mu, beta_norm, gamma_s, alpha) -> np.ndarray | np.float64
     """
     # [()] turns 0-d arrays into NumPy scalars, as in value_probit_array.
     gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
-    return alpha * mu + gamma_s * beta_norm * pdf_array(ndtri(alpha))
+    return alpha * mu + gamma_s * beta_norm * pdf_array(gaussian.ndtri(alpha))
 
 
 def value_linear(p: LinearParams, alpha: float) -> float:
@@ -154,18 +153,22 @@ def random_to_optimal_ratio(p: LinearParams, alpha: float) -> float:
     return 1.0 / (1.0 + (p.beta_norm / p.mu) * g / alpha)
 
 
-def par_from_values(value, gamma_s, alpha, d: LeverDelta, regime, gain_floor: float):
+def par_from_values(value, gamma_s, alpha, d: LeverDelta, regime, gain_floor: float,
+                    prediction_gain=None):
     """The finite-difference ratio [V(alpha + delta_alpha) - V(alpha)] /
     [V(gamma_s + delta_r2) - V(gamma_s)] of a model's array value function
     ``value(gamma_s, alpha)``, and a status code per cell: PAR_REGIME where
     ``regime`` is set, PAR_NOISE where the gain is not above gain_floor or the
-    ratio is not finite.  Both carry a NaN ratio, so an ok ratio is finite."""
+    ratio is not finite.  Both carry a NaN ratio, so an ok ratio is finite.
+
+    ``prediction_gain``, when given, is that denominator in closed form;
+    otherwise it is the difference of the two values."""
     # Steps out of the regime are evaluated at the cell itself, then masked.
     v0 = value(gamma_s, alpha)
     va = value(gamma_s, np.where(regime, alpha, alpha + d.delta_alpha))
-    vg = value(np.where(regime, gamma_s, gamma_s + d.delta_r2), alpha)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gain = vg - v0
+        gain = (value(np.where(regime, gamma_s, gamma_s + d.delta_r2), alpha) - v0
+                if prediction_gain is None else prediction_gain)
         par = (va - v0) / gain
     ok = (gain > gain_floor) & np.isfinite(par)
     status = np.where(regime, PAR_REGIME, np.where(ok, PAR_OK, PAR_NOISE))
@@ -190,8 +193,11 @@ def par_linear_array(
         raise DegenerateLeverError("delta_r2 must be positive to form a ratio")
     gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
     regime = (alpha + d.delta_alpha >= 0.5) | (gamma_s + d.delta_r2 > 1.0)
+    # V is linear in gamma_s, so V(gamma_s + delta_r2) - V(gamma_s) is exactly
+    # delta_r2 * beta_norm * g(alpha), formed without the alpha * mu of each value.
+    gain = d.delta_r2 * beta_norm * pdf_array(gaussian.ndtri(alpha))
     return par_from_values(partial(value_linear_array, mu, beta_norm),
-                           gamma_s, alpha, d, regime, 0.0)
+                           gamma_s, alpha, d, regime, 0.0, gain)
 
 
 def par_linear_exact(p: LinearParams, alpha: float, d: LeverDelta) -> float:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t
 
 from . import gaussian
 from .errors import (
@@ -134,7 +133,7 @@ def value_probit_array(base_rate, gamma_s, alpha) -> np.ndarray | np.float64:
     # times cheaper; that is most of the cost of a scalar call.
     b, rho, alpha = (np.asarray(x, dtype=float)[()] for x in (base_rate, gamma_s, alpha))
     # Phi_2 is symmetric in its limits; the form below wants h <= k.
-    h, k = ndtri(alpha), ndtri(b)
+    h, k = gaussian.ndtri(alpha), gaussian.ndtri(b)
     h, k = np.minimum(h, k), np.maximum(h, k)
     s = gaussian.conditional_sd(rho)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -145,17 +144,17 @@ def value_probit_array(base_rate, gamma_s, alpha) -> np.ndarray | np.float64:
         # T(k, a) + T(ak, 1/a) = Phi(k)/2 + Phi(ak)/2 - Phi(k) Phi(ak) - [a < 0]/2
         # into terms that vanish with Phi(h), and the indicators, which are
         # exact halves, are summed apart from them.
-        h_part = 0.5 * ndtr(h) - owens_t(h, (k - rho * h) / (h * s))
+        h_part = 0.5 * gaussian.ndtr(h) - gaussian.owens_t(h, (k - rho * h) / (h * s))
         x = (h - rho * k) / s  # a_k * k
-        v = (h_part + (ndtr(x) * (ndtr(k) - 0.5) + owens_t(x, k / x))
+        v = (h_part + (gaussian.ndtr(x) * (gaussian.ndtr(k) - 0.5) + gaussian.owens_t(x, k / x))
              + 0.5 * (1.0 * (x * k < 0.0) - (h * k < 0.0)))
         # Limits and analytic branches, patched only where they occur.
         edge = (h == 0.0) | (x == 0.0) | (rho == 0.0) | (rho == 1.0) | (alpha == 1.0)
         if edge.any():
             # x = 0 means h = rho k, so hk >= 0 and the k bracket tends to Phi(k)/2.
-            v = np.where(x == 0.0, h_part + 0.5 * ndtr(k), v)
+            v = np.where(x == 0.0, h_part + 0.5 * gaussian.ndtr(k), v)
             # h = 0 (min(alpha, b) = 1/2) makes a_h infinite.
-            v = np.where(h == 0.0, 0.5 * ndtr(k) + owens_t(k, rho / s), v)
+            v = np.where(h == 0.0, 0.5 * gaussian.ndtr(k) + gaussian.owens_t(k, rho / s), v)
             v = np.where(alpha == 1.0, b, v)
             v = np.where(rho == 1.0, np.minimum(alpha, b), v)
             v = np.where(rho == 0.0, alpha * b, v)

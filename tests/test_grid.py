@@ -449,9 +449,11 @@ class TestSweepMatchesScalarCalls:
             model="probit", alpha_lo=1e-6, alpha_hi=0.99, alpha_count=5,
             gamma_lo=0.0, gamma_hi=1.0, gamma_count=5,
             deltas=LeverDelta(0.05, 1e-5), costs=CostModel(1.0, 0.5), base_rate=0.02),
+        # The prediction gain is exact, so its degenerate cells are the ones at
+        # alpha = 1e-300 whose ratio overflows.
         "linear": dict(
-            model="linear", alpha_lo=1e-6, alpha_hi=0.49, alpha_count=6,
-            gamma_lo=0.0, gamma_hi=1.0, gamma_count=5,
+            model="linear", alpha_lo=1e-300, alpha_hi=0.49, alpha_count=6,
+            alpha_spacing="linear", gamma_lo=0.0, gamma_hi=1.0, gamma_count=5,
             deltas=LeverDelta(0.05, 1e-5), costs=CostModel(1.0, 0.5),
             mu=1e6, beta_norm=1e-6),
     }

@@ -176,6 +176,23 @@ class TestParExact:
         with pytest.raises(DegenerateLeverError, match="too small to divide by"):
             par_linear_exact(p, alpha, LeverDelta(0.01, 0.01))
 
+    @pytest.mark.parametrize("mu, beta_norm", [(1e6, 1e-6), (1e3, 1e-3), (1.0, 10.0)])
+    def test_matches_50_digit_ratio(self, mu, beta_norm):
+        # alpha * mu dwarfs the prediction gain gamma_s * beta_norm * g(alpha)
+        # in the first rows, where a difference of two values loses its digits.
+        mp = pytest.importorskip("mpmath")
+        gamma_s, alpha, d = 0.5, 0.01, LeverDelta(0.01, 0.01)
+        with mp.workdps(50):
+            def value(g, a):
+                t = mp.sqrt(2) * mp.erfinv(2 * mp.mpf(a) - 1)
+                return mp.mpf(a) * mu + mp.mpf(g) * beta_norm * mp.npdf(t)
+
+            v0 = value(gamma_s, alpha)
+            want = ((value(gamma_s, alpha + d.delta_alpha) - v0)
+                    / (value(mp.mpf(gamma_s) + d.delta_r2, alpha) - v0))
+        got = par_linear_exact(LinearParams(mu, beta_norm, gamma_s), alpha, d)
+        assert got == pytest.approx(float(want), rel=1e-12)
+
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(0.0, 1.0),
            st.floats(1e-6, 0.5), st.floats(1e-6, 0.5), st.floats(1e-6, 1.0))
