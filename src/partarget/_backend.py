@@ -9,7 +9,7 @@ treated ones.
 
 The n samples are cut into blocks of ``_BLOCK`` consecutive indices.
 Blocks are independent, so they run on a thread pool with one worker per
-usable CPU (NumPy and SciPy release the GIL in their array loops), and
+usable CPU (NumPy releases the GIL in its array loops), and
 the per-block partial sums are combined in block order with
 ``math.fsum``.  The sums are therefore bit-identical for a fixed seed,
 whatever the number of workers or the order in which blocks finish.
@@ -71,8 +71,7 @@ def _cut(threshold: float) -> np.uint64:
     ndtr(threshold) - 1e-9: a 1e-9 shift of the uniform moves z_s by far
     more than the error of ndtri (up to about 6 ulps) or of ndtr, so no
     uniform below the cut can round up to a z_s past the threshold.  It is
-    computed once per call, on the calling thread, so the pool threads are
-    never the first to use the normal functions.
+    computed once per call and shared by every block.
     """
     return np.uint64(int(max(0.0, gaussian.ndtr(threshold) - 1e-9) * 2.0**53) << 11)
 

@@ -1,7 +1,8 @@
 """Standard-normal special functions used throughout the package.
 
-Everything here is scalar, pure and stateless, except :func:`pdf_array`,
-the unchecked density the linear array core shares with :func:`pdf`, and
+Everything here is pure and stateless, and scalar except ``ndtr``,
+``ndtri`` and ``owens_t`` (below), :func:`pdf_array`, the unchecked
+density the linear array core shares with :func:`pdf`, and
 :func:`conditional_sd`, the gamma_t of both models.  The ``check_alpha_*``
 functions hold the four access-level domains the models use.  The
 quantile is the one primitive the rest of the package leans on
@@ -12,17 +13,17 @@ meets a tight round-trip contract:
 
 Implementation notes
 --------------------
-* This is the one module that names ``scipy.special``.  Its ufuncs
-  ``ndtr``, ``ndtri`` and ``owens_t`` are reached as ``gaussian.ndtr``,
-  ``gaussian.ndtri`` and ``gaussian.owens_t``, and ``scipy.special`` is
-  imported at the first call of any of them, not when the package loads
-  (see :func:`_stub`).
+* The normal functions the array cores and the Monte Carlo kernel call,
+  ``ndtr`` (Phi), ``ndtri`` (its inverse) and ``owens_t``, are defined
+  here with NumPy and the standard library alone; no module of the
+  package imports scipy.
 * ``cdf`` and ``sf`` are ``ndtr`` (``sf`` at -t, never ``1 - cdf``), the
-  CDF of the probit core and the Monte Carlo kernel.
+  CDF of the probit core and the Monte Carlo kernel: erfc from the C
+  library, within about 1e-14 relative of a 40-digit reference down to
+  the smallest normal doubles (``tests/data/reference.json``).
 * ``quantile`` is ``ndtri``, the same inverse CDF as the array closed
   forms and the Monte Carlo kernel, so the package has one implementation
-  of it (within about 3e-16 relative of a 40-digit reference,
-  ``tests/data/reference.json``).
+  of it (Wichura's AS 241, within a few ulps of a 40-digit reference).
 * ``upper_quantile(alpha)`` returns the (1 - alpha) quantile without ever
   forming ``1 - alpha``, so it stays accurate for alpha down to the
   smallest normal doubles.
@@ -33,6 +34,7 @@ All functions reject NaN inputs explicitly instead of propagating them.
 from __future__ import annotations
 
 import math
+from _statistics import _normal_dist_inv_cdf as _inv_cdf
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,30 +59,201 @@ __all__ = [
 
 INV_SQRT_2PI = 0.3989422804014327
 SQRT_2PI = 2.5066282746310002
+SQRT2 = 1.4142135623730951
 
 
-def _stub(name: str):
-    """A stand-in for scipy.special's ``name``.  Its first call imports
-    scipy.special and binds ndtr, ndtri and owens_t in place of the three
-    stubs, so that every later call is a plain lookup of the ufunc.
+# Phi, its inverse and Owen's T take a float or an array.  An element of an
+# array goes through the same floating-point steps as that element passed
+# alone, so an array core's cell equals the scalar call at that cell.
 
-    The import is about half of a command's start-up, and commands that
-    evaluate no normal function (allocate, help, input refused before the
-    core runs) never pay it.  A thread that calls a stub while another is
-    importing waits on the import lock for the finished module.
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
+_SQRT2_HI = _SPLIT * SQRT2 - (_SPLIT * SQRT2 - SQRT2)
+_SQRT2_LO = SQRT2 - _SQRT2_HI
+_SQRT2_ERR = -9.667293313452913e-17  # sqrt(2) - SQRT2
+
+
+def _phi(x: float) -> float:
+    """Phi(x) = erfc(-x / sqrt(2)) / 2 from the C library's erfc.  The
+    rounding error d of z = -x/sqrt(2) shifts erfc(z) by a relative
+    d (2z + 1/z), up to 2e-13 near x = -37; for 5 < z < 28 (erfc(z) > 0)
+    that shift is taken out, with d exact by Dekker's product."""
+    z = -x / SQRT2
+    if not 5.0 < z < 28.0:
+        return 0.5 * math.erfc(z)
+    c = _SPLIT * z
+    z_hi = c - (c - z)
+    z_lo = z - z_hi
+    p = z * SQRT2
+    p_err = ((z_hi * _SQRT2_HI - p) + z_hi * _SQRT2_LO + z_lo * _SQRT2_HI) + z_lo * _SQRT2_LO
+    d = ((-x - p) - p_err - z * _SQRT2_ERR) / SQRT2
+    return 0.5 * math.erfc(z) * (1.0 - d * (2.0 * z + 1.0 / z))
+
+
+def ndtr(x):
+    """Standard normal CDF at a float or at every element of an array."""
+    if isinstance(x, np.ndarray) and x.ndim:
+        return np.fromiter(map(_phi, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return _phi(float(x))
+
+
+# Wichura's AS 241 (Appl. Statist. 37, 1988): numerator and denominator
+# coefficients, highest power first, in r = 0.180625 - (p - 1/2)^2 for
+# |p - 1/2| <= 0.425, and in the tails in r - 1.6 for r <= 5 and in r - 5
+# past it, r = sqrt(-log(min(p, 1 - p))).  Stored as (8, 2, 1) columns.
+_CENTRAL, _NEAR, _FAR = (np.array(pair).T[:, :, None] for pair in (
+    ((2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+      4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+      1.3314166789178437745e+2, 3.3871328727963666080e+0),
+     (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+      2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+      4.2313330701600911252e+1, 1.0)),
+    ((7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+      1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+      4.63033784615654529590e+0, 1.42343711074968357734e+0),
+     (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+      1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+      2.05319162663775882187e+0, 1.0)),
+    ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+      2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+      5.46378491116411436990e+0, 6.65790464350110377720e+0),
+     (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+      5.99832206555887937690e-1, 1.0))))
+_libm_log, _numpy_log = math.log, np.log
+
+
+def _rational(coeffs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Numerator and denominator at every element of r, as the two rows of
+    one array, by Horner's rule in place."""
+    acc = coeffs[0] * r
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= r
+    acc += coeffs[-1]
+    return acc
+
+
+def _ndtri_array(p: np.ndarray) -> np.ndarray:
+    """AS 241 at every element of p, in the operation order of CPython's C
+    version.  The central branch, which most of a uniform sample takes, runs
+    over the whole array and the tails on their own elements: a masked copy
+    of the central elements costs more than the work wasted on the tails."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = np.subtract(p, 0.5, dtype=float).reshape(-1)
+        r = np.abs(q)
+        tail = np.flatnonzero(r > 0.425)
+        if tail.size < q.size:
+            np.multiply(q, q, out=r)
+            np.subtract(0.180625, r, out=r)
+            num, den = _rational(_CENTRAL, r)
+            num *= q
+            x = np.divide(num, den, out=r)
+        else:
+            x = np.empty_like(q)
+        if tail.size:
+            qt = q[tail]
+            r = np.asarray(p, dtype=float).take(tail)
+            np.subtract(1.0, r, out=r, where=qt > 0.0)
+            np.log(r, out=r)
+            np.negative(r, out=r)
+            np.sqrt(r, out=r)
+            far = np.flatnonzero(r > 5.0)
+            xt = np.divide(*_rational(_NEAR, r - 1.6)) if far.size < r.size else np.empty_like(r)
+            if far.size:
+                xt[far] = np.divide(*_rational(_FAR, r[far] - 5.0))
+            xt[r == math.inf] = math.inf  # p = 0 or 1
+            x[tail] = np.copysign(xt, qt, out=xt)
+    return x.reshape(np.shape(p))
+
+
+def _ndtri_float(p: float) -> float:
+    """ndtri at a float, as :func:`ndtri` describes."""
+    q = p - 0.5
+    if -0.425 <= q <= 0.425:
+        return _inv_cdf(p, 0.0, 1.0)
+    if not 0.0 < p < 1.0:
+        return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
+    s = p if q < 0.0 else 1.0 - p
+    if _libm_log(s) == _numpy_log(s):
+        return _inv_cdf(p, 0.0, 1.0)
+    return float(_ndtri_array(np.array([p]))[0])
+
+
+def ndtri(p):
+    """Inverse standard normal CDF at a float or at every element of an
+    array: -inf at 0, +inf at 1, NaN outside [0, 1].
+
+    An array runs AS 241 in NumPy.  A float goes to CPython's C AS 241
+    (``statistics.NormalDist.inv_cdf``), which takes the same steps except
+    that its log of a tail p is the C library's, not NumPy's.  The two
+    differ in the last bit for about 1 tail p in 5000; such a p goes to the
+    NumPy version, so that a float and an array element agree bit for bit.
     """
-    def first_call(*args, **kwargs):
-        from scipy.special import ndtr, ndtri, owens_t
-
-        globals().update(ndtr=ndtr, ndtri=ndtri, owens_t=owens_t)
-        return globals()[name](*args, **kwargs)
-
-    return first_call
+    if isinstance(p, np.ndarray) and p.ndim:
+        return _ndtri_array(p)
+    return _ndtri_float(float(p))
 
 
-# Call these through the module (gaussian.ndtri), never as names copied by
-# ``from .gaussian import ...``: a copy stays the stub and imports on every call.
-ndtr, ndtri, owens_t = (_stub(name) for name in ("ndtr", "ndtri", "owens_t"))
+# Owen's T(h, a) for 0 <= a <= 1 is (1/2 pi) int_0^a exp(-h^2 (1 + x^2)/2) / (1 + x^2) dx,
+# taken with the 24-point Gauss-Legendre rule on [0, u], u = min(a, OWEN_CUT / h):
+# past OWEN_CUT / h the integrand has fallen by exp(-OWEN_CUT^2 / 2).  Past
+# h = OWEN_H_MAX, T is below the smallest double.  The rule's positive nodes
+# on [-1, 1] and their weights are rounded from 40-digit values.
+OWEN_CUT, OWEN_H_MAX = 9.0, 40.0
+_GL_NODES = (0.9951872199970213, 0.9747285559713095, 0.9382745520027328, 0.8864155270044011,
+             0.820001985973903, 0.7401241915785544, 0.6480936519369755, 0.5454214713888396,
+             0.4337935076260451, 0.3150426796961634, 0.1911188674736163, 0.06405689286260563)
+_GL_WEIGHTS = (0.0123412297999872, 0.028531388628933663, 0.04427743881741981,
+               0.05929858491543678, 0.0733464814110803, 0.08619016153195327,
+               0.09761865210411388, 0.10744427011596563, 0.1155056680537256,
+               0.12167047292780339, 0.1258374563468283, 0.12793819534675216)
+_OWEN_T2 = np.array([((1.0 + t) / 2.0) ** 2 for t in _GL_NODES + tuple(-t for t in _GL_NODES)])
+_OWEN_W = np.array(_GL_WEIGHTS * 2) / (4.0 * math.pi)  # halved for [0, 1], over 2 pi
+
+
+def _owen_quadrature(h, u, t2=_OWEN_T2, w=_OWEN_W):
+    """The integral above from 0 to u, for floats h and u or for arrays of
+    one shape with the node axis of t2 and w in front.  add.accumulate sums
+    strictly in node order, whatever the shape; a reduction or a matrix
+    product would choose its order by shape."""
+    d = (u * u) * t2
+    d += 1.0
+    f = (-0.5 * h * h) * d
+    np.exp(f, out=f)
+    f *= w
+    f /= d
+    return u * np.add.accumulate(f)[-1]
+
+
+def owens_t(h, a):
+    """Owen's T(h, a) at floats or at every element of the broadcast arrays.
+
+    T is even in h and odd in a, and for |a| > 1 it is
+    Q(h)/2 + Q(|a|h)/2 - Q(h) Q(|a|h) - T(|a|h, 1/|a|), Q the upper tail,
+    so the quadrature's upper limit stays in [0, 1].  The float and the
+    array branches take the same steps.
+    """
+    if isinstance(h, np.ndarray) and h.ndim or isinstance(a, np.ndarray) and a.ndim:
+        h, a = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(a, dtype=float))
+        h, b = np.minimum(np.abs(h), OWEN_H_MAX), np.abs(a)
+        flip = b > 1.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            hf = np.where(h == 0.0, 0.0, np.minimum(b * h, OWEN_H_MAX))
+            hq, bq = np.where(flip, hf, h), np.where(flip, 1.0 / b, b)
+        col = (-1,) + (1,) * h.ndim
+        t = _owen_quadrature(hq, np.minimum(bq, OWEN_CUT / np.maximum(hq, OWEN_CUT)),
+                             _OWEN_T2.reshape(col), _OWEN_W.reshape(col))
+        if flip.any():
+            qh, qb = ndtr(-h), ndtr(-hf)
+            t = np.where(flip, 0.5 * qh + 0.5 * qb - qh * qb - t, t)
+        return np.copysign(t, a)
+    h, b = min(abs(float(h)), OWEN_H_MAX), abs(float(a))
+    if not b > 1.0:
+        return math.copysign(_owen_quadrature(h, min(b, OWEN_CUT / max(h, OWEN_CUT))), a)
+    hf = min(b * h, OWEN_H_MAX) if h else 0.0
+    t = _owen_quadrature(hf, min(1.0 / b, OWEN_CUT / max(hf, OWEN_CUT)))
+    qh, qb = _phi(-h), _phi(-hf)
+    return math.copysign(0.5 * qh + 0.5 * qb - qh * qb - t, a)
 
 
 @dataclass(frozen=True)
@@ -151,21 +324,21 @@ def pdf(z: float) -> float:
 def cdf(t: float) -> float:
     """Standard normal CDF; +/-inf map to 1/0."""
     _reject_nan(t, "t")
-    return float(ndtr(t))
+    return _phi(float(t))
 
 
 def sf(t: float) -> float:
     """Upper tail probability Pr(Z >= t), accurate for large t."""
     _reject_nan(t, "t")
-    return float(ndtr(-t))
+    return _phi(-float(t))
 
 
 def quantile(p: float) -> float:
     """Inverse standard normal CDF for p in the open unit interval."""
-    _reject_nan(p, "p")
     if not 0.0 < p < 1.0:
+        _reject_nan(p, "p")
         raise DomainError(f"quantile requires 0 < p < 1, got {p!r}")
-    return float(ndtri(p))
+    return _ndtri_float(p)
 
 
 def upper_quantile(alpha: float) -> float:

@@ -1,9 +1,17 @@
-"""Regenerate ``reference.json``: 40-digit quantiles, linear and probit values
-and PARs.
+"""Regenerate ``reference.json``: 40-digit normal CDFs, quantiles, Owen's T,
+linear and probit values and PARs.
 
 Nothing here imports ``partarget``, so the table shares no code with the
 package.  Every number is computed at 40 significant digits:
 
+* ``cdf``: Phi(x) = erfc(-x / sqrt(2)) / 2 from mpmath's ``ncdf``.
+* ``owens_t``: T(h, a) from its defining integral
+
+      T(h, a) = (1/2 pi) exp(-h^2/2) int_0^a exp(-h^2 x^2/2) / (1 + x^2) dx,
+
+  split at multiples of 1/|h|, the width of the integrand's peak (one
+  interval over [0, a] was 10% off at |h| = 36), and at powers of 4 for
+  large a; T is odd in a.
 * ``quantile``: Phi^-1(p), the root of log Phi(x) = log p, with Phi from
   mpmath's complementary error function (p > 1/2 by symmetry, since 1 - p
   is exact for a double p > 1/2).
@@ -37,6 +45,13 @@ import json
 import mpmath as mp
 
 DIGITS = 40
+
+CDF_XS = (-38.0, -37.5, -37.2, -36.0, -33.3, -30.0, -25.5, -20.0, -15.0, -10.0, -7.5,
+          -7.0710678118654755, -7.07, -5.0, -2.5, -1.0, -0.3, -1e-9, 0.0, 1e-9, 0.3, 1.0,
+          2.5, 5.0, 7.5, 8.3)
+
+OWEN_HS = (0.0, 0.25, -1.0, 2.5, -5.0, 9.0, 15.0, -25.0, 36.0, 37.0)
+OWEN_AS = (1e-6, 0.1, 0.5, 0.99, 1.0, 1.01, 2.0, 10.0, 1e3, -0.3, -1.0, -4.0)
 
 QUANTILE_PS = (1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-10, 1e-6, 1e-3, 0.02425,
                0.1, 0.3, 0.4999, 0.5, 0.5001, 0.7, 0.9, 0.97575, 0.999,
@@ -82,6 +97,19 @@ def quantile(p) -> mp.mpf:
     log_p = mp.log(p)
     x0 = -mp.sqrt(-2 * log_p) if p < 0.1 else mp.mpf(-0.5)
     return mp.findroot(lambda x: mp.log(mp.ncdf(x)) - log_p, (x0, x0 + mp.mpf("0.01")))
+
+
+def owens_t(h, a) -> mp.mpf:
+    """Owen's T(h, a) at the working precision."""
+    h, a = abs(mp.mpf(h)), mp.mpf(a)
+    if a < 0:
+        return -owens_t(h, -a)
+    points = [mp.mpf(0)]
+    if h > 0:
+        points += [k / h for k in (0.5, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48) if k / h < a]
+    points += [p for p in (1, 4, 16, 64, 256) if points[-1] < p < a]
+    tail = mp.quad(lambda x: mp.exp(-h * h * x * x / 2) / (1 + x * x), points + [a])
+    return mp.exp(-h * h / 2) * tail / (2 * mp.pi)
 
 
 def linear_value(mu: float, beta_norm: float, gamma_s: float, alpha: float) -> mp.mpf:
@@ -136,6 +164,9 @@ def _digits(x: mp.mpf) -> str:
 
 def build() -> dict:
     mp.mp.dps = DIGITS
+    cdfs = [{"x": x, "cdf": _digits(mp.ncdf(x))} for x in CDF_XS]
+    owens = [{"h": h, "a": a, "t": _digits(owens_t(h, a))}
+             for h, a in itertools.product(OWEN_HS, OWEN_AS)]
     quantiles = [{"p": p, "quantile": _digits(quantile(p))} for p in QUANTILE_PS]
     linear_values = [
         {"mu": mu, "beta_norm": beta, "gamma_s": g, "alpha": a,
@@ -165,7 +196,7 @@ def build() -> dict:
             b, g, a, da, dr = row
             pars.append({"base_rate": b, "gamma_s": g, "alpha": a, "delta_alpha": da,
                          "delta_r2": dr, "par": _digits(ratio)})
-    return {"digits": DIGITS, "quantile": quantiles, "linear_values": linear_values,
+    return {"digits": DIGITS, "cdf": cdfs, "owens_t": owens, "quantile": quantiles, "linear_values": linear_values,
             "linear_pars": linear_pars, "probit_values": values, "probit_pars": pars}
 
 

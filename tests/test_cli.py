@@ -492,8 +492,9 @@ class TestVerifyWithoutSpread:
          "z_score 0.772221\nresult pass (4 standard errors)\n"),
         (["--model", "probit", "--base-rate", "0.1", "--gamma-s", "0.3", "--alpha", "0.02",
           "--samples", "500000", "--seed", "11", "--machine"],
-         "closed_form 0.0056249857897803955\nmc_mean 0.0056319999999999999\n"
-         "mc_std_error 0.00010583280943623818\nz_score 0.066276330156672975\n"
+         # closed_form: the 40-digit value is 0.005624985789780389672
+         "closed_form 0.0056249857897803963\nmc_mean 0.0056319999999999999\n"
+         "mc_std_error 0.00010583280943623818\nz_score 0.066276330156664773\n"
          "result pass (4 standard errors)\n"),
         (["--model", "probit", "--base-rate", "0.25", "--gamma-s", "0.25", "--alpha", "0.001",
           "--samples", "10000", "--seed", "5"],
@@ -812,91 +813,40 @@ class TestProcessExit:
         assert err == b"i/o error: [Errno 32] Broken pipe\n"
 
 
-def scipy_modules_after(script: str) -> tuple[str, list[str]]:
-    """Run ``script`` in a fresh interpreter; return its stdout before the
-    last line, and which of scipy and scipy.special it left loaded."""
-    footer = ("\nimport json, sys\n"
-              "print(json.dumps([m for m in ('scipy', 'scipy.special') if m in sys.modules]))")
-    proc = subprocess.run([sys.executable, "-c", script + footer],
-                          capture_output=True, text=True, env=stream_env())
-    assert proc.returncode == 0, proc.stderr
-    *out, last = proc.stdout.splitlines()
-    return "\n".join(out), json.loads(last)
+LINEAR = ["--model", "linear", "--mu", "1", "--beta-norm", "10", "--gamma-s", "0.3",
+          "--alpha", "0.02"]
+PROBIT = ["--model", "probit", "--base-rate", "0.05", "--gamma-s", "0.3", "--alpha", "0.002"]
+LEVERS = ["--delta-alpha", "0.001", "--delta-r2", "0.01"]
+# Every subcommand, on both models where it takes one.
+COMMANDS = {
+    **{f"{command}-{model}": [command, *argv, *extra]
+       for command, extra in (("value", []), ("par", LEVERS), ("bounds", LEVERS),
+                              ("verify", ["--samples", "300000", "--seed", "3"]))
+       for model, argv in (("linear", LINEAR), ("probit", PROBIT))},
+    "grid-linear": ["grid", *_flags({"model": "linear", "mu": 1.0, "beta_norm": 10.0,
+                                     **GRID_FIELDS})],
+    "grid-probit": ["grid", "--format", "csv", *_flags({"model": "probit", "base_rate": 0.05,
+                                                        **GRID_FIELDS})],
+    "allocate": ["allocate", "--dist", "{dist}", "--alpha", "0.3", "--brute-force"],
+}
 
 
-def run_script(argv) -> str:
-    """A script that runs ``cli.run(argv)`` and prints its exit code."""
-    return f"from partarget import cli\nprint('exit', cli.run({list(argv)!r}))"
+class TestWithoutScipy:
+    """No module of the package imports scipy: every subcommand runs, with
+    the output it has in process, in an interpreter where importing scipy
+    fails."""
 
-
-class TestImportOnFirstUse:
-    """scipy.special is imported by the first call of a normal function,
-    so commands that evaluate none never pay its import."""
-
-    @pytest.mark.parametrize("case", ["import-package", "import-cli", "allocate",
-                                      "refused-spec", "alpha-out-of-domain", "help",
-                                      "usage-error"])
-    def test_not_loaded(self, case, tmp_path):
-        dist, spec = tmp_path / "dist.csv", tmp_path / "spec.json"
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_same_output(self, capsys, tmp_path, name):
+        dist = tmp_path / "dist.csv"
         dist.write_text("label,mass,cond_mean\na,0.25,2.0\nb,0.25,1.0\nc,0.5,-0.5\n")
-        spec.write_text(json.dumps({"model": "linear", "mu": 1.0, "beta_norm": 10.0,
-                                    **GRID_FIELDS, "alpha_lo": "low"}))
-        script, code = {
-            "import-package": ("import partarget", None),
-            "import-cli": ("import partarget.cli", None),
-            "allocate": (run_script(["allocate", "--dist", str(dist), "--alpha", "0.3",
-                                     "--brute-force"]), 0),
-            "refused-spec": (run_script(["grid", "--spec", str(spec)]), 2),
-            "alpha-out-of-domain": (run_script(ALPHA_ARGV), 2),
-            "help": (run_script(["--help"]), 0),
-            "usage-error": (run_script(["value", "--bogus", "1"]), 2),
-        }[case]
-        out, loaded = scipy_modules_after(script)
-        assert loaded == []
-        if code is not None:
-            assert out.splitlines()[-1] == f"exit {code}"
-
-    def test_loaded_by_a_value(self):
-        out, loaded = scipy_modules_after(run_script(VALUE_ARGV))
-        assert (out, loaded) == ("0.359407\nexit 0", ["scipy", "scipy.special"])
-
-    def test_first_use_from_many_threads(self):
-        # Four threads (more than the cores of a small host) make the first
-        # calls at once; each must get the ufunc's values, never an error.
-        script = (
-            "import sys, threading\n"
-            "import numpy as np\n"
-            "from partarget import gaussian\n"
-            "sys.setswitchinterval(1e-6)\n"
-            "p = np.linspace(0.01, 0.99, 99)\n"
-            "barrier, results = threading.Barrier(4), []\n"
-            "def first_use(name):\n"
-            "    barrier.wait(timeout=60)\n"
-            "    results.append((name, getattr(gaussian, name)(p, 0.5 + p)"
-            " if name == 'owens_t' else getattr(gaussian, name)(p)))\n"
-            "threads = [threading.Thread(target=first_use, args=(name,))\n"
-            "           for name in ('ndtri', 'ndtr', 'owens_t', 'ndtri')]\n"
-            "for t in threads: t.start()\n"
-            "for t in threads: t.join(timeout=60)\n"
-            "import scipy.special as sc\n"
-            "want = {'ndtri': sc.ndtri(p), 'ndtr': sc.ndtr(p), 'owens_t': sc.owens_t(p, 0.5 + p)}\n"
-            "print(len(results), all(np.array_equal(v, want[n]) for n, v in results),"
-            " gaussian.ndtri is sc.ndtri)")
-        out, _ = scipy_modules_after(script)
-        assert out == "4 True True"
-
-    def test_monte_carlo_first_use_in_a_pool(self, monkeypatch):
-        # The kernel's first normal function call is made before its pool starts.
-        from partarget import _backend
-        args = dict(seed=99, n=300_000, mu=1.0, s_scale=3.0, t_scale=math.sqrt(91.0),
-                    threshold=1.6448536269514722)
+        argv = [arg.format(dist=dist) for arg in COMMANDS[name]]
         script = ("import sys\n"
-                  "from partarget import _backend\n"
-                  "_backend._BLOCK, _backend._usable_cpus = 2**14, lambda: 2\n"
-                  "print('scipy.special' in sys.modules)\n"
-                  f"print(repr(_backend.linear_sums(**{args!r})))")
-        out, loaded = scipy_modules_after(script)
-        monkeypatch.setattr(_backend, "_BLOCK", 2**14)
-        monkeypatch.setattr(_backend, "_usable_cpus", lambda: 2)
-        assert out == f"False\n{_backend.linear_sums(**args)!r}"
-        assert loaded == ["scipy", "scipy.special"]
+                  "sys.modules['scipy'] = None  # any import of scipy now raises\n"
+                  "from partarget import cli\n"
+                  f"sys.argv = ['partarget', *{argv!r}]\n"
+                  "cli.main()\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=stream_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+        assert proc.returncode == 0 and proc.stdout

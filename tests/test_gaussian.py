@@ -1,6 +1,7 @@
 """Tests for the standard-normal special functions."""
 
 import math
+import sys
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri, owens_t
 
 from partarget import gaussian
 from partarget.errors import DomainError, NumericsError, PreconditionError, RegimeError
@@ -66,10 +67,19 @@ class TestCdf:
     @given(st.floats(allow_nan=False))
     @example(-37.5)
     @example(8.3)
-    def test_is_ndtr(self, t):
-        # the CDF of the probit core and the Monte Carlo kernel, bit for bit
-        assert gaussian.cdf(t) == float(ndtr(t))
-        assert gaussian.sf(t) == float(ndtr(-t))
+    def test_agrees_with_scipy(self, t):
+        # scipy.special.ndtr as a second oracle, within its own error (up to
+        # 2e-13 relative far in the lower tail, see the reference rows)
+        assert gaussian.cdf(t) == pytest.approx(float(ndtr(t)), rel=5e-13, abs=1e-300)
+        assert gaussian.sf(t) == pytest.approx(float(ndtr(-t)), rel=5e-13, abs=1e-300)
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @example([-37.5, -7.0710678118654755, -1e300, math.inf, -math.inf, math.nan, 0.0])
+    def test_array_is_elementwise(self, xs):
+        # the probit core's cells equal its scalar calls only if this holds
+        want = [gaussian.ndtr(x) for x in xs]
+        np.testing.assert_array_equal(gaussian.ndtr(np.array(xs)), want)
+        np.testing.assert_array_equal(gaussian.ndtr(np.array([xs, xs])), [want, want])
 
     def test_against_independent_quadrature(self):
         ref, err = scipy_integrate.quad(gaussian.pdf, -np.inf, 1.0, epsabs=1e-14)
@@ -121,9 +131,10 @@ class TestQuantile:
             with pytest.raises(DomainError):
                 gaussian.quantile(p)
 
-    # scipy's ndtri is within about 6 ulps of the true quantile (5.1 ulps the
-    # worst of 50,000 points against 40-digit mpmath, near p = 0.137), so two
-    # results may invert by up to twice that where the true gap is smaller.
+    # AS 241 is within about 6 ulps of the true quantile (5.6 ulps the worst of
+    # 200,000 points in [1e-9, 1 - 1e-9] against 40-digit mpmath, near
+    # p = 0.161; scipy's ndtri reached 4.2 on them), so two results may
+    # invert by up to twice that where the true gap is smaller.
     QUANTILE_ULPS = 6
 
     # Two ulps apart at p = 1e-9 the true quantiles differ by ~7e-17, far
@@ -144,6 +155,76 @@ class TestQuantile:
             assert q_lo <= q_hi + tol
             if (hi - lo) / max(gaussian.pdf(q_lo), gaussian.pdf(q_hi)) > tol:
                 assert q_lo < q_hi
+
+
+    def test_array_is_elementwise(self):
+        # The array cores' cells equal their scalar calls only if every
+        # element, central or tail, matches ndtri at that float.
+        rng = np.random.default_rng(20261018)
+        edge = 0.075 + rng.integers(-64, 64, 2000) * 2.0**-56
+        p = np.concatenate([rng.random(20_000), 10.0 ** -rng.uniform(0, 300, 5_000),
+                            1.0 - 10.0 ** -rng.uniform(0, 16, 5_000), edge, 1.0 - edge,
+                            [0.0, 1.0, 0.5, 5e-324, 1e-310, math.nan, -1.0, 2.0, math.inf]])
+        want = [gaussian.ndtri(float(x)) for x in p]
+        np.testing.assert_array_equal(gaussian.ndtri(p), want)
+        np.testing.assert_array_equal(gaussian.ndtri(p[::-7]), want[::-7])
+        assert gaussian.quantile(0.3) == gaussian.ndtri(0.3) == gaussian.ndtri(np.array([0.3]))[0]
+
+    def test_limits(self):
+        assert gaussian.ndtri(0.0) == -math.inf and gaussian.ndtri(1.0) == math.inf
+        assert math.isnan(gaussian.ndtri(1.5)) and math.isnan(gaussian.ndtri(math.nan))
+
+    @given(st.floats(1e-300, 1.0, exclude_max=True))
+    def test_agrees_with_scipy(self, p):
+        # scipy.special.ndtri as a second oracle: both are within a few ulps
+        assert gaussian.quantile(p) == pytest.approx(float(ndtri(p)), rel=3e-15, abs=1e-300)
+
+
+class TestOwensT:
+    H = [0.0, 0.3, -1.7, 4.0, -9.5, 20.0, 37.5, 45.0, math.inf]
+    A = [0.0, 1e-8, 0.4, -0.9, 1.0, 1.3, -7.0, 1e6, math.inf, -math.inf]
+
+    def test_gauss_legendre_rule(self):
+        nodes = gaussian._GL_NODES + tuple(-x for x in gaussian._GL_NODES)
+        weights = gaussian._GL_WEIGHTS * 2
+        # exact for every polynomial of degree below 48
+        for k in range(24):
+            moment = math.fsum(w * x ** (2 * k) for x, w in zip(nodes, weights))
+            assert moment == pytest.approx(2.0 / (2 * k + 1), rel=1e-14)
+        x, w = np.polynomial.legendre.leggauss(24)
+        assert np.allclose(sorted(nodes), x, rtol=0.0, atol=2e-16)
+        assert np.allclose(np.array(weights)[np.argsort(nodes)], w, rtol=2e-13, atol=0.0)
+
+    def test_array_is_elementwise(self):
+        h, a = np.meshgrid(self.H, self.A, indexing="ij")
+        want = [[gaussian.owens_t(x, y) for y in self.A] for x in self.H]
+        np.testing.assert_array_equal(gaussian.owens_t(h, a), want)
+        np.testing.assert_array_equal(gaussian.owens_t(np.array(self.H)[:, None], a), want)
+        np.testing.assert_array_equal(gaussian.owens_t(h[2], self.A), want[2])
+
+    def test_symmetries_and_closed_forms(self):
+        for h in self.H[:7]:
+            for a in self.A:
+                t = gaussian.owens_t(h, a)
+                assert gaussian.owens_t(-h, a) == t and gaussian.owens_t(h, -a) == -t
+            q = gaussian.sf(abs(h))
+            assert gaussian.owens_t(h, 1.0) == pytest.approx(0.5 * q * (1 - q), rel=1e-13)
+            assert gaussian.owens_t(h, math.inf) == pytest.approx(0.5 * q, rel=1e-13)
+        for a in (1e-8, 0.4, 1.0, 1.3, 1e6, math.inf):
+            assert gaussian.owens_t(0.0, a) == pytest.approx(math.atan(a) / (2 * math.pi),
+                                                             rel=1e-15)
+        assert gaussian.owens_t(45.0, 0.5) == 0.0 == gaussian.owens_t(math.inf, 3.0)
+        assert math.isnan(gaussian.owens_t(math.nan, 0.5))
+        assert math.isnan(gaussian.owens_t(0.5, math.nan))
+
+    @given(st.floats(-40, 40), st.floats(1e-5, 1e3) | st.floats(-1e3, -1e-5) | st.just(0.0))
+    @example(5.0, 1e-5)
+    def test_agrees_with_scipy(self, h, a):
+        # scipy.special.owens_t as a second oracle, where it holds: it is up to
+        # 3e-11 off the 40-digit rows at a = 1e-6 (this module within 2e-14),
+        # and 27 times too small at h = 5, a = 1e-38
+        assert gaussian.owens_t(h, a) == pytest.approx(float(owens_t(h, a)), rel=1e-9,
+                                                        abs=1e-300)
 
 
 class TestUpperQuantile:
@@ -350,15 +431,34 @@ class TestBoundPair:
 
 
 class TestReferenceTable:
-    """40-digit mpmath quantiles from tests/data/make_reference.py."""
+    """40-digit mpmath CDFs, quantiles and Owen's T from tests/data/make_reference.py."""
 
     def test_quantiles(self, reference):
         for row in reference["quantile"]:
             got = gaussian.quantile(row["p"])
             assert got == pytest.approx(float(row["quantile"]), rel=1e-15, abs=0.0), row
 
+    def test_cdf(self, reference):
+        # within 1e-13 relative wherever Phi is a normal double, and within
+        # ten subnormal steps below that
+        for row in reference["cdf"]:
+            want = float(row["cdf"])
+            tol = dict(rel=1e-13, abs=0.0) if want >= sys.float_info.min else dict(abs=5e-323)
+            assert gaussian.cdf(row["x"]) == pytest.approx(want, **tol), row
+            assert gaussian.sf(-row["x"]) == pytest.approx(want, **tol), row
+
+    def test_owens_t(self, reference):
+        for row in reference["owens_t"]:
+            want = float(row["t"])
+            tol = dict(rel=1e-12, abs=0.0) if abs(want) >= sys.float_info.min else dict(abs=5e-323)
+            assert gaussian.owens_t(row["h"], row["a"]) == pytest.approx(want, **tol), row
+
     def test_table_regenerates(self, reference, make_reference):
         make = make_reference
         with make.mp.workdps(reference["digits"]):
             for row in reference["quantile"][::4]:
                 assert make._digits(make.quantile(row["p"])) == row["quantile"]
+            for row in reference["cdf"][::5]:
+                assert make._digits(make.mp.ncdf(row["x"])) == row["cdf"]
+            for row in reference["owens_t"][::17]:
+                assert make._digits(make.owens_t(row["h"], row["a"])) == row["t"]
