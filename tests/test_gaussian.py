@@ -156,7 +156,6 @@ class TestQuantile:
             if (hi - lo) / max(gaussian.pdf(q_lo), gaussian.pdf(q_hi)) > tol:
                 assert q_lo < q_hi
 
-
     def test_array_is_elementwise(self):
         # The array cores' cells equal their scalar calls only if every
         # element, central or tail, matches ndtri at that float.
