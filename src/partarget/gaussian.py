@@ -23,7 +23,8 @@ Implementation notes
   the smallest normal doubles (``tests/data/reference.json``).
 * ``quantile`` is ``ndtri``, the same inverse CDF as the array closed
   forms and the Monte Carlo kernel, so the package has one implementation
-  of it (Wichura's AS 241, within a few ulps of a 40-digit reference).
+  of it (Wichura's AS 241 from CPython's ``statistics`` module, within a
+  few ulps of a 40-digit reference).
 * ``upper_quantile(alpha)`` returns the (1 - alpha) quantile without ever
   forming ``1 - alpha``, so it stays accurate for alpha down to the
   smallest normal doubles.
@@ -34,12 +35,17 @@ All functions reject NaN inputs explicitly instead of propagating them.
 from __future__ import annotations
 
 import math
-from _statistics import _normal_dist_inv_cdf as _inv_cdf
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import DomainError, NumericsError, PreconditionError, RegimeError
+
+try:  # CPython's C version of the AS 241 quantile behind statistics.NormalDist
+    from _statistics import _normal_dist_inv_cdf as _inv_cdf
+except ImportError:  # elsewhere, the statistics module's Python version of it
+    from statistics import _normal_dist_inv_cdf as _inv_cdf
 
 __all__ = [
     "BoundPair",
@@ -96,102 +102,31 @@ def ndtr(x):
     return _phi(float(x))
 
 
-# Wichura's AS 241 (Appl. Statist. 37, 1988): numerator and denominator
-# coefficients, highest power first, in r = 0.180625 - (p - 1/2)^2 for
-# |p - 1/2| <= 0.425, and in the tails in r - 1.6 for r <= 5 and in r - 5
-# past it, r = sqrt(-log(min(p, 1 - p))).  Stored as (8, 2, 1) columns.
-_CENTRAL, _NEAR, _FAR = (np.array(pair).T[:, :, None] for pair in (
-    ((2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-      4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-      1.3314166789178437745e+2, 3.3871328727963666080e+0),
-     (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-      2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-      4.2313330701600911252e+1, 1.0)),
-    ((7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
-      1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
-      4.63033784615654529590e+0, 1.42343711074968357734e+0),
-     (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
-      1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
-      2.05319162663775882187e+0, 1.0)),
-    ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
-      2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
-      5.46378491116411436990e+0, 6.65790464350110377720e+0),
-     (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
-      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-      5.99832206555887937690e-1, 1.0))))
-_libm_log, _numpy_log = math.log, np.log
-
-
-def _rational(coeffs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Numerator and denominator at every element of r, as the two rows of
-    one array, by Horner's rule in place."""
-    acc = coeffs[0] * r
-    for c in coeffs[1:-1]:
-        acc += c
-        acc *= r
-    acc += coeffs[-1]
-    return acc
-
-
-def _ndtri_array(p: np.ndarray) -> np.ndarray:
-    """AS 241 at every element of p, in the operation order of CPython's C
-    version.  The central branch, which most of a uniform sample takes, runs
-    over the whole array and the tails on their own elements: a masked copy
-    of the central elements costs more than the work wasted on the tails."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = np.subtract(p, 0.5, dtype=float).reshape(-1)
-        r = np.abs(q)
-        tail = np.flatnonzero(r > 0.425)
-        if tail.size < q.size:
-            np.multiply(q, q, out=r)
-            np.subtract(0.180625, r, out=r)
-            num, den = _rational(_CENTRAL, r)
-            num *= q
-            x = np.divide(num, den, out=r)
-        else:
-            x = np.empty_like(q)
-        if tail.size:
-            qt = q[tail]
-            r = np.asarray(p, dtype=float).take(tail)
-            np.subtract(1.0, r, out=r, where=qt > 0.0)
-            np.log(r, out=r)
-            np.negative(r, out=r)
-            np.sqrt(r, out=r)
-            far = np.flatnonzero(r > 5.0)
-            xt = np.divide(*_rational(_NEAR, r - 1.6)) if far.size < r.size else np.empty_like(r)
-            if far.size:
-                xt[far] = np.divide(*_rational(_FAR, r[far] - 5.0))
-            xt[r == math.inf] = math.inf  # p = 0 or 1
-            x[tail] = np.copysign(xt, qt, out=xt)
-    return x.reshape(np.shape(p))
-
-
 def _ndtri_float(p: float) -> float:
     """ndtri at a float, as :func:`ndtri` describes."""
-    q = p - 0.5
-    if -0.425 <= q <= 0.425:
+    if 0.0 < p < 1.0:
         return _inv_cdf(p, 0.0, 1.0)
-    if not 0.0 < p < 1.0:
-        return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
-    s = p if q < 0.0 else 1.0 - p
-    if _libm_log(s) == _numpy_log(s):
-        return _inv_cdf(p, 0.0, 1.0)
-    return float(_ndtri_array(np.array([p]))[0])
+    return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
 
 
 def ndtri(p):
     """Inverse standard normal CDF at a float or at every element of an
     array: -inf at 0, +inf at 1, NaN outside [0, 1].
 
-    An array runs AS 241 in NumPy.  A float goes to CPython's C AS 241
-    (``statistics.NormalDist.inv_cdf``), which takes the same steps except
-    that its log of a tail p is the C library's, not NumPy's.  The two
-    differ in the last bit for about 1 tail p in 5000; such a p goes to the
-    NumPy version, so that a float and an array element agree bit for bit.
+    Wichura's AS 241 (Appl. Statist. 37, 1988), the one CPython's
+    ``statistics.NormalDist.inv_cdf`` runs.  An array goes through the same
+    call element by element (its elements outside (0, 1) through the float
+    path), so an element equals the float call bit for bit.
     """
-    if isinstance(p, np.ndarray) and p.ndim:
-        return _ndtri_array(p)
-    return _ndtri_float(float(p))
+    if not (isinstance(p, np.ndarray) and p.ndim):
+        return _ndtri_float(float(p))
+    p = np.asarray(p, dtype=float)
+    inside = (p > 0.0) & (p < 1.0)
+    x = np.fromiter(map(_inv_cdf, np.where(inside, p, 0.5).ravel().tolist(), repeat(0.0),
+                        repeat(1.0)), float, p.size).reshape(p.shape)
+    if not inside.all():
+        x[~inside] = list(map(_ndtri_float, p[~inside].tolist()))
+    return x
 
 
 # Owen's T(h, a) for 0 <= a <= 1 is (1/2 pi) int_0^a exp(-h^2 (1 + x^2)/2) / (1 + x^2) dx,

@@ -1,6 +1,7 @@
 """Tests for the standard-normal special functions."""
 
 import math
+import subprocess
 import sys
 from decimal import Decimal, getcontext
 
@@ -172,6 +173,18 @@ class TestQuantile:
     def test_limits(self):
         assert gaussian.ndtri(0.0) == -math.inf and gaussian.ndtri(1.0) == math.inf
         assert math.isnan(gaussian.ndtri(1.5)) and math.isnan(gaussian.ndtri(math.nan))
+
+    def test_without_the_c_accelerator(self):
+        # Without CPython's _statistics (PyPy, say), the statistics module's
+        # Python version of the same AS 241 steps serves.
+        ps = [1e-300, 1e-9, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-12]
+        script = ("import sys\n"
+                  "sys.modules['_statistics'] = None  # any import of it now raises\n"
+                  "from partarget import gaussian\n"
+                  f"print([gaussian.quantile(p) for p in {ps!r}])\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True)
+        assert eval(proc.stdout) == pytest.approx([gaussian.quantile(p) for p in ps], rel=1e-15)
 
     @given(st.floats(1e-300, 1.0, exclude_max=True))
     def test_agrees_with_scipy(self, p):
