@@ -3,14 +3,15 @@
 Sampling uses a counter-based splitmix64 stream: the uniform at counter c
 is a pure function of (seed, c), and sample i takes its two normals,
 z_s and z_t, from counters 2i and 2i + 1 by the inverse normal CDF
-(``gaussian.ndtri``).  A sample is treated iff z_s >= threshold;
-untreated samples add exactly 0 to every sum, so z_t is drawn only for
-treated ones.
+(``gaussian.ndtri``: AS 241 in NumPy array loops, each element equal to
+``gaussian.quantile`` at its uniform).  A sample is treated iff
+z_s >= threshold; untreated samples add exactly 0 to every sum, so z_t is
+drawn only for treated ones.
 
 The n samples are cut into blocks of ``_BLOCK`` consecutive indices.
 Blocks are independent, so they run on a thread pool with one worker per
-usable CPU (NumPy releases the GIL in its array loops), and
-the per-block partial sums are combined in block order with
+usable CPU (NumPy releases the GIL in its array loops, the quantile's
+included), and the per-block partial sums are combined in block order with
 ``math.fsum``.  The sums are therefore bit-identical for a fixed seed,
 whatever the number of workers or the order in which blocks finish.
 """
@@ -68,10 +69,11 @@ def _cut(threshold: float) -> np.uint64:
     """The splitmix64 output below which z_s < threshold for certain.
 
     z_s >= threshold can only hold where the uniform is above
-    ndtr(threshold) - 1e-9: a 1e-9 shift of the uniform moves z_s by far
-    more than the error of ndtri (up to about 6 ulps) or of ndtr, so no
-    uniform below the cut can round up to a z_s past the threshold.  It is
-    computed once per call and shared by every block.
+    ndtr(threshold) - 1e-9: a 1e-9 shift of the uniform moves z_s by at
+    least 2.5e-9, far more than the error of ndtri (up to about 6 ulps,
+    4e-14 at |z_s| < 38) or of ndtr, so no uniform below the cut can round
+    up to a z_s past the threshold.  It is computed once per call and
+    shared by every block.
     """
     return np.uint64(int(max(0.0, gaussian.ndtr(threshold) - 1e-9) * 2.0**53) << 11)
 

@@ -22,9 +22,9 @@ Implementation notes
   library, within about 1e-14 relative of a 40-digit reference down to
   the smallest normal doubles (``tests/data/reference.json``).
 * ``quantile`` is ``ndtri``, the same inverse CDF as the array closed
-  forms and the Monte Carlo kernel, so the package has one implementation
-  of it (Wichura's AS 241 from CPython's ``statistics`` module, within a
-  few ulps of a 40-digit reference).
+  forms and the Monte Carlo kernel: Wichura's AS 241, one coefficient
+  table and one Horner helper for floats and arrays, an array running it
+  as NumPy loops (within about 6 ulps of a 40-digit reference).
 * ``upper_quantile(alpha)`` returns the (1 - alpha) quantile without ever
   forming ``1 - alpha``, so it stays accurate for alpha down to the
   smallest normal doubles.
@@ -36,16 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import DomainError, NumericsError, PreconditionError, RegimeError
-
-try:  # CPython's C version of the AS 241 quantile behind statistics.NormalDist
-    from _statistics import _normal_dist_inv_cdf as _inv_cdf
-except ImportError:  # elsewhere, the statistics module's Python version of it
-    from statistics import _normal_dist_inv_cdf as _inv_cdf
 
 __all__ = [
     "BoundPair",
@@ -102,30 +96,86 @@ def ndtr(x):
     return _phi(float(x))
 
 
+# Wichura's AS 241 (Appl. Statist. 37, 1988) as in CPython's statistics module: numerator
+# and denominator coefficients, highest power first, in r = 0.180625 - q^2 (q = p - 1/2,
+# |q| <= 0.425), and in r - 1.6 (r <= 5) or r - 5, r = sqrt(-log(min(p, 1 - p))).
+_CENTRAL, _NEAR, _FAR = (
+    ((2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+      4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+      1.3314166789178437745e+2, 3.3871328727963666080e+0),
+     (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+      2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+      4.2313330701600911252e+1, 1.0)),
+    ((7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+      1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+      4.63033784615654529590e+0, 1.42343711074968357734e+0),
+     (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+      1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+      2.05319162663775882187e+0, 1.0)),
+    ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+      2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+      5.46378491116411436990e+0, 6.65790464350110377720e+0),
+     (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+      5.99832206555887937690e-1, 1.0)))
+
+
+def _horner(coeffs, r):
+    """The polynomial with these coefficients at a float r, or in place at an array r."""
+    acc = coeffs[0] * r
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= r
+    acc += coeffs[-1]
+    return acc
+
+
+def _ratio(branch, r, q=1.0):
+    """q num(r) / den(r) for one branch of AS 241, in place for an array."""
+    x = _horner(branch[0], r)
+    x *= q
+    x /= _horner(branch[1], r)
+    return x
+
+
 def _ndtri_float(p: float) -> float:
     """ndtri at a float, as :func:`ndtri` describes."""
-    if 0.0 < p < 1.0:
-        return _inv_cdf(p, 0.0, 1.0)
-    return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
+    if not 0.0 < p < 1.0:
+        return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        return _ratio(_CENTRAL, 0.180625 - q * q, q)
+    r = math.sqrt(-float(np.log(p if q <= 0.0 else 1.0 - p)))
+    x = _ratio(_NEAR, r - 1.6) if r <= 5.0 else _ratio(_FAR, r - 5.0)
+    return -x if q < 0.0 else x
 
 
 def ndtri(p):
     """Inverse standard normal CDF at a float or at every element of an
     array: -inf at 0, +inf at 1, NaN outside [0, 1].
 
-    Wichura's AS 241 (Appl. Statist. 37, 1988), the one CPython's
-    ``statistics.NormalDist.inv_cdf`` runs.  An array goes through the same
-    call element by element (its elements outside (0, 1) through the float
-    path), so an element equals the float call bit for bit.
+    AS 241 as CPython's ``statistics.NormalDist`` runs it.  An array takes
+    the float's IEEE steps on each branch's gathered elements, and the
+    tail's log is ``np.log`` on contiguous data in both, so an element
+    equals the float call bit for bit.
     """
     if not (isinstance(p, np.ndarray) and p.ndim):
         return _ndtri_float(float(p))
-    p = np.asarray(p, dtype=float)
-    inside = (p > 0.0) & (p < 1.0)
-    x = np.fromiter(map(_inv_cdf, np.where(inside, p, 0.5).ravel().tolist(), repeat(0.0),
-                        repeat(1.0)), float, p.size).reshape(p.shape)
-    if not inside.all():
-        x[~inside] = list(map(_ndtri_float, p[~inside].tolist()))
+    q = np.subtract(p, 0.5, dtype=float)
+    x = np.empty_like(q)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    x[central] = _ratio(_CENTRAL, 0.180625 - qc * qc, qc)
+    qt, r = q[~central], np.asarray(p, dtype=float)[~central]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.subtract(1.0, r, out=r, where=qt > 0.0)
+        np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)  # NaN outside [0, 1]
+        xt, near = np.empty_like(r), r <= 5.0
+        for branch, at, shift in ((_NEAR, near, 1.6), (_FAR, ~near, 5.0)):
+            if at.any():  # the far branch, p < 1.4e-11, is rare
+                xt[at] = _ratio(branch, r[at] - shift)
+    xt[r == math.inf] = math.inf  # p = 0 or 1
+    x[~central] = np.negative(xt, out=xt, where=qt < 0.0)
     return x
 
 

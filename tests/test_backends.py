@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from partarget import _backend
+from partarget import _backend, gaussian
 from partarget._backend import BACKEND, linear_sums, probit_sums
 
 ARGS_LINEAR = dict(seed=99, n=300_000, mu=1.0, s_scale=3.0,
@@ -92,6 +92,19 @@ class TestNumpyKernel:
         total, total_sq = linear_sums(**args)
         assert total == pytest.approx(math.fsum(x), rel=1e-12)
         assert total_sq == pytest.approx(math.fsum(x * x), rel=1e-12)
+
+    def test_kernel_normals_are_the_scalar_quantile(self):
+        # the kernel's array quantiles equal gaussian.quantile at each
+        # uniform bit for bit, for every treated sample of one chunk
+        start, threshold = 5 * _backend._CHUNK, -0.5
+        cut = _backend._cut(threshold)
+        zs, zt = _backend._treated(7, start, _backend._CHUNK, threshold, cut)
+        counter = 2 * np.arange(start, start + _backend._CHUNK, dtype=np.uint64)
+        want_zs = [gaussian.quantile(u) for u in _backend._uniform(7, counter).tolist()]
+        treated = [i for i, z in enumerate(want_zs) if z >= threshold]
+        assert zs.tolist() == [want_zs[i] for i in treated]
+        u_t = _backend._uniform(7, counter[treated] + np.uint64(1))
+        assert zt.tolist() == [gaussian.quantile(u) for u in u_t.tolist()]
 
     def test_probit_block_size_invariance(self, monkeypatch):
         monkeypatch.setattr(_backend, "_BLOCK", ARGS_PROBIT["n"])
