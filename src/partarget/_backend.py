@@ -10,17 +10,17 @@ drawn only for treated ones.
 
 The n samples are cut into blocks of ``_BLOCK`` consecutive indices.
 Blocks are independent, so they run on a thread pool with one worker per
-usable CPU (NumPy releases the GIL in its array loops, the quantile's
-included), and the per-block partial sums are combined in block order with
-``math.fsum``.  The sums are therefore bit-identical for a fixed seed,
-whatever the number of workers or the order in which blocks finish.
+usable CPU: NumPy releases the GIL in its array loops, and chunks of
+``_CHUNK`` counters make each loop long enough for the workers to overlap.
+The per-block partial sums are combined in block order with ``math.fsum``,
+so the sums are bit-identical for a fixed seed, whatever the number of
+workers or the order in which blocks finish.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,19 +36,19 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO_NEG53 = 2.0 ** -53
 
 _BLOCK = 1 << 20
-_CHUNK = 1 << 16  # counters per pass of the bit mixer; its arrays stay in cache
+_CHUNK = 1 << 18  # counters per pass of the bit mixer
 
 
-def _bits(seed: int, counter: np.ndarray) -> np.ndarray:
-    """The splitmix64 output at each counter."""
-    z = counter + np.uint64(1)
+def _bits(seed: int, counter: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """The splitmix64 output at each counter, into out if given (tmp: scratch)."""
+    z = np.add(counter, np.uint64(1), out=out)
     z *= _GOLDEN
     z += np.uint64(seed)
-    z ^= z >> np.uint64(30)
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
@@ -81,19 +81,23 @@ def _cut(threshold: float) -> np.uint64:
 def _treated(seed: int, start: int, count: int, threshold: float, cut: np.uint64):
     """z_s and z_t of the treated samples among indices [start, start + count).
 
-    The z_s stream is scanned in cache-sized chunks, and z_s is computed
-    and tested only at the bits at or past ``cut`` (see :func:`_cut`).
+    The z_s stream is scanned in chunks through one set of buffers, and z_s is
+    computed and tested only at the bits at or past ``cut`` (see :func:`_cut`).
     """
-    stop = start + count
+    size = min(_CHUNK, count)
+    even = np.arange(2 * start, 2 * (start + size), 2, dtype=np.uint64)
+    bits, tmp, above = np.empty_like(even), np.empty_like(even), np.empty(size, bool)
     zs_parts, zt_parts = [], []
-    for lo in range(start, stop, _CHUNK):
-        bits = _bits(seed, 2 * np.arange(lo, min(lo + _CHUNK, stop), dtype=np.uint64))
-        near = np.flatnonzero(bits >= cut)
-        zs = gaussian.ndtri(_unit(bits[near]))
+    for lo in range(start, start + count, size):
+        m = min(size, start + count - lo)  # the last chunk may be short
+        b = _bits(seed, even[:m], bits[:m], tmp[:m])
+        near = np.flatnonzero(np.greater_equal(b, cut, out=above[:m]))
+        zs = gaussian.ndtri(_unit(b.take(near)))
         hit = zs >= threshold
         idx = (near[hit] + lo).astype(np.uint64)
         zs_parts.append(zs[hit])
         zt_parts.append(gaussian.ndtri(_uniform(seed, 2 * idx + 1)))
+        even += np.uint64(2 * size)
     return np.concatenate(zs_parts), np.concatenate(zt_parts)
 
 
@@ -112,6 +116,7 @@ def _block_sums(block_fn, n: int) -> tuple[float, float]:
     if workers <= 1:
         parts = [block_fn(*job) for job in jobs]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # its import (with logging) is slow
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda job: block_fn(*job), jobs))
     try:

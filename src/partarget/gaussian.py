@@ -150,33 +150,45 @@ def _ndtri_float(p: float) -> float:
     return -x if q < 0.0 else x
 
 
+def _branch(mask, f, a, out):
+    """out with f(a's elements where mask holds) put there by integer-index
+    gathers; none if mask holds nowhere, and f(a) itself if it holds everywhere."""
+    n = np.count_nonzero(mask)
+    if n == mask.size:
+        return f(a)
+    if n:
+        at = np.flatnonzero(mask)
+        out.put(at, f(a.take(at)))
+    return out
+
+
+def _tails(p):
+    """AS 241's tails at an array of p with |p - 1/2| > 0.425; at p = 0 or 1, r and x are inf."""
+    r = np.where(p > 0.5, 1.0 - p, p)  # the float's q = p - 0.5 > 0 exactly where p > 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)  # NaN outside [0, 1]
+        near = r <= 5.0  # the far tail, p < 1.4e-11, is rare
+        x = _branch(near, lambda v: _ratio(_NEAR, v - 1.6), r, np.empty_like(r))
+        x = _branch(~near, lambda v: np.where(v == math.inf, v, _ratio(_FAR, v - 5.0)), r, x)
+    return np.negative(x, out=x, where=p < 0.5)
+
+
 def ndtri(p):
     """Inverse standard normal CDF at a float or at every element of an
     array: -inf at 0, +inf at 1, NaN outside [0, 1].
 
     AS 241 as CPython's ``statistics.NormalDist`` runs it.  An array takes
-    the float's IEEE steps on each branch's gathered elements, and the
+    the float's IEEE steps on each branch's integer-index gathers, and the
     tail's log is ``np.log`` on contiguous data in both, so an element
     equals the float call bit for bit.
     """
     if not (isinstance(p, np.ndarray) and p.ndim):
         return _ndtri_float(float(p))
-    q = np.subtract(p, 0.5, dtype=float)
-    x = np.empty_like(q)
+    shape, p = p.shape, np.ravel(np.asarray(p, dtype=float))
+    q = p - 0.5
     central = np.abs(q) <= 0.425
-    qc = q[central]
-    x[central] = _ratio(_CENTRAL, 0.180625 - qc * qc, qc)
-    qt, r = q[~central], np.asarray(p, dtype=float)[~central]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.subtract(1.0, r, out=r, where=qt > 0.0)
-        np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)  # NaN outside [0, 1]
-        xt, near = np.empty_like(r), r <= 5.0
-        for branch, at, shift in ((_NEAR, near, 1.6), (_FAR, ~near, 5.0)):
-            if at.any():  # the far branch, p < 1.4e-11, is rare
-                xt[at] = _ratio(branch, r[at] - shift)
-    xt[r == math.inf] = math.inf  # p = 0 or 1
-    x[~central] = np.negative(xt, out=xt, where=qt < 0.0)
-    return x
+    x = _branch(central, lambda q: _ratio(_CENTRAL, 0.180625 - q * q, q), q, np.empty_like(q))
+    return _branch(~central, _tails, p, x).reshape(shape)
 
 
 # Owen's T(h, a) for 0 <= a <= 1 is (1/2 pi) int_0^a exp(-h^2 (1 + x^2)/2) / (1 + x^2) dx,
@@ -198,16 +210,19 @@ _OWEN_W = np.array(_GL_WEIGHTS * 2) / (4.0 * math.pi)  # halved for [0, 1], over
 
 def _owen_quadrature(h, u, t2=_OWEN_T2, w=_OWEN_W):
     """The integral above from 0 to u, for floats h and u or for arrays of
-    one shape with the node axis of t2 and w in front.  add.accumulate sums
-    strictly in node order, whatever the shape; a reduction or a matrix
-    product would choose its order by shape."""
+    one shape with the node axis of t2 and w in front, summed strictly in node
+    order (a reduction or a matrix product would choose its order by shape)."""
     d = (u * u) * t2
     d += 1.0
     f = (-0.5 * h * h) * d
     np.exp(f, out=f)
     f *= w
     f /= d
-    return u * np.add.accumulate(f)[-1]
+    if f.ndim == 1:
+        return u * np.add.accumulate(f)[-1]
+    for row in f[1:]:
+        f[0] += row
+    return u * f[0]
 
 
 def owens_t(h, a):

@@ -93,18 +93,31 @@ class TestNumpyKernel:
         assert total == pytest.approx(math.fsum(x), rel=1e-12)
         assert total_sq == pytest.approx(math.fsum(x * x), rel=1e-12)
 
-    def test_kernel_normals_are_the_scalar_quantile(self):
+    def test_kernel_normals_are_the_scalar_quantile(self, monkeypatch):
         # the kernel's array quantiles equal gaussian.quantile at each
-        # uniform bit for bit, for every treated sample of one chunk
-        start, threshold = 5 * _backend._CHUNK, -0.5
+        # uniform bit for bit, for every treated sample of a fixed window
+        # that spans two full chunks and ends in a short one
+        monkeypatch.setattr(_backend, "_CHUNK", 2**12)
+        start, count, threshold = 5 * 2**16 + 123, 2 * 2**12 + 1000, -0.5
         cut = _backend._cut(threshold)
-        zs, zt = _backend._treated(7, start, _backend._CHUNK, threshold, cut)
-        counter = 2 * np.arange(start, start + _backend._CHUNK, dtype=np.uint64)
+        zs, zt = _backend._treated(7, start, count, threshold, cut)
+        counter = 2 * np.arange(start, start + count, dtype=np.uint64)
         want_zs = [gaussian.quantile(u) for u in _backend._uniform(7, counter).tolist()]
         treated = [i for i, z in enumerate(want_zs) if z >= threshold]
+        assert treated[-1] >= 2 * 2**12  # the short chunk has treated samples
         assert zs.tolist() == [want_zs[i] for i in treated]
         u_t = _backend._uniform(7, counter[treated] + np.uint64(1))
         assert zt.tolist() == [gaussian.quantile(u) for u in u_t.tolist()]
+
+    def test_treated_is_the_same_for_any_chunk_size(self, monkeypatch):
+        start, count, threshold = 3 * 2**20 + 5, 2**20 - 77, 1.0  # a short last chunk
+        cut = _backend._cut(threshold)
+        monkeypatch.setattr(_backend, "_CHUNK", 2**16)
+        want = _backend._treated(11, start, count, threshold, cut)
+        monkeypatch.setattr(_backend, "_CHUNK", 2**18)
+        got = _backend._treated(11, start, count, threshold, cut)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
     def test_probit_block_size_invariance(self, monkeypatch):
         monkeypatch.setattr(_backend, "_BLOCK", ARGS_PROBIT["n"])

@@ -191,6 +191,18 @@ class TestQuantile:
         for x in (0.3, 1e-20, 1.0 - 1e-12, 0.0):  # a 0-d and a one-element array
             assert gaussian.ndtri(np.array(x)) == gaussian.ndtri(np.array([x]))[0]
             assert gaussian.ndtri(np.array(x)) == gaussian.ndtri(x)
+        # Arrays that leave a branch empty or give it every element, so
+        # that it runs on the array itself: all central, all in the near
+        # tail, all in the far tail (p < 1.4e-11), and no central element
+        # among the limits, out-of-range values and one of each tail.
+        near = 0.075 * 10.0 ** -rng.uniform(0, 9.5, 1000)
+        far = 10.0 ** -rng.uniform(11, 300, 1000)
+        for a in (rng.uniform(0.08, 0.92, 1000), np.concatenate([near, 1.0 - near]),
+                  np.concatenate([far, 1.0 - 10.0 ** -rng.uniform(11, 15.5, 100)]),
+                  np.array([0.0, 1.0, math.nan, -1.0, 2.0, math.inf, -math.inf, 1e-300, 0.01]),
+                  np.array([0.0, 1.0, math.nan, -1.0, 2.0])):
+            want = [gaussian._ndtri_float(float(x)) for x in a]
+            np.testing.assert_array_equal(gaussian.ndtri(a), want)
 
     def test_limits(self):
         assert gaussian.ndtri(0.0) == -math.inf and gaussian.ndtri(1.0) == math.inf
