@@ -5,7 +5,7 @@ Modules:
 
 * :mod:`partarget.gaussian` -- standard-normal special functions.
 * :mod:`partarget.linear` -- closed forms for the continuous-welfare model.
-* :mod:`partarget.probit` -- Owen's-T closed form for the binary model.
+* :mod:`partarget.probit` -- Plackett-integral value for the binary model.
 * :mod:`partarget.oracle` -- Monte Carlo and brute-force verification oracles.
 * :mod:`partarget.grid` -- cost-benefit grid sweeps and contour extraction.
 * :mod:`partarget.cli` -- the ``partarget`` command-line entry point.

@@ -1,22 +1,20 @@
 """Standard-normal special functions used throughout the package.
 
-Everything here is pure and stateless, and scalar except ``ndtr``,
-``ndtri`` and ``owens_t`` (below), :func:`pdf_array`, the unchecked
-density the linear array core shares with :func:`pdf`, and
-:func:`conditional_sd`, the gamma_t of both models.  The ``check_alpha_*``
-functions hold the four access-level domains the models use.  The
-quantile is the one primitive the rest of the package leans on
-(thresholds, closed forms and the Monte Carlo sampler all use it), and it
-meets a tight round-trip contract:
+Everything here is pure and stateless, and scalar except ``ndtr`` and
+``ndtri`` (below), :func:`pdf_array`, the unchecked density the linear
+array core shares with :func:`pdf`, and :func:`conditional_sd`, the
+gamma_t of both models.  The ``check_alpha_*`` functions hold the four
+access-level domains the models use.  The quantile is the one primitive
+the rest of the package leans on (thresholds, closed forms and the Monte
+Carlo sampler all use it), and it meets a tight round-trip contract:
 
     |cdf(quantile(p)) - p| <= 1e-12   for p in [1e-10, 1 - 1e-10].
 
 Implementation notes
 --------------------
 * The normal functions the array cores and the Monte Carlo kernel call,
-  ``ndtr`` (Phi), ``ndtri`` (its inverse) and ``owens_t``, are defined
-  here with NumPy and the standard library alone; no module of the
-  package imports scipy.
+  ``ndtr`` (Phi) and ``ndtri`` (its inverse), are defined here with NumPy
+  and the standard library alone; no module of the package imports scipy.
 * ``cdf`` and ``sf`` are ``ndtr`` (``sf`` at -t, never ``1 - cdf``), the
   CDF of the probit core and the Monte Carlo kernel: erfc from the C
   library, within about 1e-14 relative of a 40-digit reference down to
@@ -62,7 +60,7 @@ SQRT_2PI = 2.5066282746310002
 SQRT2 = 1.4142135623730951
 
 
-# Phi, its inverse and Owen's T take a float or an array.  An element of an
+# Phi and its inverse take a float or an array.  An element of an
 # array goes through the same floating-point steps as that element passed
 # alone, so an array core's cell equals the scalar call at that cell.
 
@@ -189,71 +187,6 @@ def ndtri(p):
     central = np.abs(q) <= 0.425
     x = _branch(central, lambda q: _ratio(_CENTRAL, 0.180625 - q * q, q), q, np.empty_like(q))
     return _branch(~central, _tails, p, x).reshape(shape)
-
-
-# Owen's T(h, a) for 0 <= a <= 1 is (1/2 pi) int_0^a exp(-h^2 (1 + x^2)/2) / (1 + x^2) dx,
-# taken with the 24-point Gauss-Legendre rule on [0, u], u = min(a, OWEN_CUT / h):
-# past OWEN_CUT / h the integrand has fallen by exp(-OWEN_CUT^2 / 2).  Past
-# h = OWEN_H_MAX, T is below the smallest double.  The rule's positive nodes
-# on [-1, 1] and their weights are rounded from 40-digit values.
-OWEN_CUT, OWEN_H_MAX = 9.0, 40.0
-_GL_NODES = (0.9951872199970213, 0.9747285559713095, 0.9382745520027328, 0.8864155270044011,
-             0.820001985973903, 0.7401241915785544, 0.6480936519369755, 0.5454214713888396,
-             0.4337935076260451, 0.3150426796961634, 0.1911188674736163, 0.06405689286260563)
-_GL_WEIGHTS = (0.0123412297999872, 0.028531388628933663, 0.04427743881741981,
-               0.05929858491543678, 0.0733464814110803, 0.08619016153195327,
-               0.09761865210411388, 0.10744427011596563, 0.1155056680537256,
-               0.12167047292780339, 0.1258374563468283, 0.12793819534675216)
-_OWEN_T2 = np.array([((1.0 + t) / 2.0) ** 2 for t in _GL_NODES + tuple(-t for t in _GL_NODES)])
-_OWEN_W = np.array(_GL_WEIGHTS * 2) / (4.0 * math.pi)  # halved for [0, 1], over 2 pi
-
-
-def _owen_quadrature(h, u, t2=_OWEN_T2, w=_OWEN_W):
-    """The integral above from 0 to u, for floats h and u or for arrays of
-    one shape with the node axis of t2 and w in front, summed strictly in node
-    order (a reduction or a matrix product would choose its order by shape)."""
-    d = (u * u) * t2
-    d += 1.0
-    f = (-0.5 * h * h) * d
-    np.exp(f, out=f)
-    f *= w
-    f /= d
-    if f.ndim == 1:
-        return u * np.add.accumulate(f)[-1]
-    for row in f[1:]:
-        f[0] += row
-    return u * f[0]
-
-
-def owens_t(h, a):
-    """Owen's T(h, a) at floats or at every element of the broadcast arrays.
-
-    T is even in h and odd in a, and for |a| > 1 it is
-    Q(h)/2 + Q(|a|h)/2 - Q(h) Q(|a|h) - T(|a|h, 1/|a|), Q the upper tail,
-    so the quadrature's upper limit stays in [0, 1].  The float and the
-    array branches take the same steps.
-    """
-    if isinstance(h, np.ndarray) and h.ndim or isinstance(a, np.ndarray) and a.ndim:
-        h, a = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(a, dtype=float))
-        h, b = np.minimum(np.abs(h), OWEN_H_MAX), np.abs(a)
-        flip = b > 1.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            hf = np.where(h == 0.0, 0.0, np.minimum(b * h, OWEN_H_MAX))
-            hq, bq = np.where(flip, hf, h), np.where(flip, 1.0 / b, b)
-        col = (-1,) + (1,) * h.ndim
-        t = _owen_quadrature(hq, np.minimum(bq, OWEN_CUT / np.maximum(hq, OWEN_CUT)),
-                             _OWEN_T2.reshape(col), _OWEN_W.reshape(col))
-        if flip.any():
-            qh, qb = ndtr(-h), ndtr(-hf)
-            t = np.where(flip, 0.5 * qh + 0.5 * qb - qh * qb - t, t)
-        return np.copysign(t, a)
-    h, b = min(abs(float(h)), OWEN_H_MAX), abs(float(a))
-    if not b > 1.0:
-        return math.copysign(_owen_quadrature(h, min(b, OWEN_CUT / max(h, OWEN_CUT))), a)
-    hf = min(b * h, OWEN_H_MAX) if h else 0.0
-    t = _owen_quadrature(hf, min(1.0 / b, OWEN_CUT / max(hf, OWEN_CUT)))
-    qh, qb = _phi(-h), _phi(-hf)
-    return math.copysign(0.5 * qh + 0.5 * qb - qh * qb - t, a)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,10 @@
-"""Regenerate ``reference.json``: 40-digit normal CDFs, quantiles, Owen's T,
-linear and probit values and PARs.
+"""Regenerate ``reference.json``: 40-digit normal CDFs, quantiles, linear
+and probit values and PARs.
 
 Nothing here imports ``partarget``, so the table shares no code with the
 package.  Every number is computed at 40 significant digits:
 
 * ``cdf``: Phi(x) = erfc(-x / sqrt(2)) / 2 from mpmath's ``ncdf``.
-* ``owens_t``: T(h, a) from its defining integral
-
-      T(h, a) = (1/2 pi) exp(-h^2/2) int_0^a exp(-h^2 x^2/2) / (1 + x^2) dx,
-
-  split at multiples of 1/|h|, the width of the integrand's peak (one
-  interval over [0, a] was 10% off at |h| = 36), and at powers of 4 for
-  large a; T is odd in a.
 * ``quantile``: Phi^-1(p), the root of log Phi(x) = log p, with Phi from
   mpmath's complementary error function (p > 1/2 by symmetry, since 1 - p
   is exact for a double p > 1/2).
@@ -28,11 +21,15 @@ package.  Every number is computed at 40 significant digits:
       V(alpha, gamma_s) = int_T^inf phi(z) Phi((gamma_s z + m) / gamma_t) dz,
 
   with m = Phi^-1(b) and gamma_t = sqrt(1 - gamma_s^2); gamma_s = 0 and
-  gamma_s = 1 use their exact forms alpha b and min(alpha, b).
+  gamma_s = 1 use their exact forms alpha b and min(alpha, b).  The
+  integrand, divided by phi(max(T, 0)) so that mpmath's absolute error
+  target is a relative one, is split on the 1/T scale of phi's decay past
+  T and around the step of Phi.  A value row is kept only where it agrees
+  with the same quadrature at 60 digits to AGREE.
 * ``linear_pars`` and ``probit_pars``: the exact finite-difference ratio
   [V(alpha + da) - V(alpha)] / [V(gamma_s + dr) - V(gamma_s)] of such values.
 
-Run from the repository root (takes about a minute):
+Run from the repository root (takes about six minutes):
 
     python tests/data/make_reference.py > tests/data/reference.json
 """
@@ -50,9 +47,6 @@ CDF_XS = (-38.0, -37.5, -37.2, -36.0, -33.3, -30.0, -25.5, -20.0, -15.0, -10.0, 
           -7.0710678118654755, -7.07, -5.0, -2.5, -1.0, -0.3, -1e-9, 0.0, 1e-9, 0.3, 1.0,
           2.5, 5.0, 7.5, 8.3)
 
-OWEN_HS = (0.0, 0.25, -1.0, 2.5, -5.0, 9.0, 15.0, -25.0, 36.0, 37.0)
-OWEN_AS = (1e-6, 0.1, 0.5, 0.99, 1.0, 1.01, 2.0, 10.0, 1e3, -0.3, -1.0, -4.0)
-
 QUANTILE_PS = (1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-10, 1e-6, 1e-3, 0.02425,
                0.1, 0.3, 0.4999, 0.5, 0.5001, 0.7, 0.9, 0.97575, 0.999,
                1 - 1e-6, 1 - 1e-8, 1 - 1e-10)
@@ -67,6 +61,16 @@ LINEAR_PAR_DELTAS = ((1e-3, 1e-3), (0.01, 0.01), (1e-5, 0.1))
 BASE_RATES = (0.01, 0.1, 0.3, 0.5, 0.8)
 GAMMAS = (0.0, 0.3, 0.76, 0.8, 0.83, 1.0)
 ALPHAS = (1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.5, 0.9)
+# Correlations near 1, a base rate and an alpha of 1e-6 (alpha = b included)
+# and alpha = 1e-30, each crossed with the other axes.
+HIGH_GAMMAS = (0.9, 0.95, 0.99, 0.999, 0.9999)
+TINY_BASE_RATE, TINY_ALPHA = 1e-6, 1e-30
+# Cells with quantile(alpha) = quantile(b) * ratio / gamma_s: as gamma_s -> 1
+# and the ratio -> 1, the range of Plackett's integral in its variable
+# u = (k - h sin theta)/cos theta reaches u = 0, where its measure has a kink.
+KINK_CELLS = tuple(itertools.product((1e-6, 0.1, 0.3), (0.999, 0.9999),
+                                     (1.0001, 1.01, 1 / 1.0001, 1 / 1.01)))
+AGREE = 1e-20
 
 # Cells of probit grid sweeps where an earlier adaptive quadrature missed its
 # 1e-10 tolerance by two orders of magnitude, with the deltas of those sweeps.
@@ -99,19 +103,6 @@ def quantile(p) -> mp.mpf:
     return mp.findroot(lambda x: mp.log(mp.ncdf(x)) - log_p, (x0, x0 + mp.mpf("0.01")))
 
 
-def owens_t(h, a) -> mp.mpf:
-    """Owen's T(h, a) at the working precision."""
-    h, a = abs(mp.mpf(h)), mp.mpf(a)
-    if a < 0:
-        return -owens_t(h, -a)
-    points = [mp.mpf(0)]
-    if h > 0:
-        points += [k / h for k in (0.5, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48) if k / h < a]
-    points += [p for p in (1, 4, 16, 64, 256) if points[-1] < p < a]
-    tail = mp.quad(lambda x: mp.exp(-h * h * x * x / 2) / (1 + x * x), points + [a])
-    return mp.exp(-h * h / 2) * tail / (2 * mp.pi)
-
-
 def linear_value(mu: float, beta_norm: float, gamma_s: float, alpha: float) -> mp.mpf:
     """V(alpha, gamma_s) of the linear model at the working precision."""
     t = -quantile(alpha)
@@ -138,15 +129,19 @@ def value(b: float, gamma_s: float, alpha: float) -> mp.mpf:
     t, m = -quantile(a), quantile(b)
     gt = mp.sqrt(1 - g * g)
 
-    def integrand(z):
-        return mp.npdf(z) * mp.ncdf((g * z + m) / gt)
+    top = max(t, 0)
 
-    # The integrand steps up over a width gamma_t / gamma_s around -m / gamma_s;
-    # breakpoints there keep the quadrature accurate as gamma_s -> 1.
-    step, width = -m / g, gt / g
-    points = {t, t + 1, t + 3, t + 8}
+    def integrand(z):
+        return mp.exp((top - z) * (top + z) / 2) * mp.ncdf((g * z + m) / gt)
+
+    # phi falls by e^-j over j / T past T, and Phi((gamma_s z + m) / gamma_t)
+    # steps up over a width gamma_t / gamma_s around -m / gamma_s;
+    # breakpoints there keep the quadrature accurate as alpha -> 0 and as
+    # gamma_s -> 1.
+    step, width, scale = -m / g, gt / g, 1 / max(t, 1)
+    points = {t + j * scale for j in (0, 1, 3, 8, 20, 45)}
     points.update(step + j * width for j in (-8, -3, -1, 0, 1, 3, 8))
-    return mp.quad(integrand, sorted(p for p in points if p >= t) + [mp.inf])
+    return mp.npdf(top) * mp.quad(integrand, sorted(p for p in points if p >= t) + [mp.inf])
 
 
 def par(b, gamma_s, alpha, delta_alpha, delta_r2) -> tuple[mp.mpf, bool]:
@@ -158,6 +153,15 @@ def par(b, gamma_s, alpha, delta_alpha, delta_r2) -> tuple[mp.mpf, bool]:
     return access / gain, keep
 
 
+def value_row(b: float, gamma_s: float, alpha: float) -> dict | None:
+    """A probit value row, or None where 60 digits do not confirm it."""
+    v = value(b, gamma_s, alpha)
+    with mp.workdps(60):
+        if abs(value(b, gamma_s, alpha) / v - 1) > AGREE:
+            return None
+    return {"base_rate": b, "gamma_s": gamma_s, "alpha": alpha, "value": _digits(v)}
+
+
 def _digits(x: mp.mpf) -> str:
     return mp.nstr(x, 30, min_fixed=0, max_fixed=0)
 
@@ -165,8 +169,6 @@ def _digits(x: mp.mpf) -> str:
 def build() -> dict:
     mp.mp.dps = DIGITS
     cdfs = [{"x": x, "cdf": _digits(mp.ncdf(x))} for x in CDF_XS]
-    owens = [{"h": h, "a": a, "t": _digits(owens_t(h, a))}
-             for h, a in itertools.product(OWEN_HS, OWEN_AS)]
     quantiles = [{"p": p, "quantile": _digits(quantile(p))} for p in QUANTILE_PS]
     linear_values = [
         {"mu": mu, "beta_norm": beta, "gamma_s": g, "alpha": a,
@@ -181,13 +183,13 @@ def build() -> dict:
         if keep:
             linear_pars.append({"mu": mu, "beta_norm": beta, "gamma_s": g, "alpha": a,
                                 "delta_alpha": da, "delta_r2": dr, "par": _digits(ratio)})
-    values = [
-        {"base_rate": b, "gamma_s": g, "alpha": a, "value": _digits(value(b, g, a))}
-        for b, g, a in itertools.product(BASE_RATES, GAMMAS, ALPHAS)
-    ]
-    for b, g, a, _, _ in FOUND_PARS:
-        values.append({"base_rate": b, "gamma_s": g, "alpha": a,
-                       "value": _digits(value(b, g, a))})
+    cells = list(itertools.product(BASE_RATES, GAMMAS, ALPHAS))
+    cells += [(b, g, a) for b, g, a, _, _ in FOUND_PARS]
+    cells += itertools.product(BASE_RATES, HIGH_GAMMAS, ALPHAS)
+    cells += itertools.product((TINY_BASE_RATE,), GAMMAS + HIGH_GAMMAS, ALPHAS)
+    cells += itertools.product(BASE_RATES, GAMMAS + HIGH_GAMMAS, (TINY_ALPHA,))
+    cells += [(b, g, float(mp.ncdf(quantile(b) * ratio / g))) for b, g, ratio in KINK_CELLS]
+    values = [row for row in itertools.starmap(value_row, cells) if row is not None]
     pars = []
     cells = [(*cell, *d) for cell in PAR_CELLS for d in PAR_DELTAS]
     for row in cells + list(FOUND_PARS):
@@ -196,7 +198,7 @@ def build() -> dict:
             b, g, a, da, dr = row
             pars.append({"base_rate": b, "gamma_s": g, "alpha": a, "delta_alpha": da,
                          "delta_r2": dr, "par": _digits(ratio)})
-    return {"digits": DIGITS, "cdf": cdfs, "owens_t": owens, "quantile": quantiles, "linear_values": linear_values,
+    return {"digits": DIGITS, "cdf": cdfs, "quantile": quantiles, "linear_values": linear_values,
             "linear_pars": linear_pars, "probit_values": values, "probit_pars": pars}
 
 

@@ -504,6 +504,12 @@ class TestVerifyWithoutSpread:
     def test_runs_with_spread_are_unchanged(self, capsys, argv, stdout):
         assert run_cli(capsys, "verify", *argv) == (0, stdout, "")
 
+    def test_pinned_probit_closed_form_is_the_40_digit_value(self, capsys):
+        code, out, _ = run_cli(capsys, "value", "--model", "probit", "--base-rate", "0.1",
+                               "--gamma-s", "0.3", "--alpha", "0.02", "--machine")
+        assert code == 0
+        assert float(out) == pytest.approx(0.005624985789780389672, rel=1e-14, abs=0.0)
+
 
 # The three ways to pass a parameter of the other model.
 CROSS_MODEL = [

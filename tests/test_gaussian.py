@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
-from scipy.special import ndtr, ndtri, owens_t
+from scipy.special import ndtr, ndtri
 
 from partarget import gaussian
 from partarget.errors import DomainError, NumericsError, PreconditionError, RegimeError
@@ -228,53 +228,6 @@ class TestQuantile:
         assert gaussian.quantile(p) == pytest.approx(float(ndtri(p)), rel=3e-15, abs=1e-300)
 
 
-class TestOwensT:
-    H = [0.0, 0.3, -1.7, 4.0, -9.5, 20.0, 37.5, 45.0, math.inf]
-    A = [0.0, 1e-8, 0.4, -0.9, 1.0, 1.3, -7.0, 1e6, math.inf, -math.inf]
-
-    def test_gauss_legendre_rule(self):
-        nodes = gaussian._GL_NODES + tuple(-x for x in gaussian._GL_NODES)
-        weights = gaussian._GL_WEIGHTS * 2
-        # exact for every polynomial of degree below 48
-        for k in range(24):
-            moment = math.fsum(w * x ** (2 * k) for x, w in zip(nodes, weights))
-            assert moment == pytest.approx(2.0 / (2 * k + 1), rel=1e-14)
-        x, w = np.polynomial.legendre.leggauss(24)
-        assert np.allclose(sorted(nodes), x, rtol=0.0, atol=2e-16)
-        assert np.allclose(np.array(weights)[np.argsort(nodes)], w, rtol=2e-13, atol=0.0)
-
-    def test_array_is_elementwise(self):
-        h, a = np.meshgrid(self.H, self.A, indexing="ij")
-        want = [[gaussian.owens_t(x, y) for y in self.A] for x in self.H]
-        np.testing.assert_array_equal(gaussian.owens_t(h, a), want)
-        np.testing.assert_array_equal(gaussian.owens_t(np.array(self.H)[:, None], a), want)
-        np.testing.assert_array_equal(gaussian.owens_t(h[2], self.A), want[2])
-
-    def test_symmetries_and_closed_forms(self):
-        for h in self.H[:7]:
-            for a in self.A:
-                t = gaussian.owens_t(h, a)
-                assert gaussian.owens_t(-h, a) == t and gaussian.owens_t(h, -a) == -t
-            q = gaussian.sf(abs(h))
-            assert gaussian.owens_t(h, 1.0) == pytest.approx(0.5 * q * (1 - q), rel=1e-13)
-            assert gaussian.owens_t(h, math.inf) == pytest.approx(0.5 * q, rel=1e-13)
-        for a in (1e-8, 0.4, 1.0, 1.3, 1e6, math.inf):
-            assert gaussian.owens_t(0.0, a) == pytest.approx(math.atan(a) / (2 * math.pi),
-                                                             rel=1e-15)
-        assert gaussian.owens_t(45.0, 0.5) == 0.0 == gaussian.owens_t(math.inf, 3.0)
-        assert math.isnan(gaussian.owens_t(math.nan, 0.5))
-        assert math.isnan(gaussian.owens_t(0.5, math.nan))
-
-    @given(st.floats(-40, 40), st.floats(1e-5, 1e3) | st.floats(-1e3, -1e-5) | st.just(0.0))
-    @example(5.0, 1e-5)
-    def test_agrees_with_scipy(self, h, a):
-        # scipy.special.owens_t as a second oracle, where it holds: it is up to
-        # 3e-11 off the 40-digit rows at a = 1e-6 (this module within 2e-14),
-        # and 27 times too small at h = 5, a = 1e-38
-        assert gaussian.owens_t(h, a) == pytest.approx(float(owens_t(h, a)), rel=1e-9,
-                                                        abs=1e-300)
-
-
 class TestUpperQuantile:
     def test_matches_complement(self):
         for alpha in (0.4, 0.1, 0.01):
@@ -479,7 +432,7 @@ class TestBoundPair:
 
 
 class TestReferenceTable:
-    """40-digit mpmath CDFs, quantiles and Owen's T from tests/data/make_reference.py."""
+    """40-digit mpmath CDFs and quantiles from tests/data/make_reference.py."""
 
     def test_quantiles(self, reference):
         for row in reference["quantile"]:
@@ -495,12 +448,6 @@ class TestReferenceTable:
             assert gaussian.cdf(row["x"]) == pytest.approx(want, **tol), row
             assert gaussian.sf(-row["x"]) == pytest.approx(want, **tol), row
 
-    def test_owens_t(self, reference):
-        for row in reference["owens_t"]:
-            want = float(row["t"])
-            tol = dict(rel=1e-12, abs=0.0) if abs(want) >= sys.float_info.min else dict(abs=5e-323)
-            assert gaussian.owens_t(row["h"], row["a"]) == pytest.approx(want, **tol), row
-
     def test_table_regenerates(self, reference, make_reference):
         make = make_reference
         with make.mp.workdps(reference["digits"]):
@@ -508,5 +455,3 @@ class TestReferenceTable:
                 assert make._digits(make.quantile(row["p"])) == row["quantile"]
             for row in reference["cdf"][::5]:
                 assert make._digits(make.mp.ncdf(row["x"])) == row["cdf"]
-            for row in reference["owens_t"][::17]:
-                assert make._digits(make.owens_t(row["h"], row["a"])) == row["t"]
