@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
+from scipy.stats import multivariate_normal
 
 from partarget import gaussian, oracle, probit
 from partarget.errors import (
@@ -118,6 +119,41 @@ class TestValue:
         a = 10.0 ** rng.uniform(-30.0, -1e-3, n)
         want = [probit.value_probit_array(*cell) for cell in zip(b, g, a)]
         np.testing.assert_array_equal(probit.value_probit_array(b, g, a), want)
+
+    def test_array_is_elementwise(self):
+        # the analytic branches gamma_s = 0, gamma_s = 1 and alpha = 1 included
+        bs = [1e-6, 0.1, 0.5, 0.9]
+        gs = [0.0, 0.3, 0.9999, 1.0]
+        alphas = [1e-30, 0.02, 0.5, 0.97, 1.0]
+        b, g, a = np.meshgrid(bs, gs, alphas, indexing="ij")
+        want = [[[probit.value_probit_array(x, y, z) for z in alphas] for y in gs] for x in bs]
+        np.testing.assert_array_equal(probit.value_probit_array(b, g, a), want)
+        np.testing.assert_array_equal(
+            probit.value_probit_array(np.array(bs)[:, None, None], g[0], alphas), want)
+        np.testing.assert_array_equal(probit.value_probit_array(bs[2], g[2], alphas), want[2])
+
+    def test_symmetries_and_closed_forms(self):
+        v = probit.value_probit_array
+        for rho in (0.0, 0.1, 0.3, 0.5, 0.9, 0.9999, 1.0):
+            # Phi_2(0, 0; rho) = 1/4 + asin(rho) / (2 pi)
+            assert v(0.5, rho, 0.5) == pytest.approx(0.25 + math.asin(rho) / (2 * math.pi),
+                                                     rel=1e-14)
+            for b, alpha in ((0.1, 0.02), (1e-3, 1e-4), (0.9, 0.8), (0.3, 0.3)):
+                # Phi_2 is symmetric in h and k, and
+                # Phi_2(-h, -k; rho) = 1 - Phi(h) - Phi(k) + Phi_2(h, k; rho)
+                assert v(alpha, rho, b) == pytest.approx(v(b, rho, alpha), rel=1e-13)
+                assert v(1 - b, rho, 1 - alpha) == pytest.approx(
+                    1 - alpha - b + v(b, rho, alpha), rel=0.0, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-6, 1.0 - 1e-6), st.floats(0.0, 0.999), st.floats(1e-6, 1.0 - 1e-6))
+    def test_agrees_with_scipy(self, b, gs, alpha):
+        # scipy's bivariate normal CDF (Genz's algorithm) as a second oracle
+        cov = [[1.0, gs], [gs, 1.0]]
+        want = multivariate_normal([0.0, 0.0], cov, abseps=1e-14, releps=1e-14).cdf(
+            [gaussian.quantile(alpha), gaussian.quantile(b)])
+        assert value_probit(ProbitParams(b, gs), alpha) == pytest.approx(
+            float(want), rel=1e-9, abs=1e-14)
 
     def test_domain(self):
         with pytest.raises(DomainError):
