@@ -69,13 +69,13 @@ def _cut(threshold: float) -> np.uint64:
     """The splitmix64 output below which z_s < threshold for certain.
 
     z_s >= threshold can only hold where the uniform is above
-    ndtr(threshold) - 1e-9: a 1e-9 shift of the uniform moves z_s by at
+    cdf(threshold) - 1e-9: a 1e-9 shift of the uniform moves z_s by at
     least 2.5e-9, far more than the error of ndtri (up to about 6 ulps,
-    4e-14 at |z_s| < 38) or of ndtr, so no uniform below the cut can round
+    4e-14 at |z_s| < 38) or of cdf, so no uniform below the cut can round
     up to a z_s past the threshold.  It is computed once per call and
     shared by every block.
     """
-    return np.uint64(int(max(0.0, gaussian.ndtr(threshold) - 1e-9) * 2.0**53) << 11)
+    return np.uint64(int(max(0.0, gaussian.cdf(threshold) - 1e-9) * 2.0**53) << 11)
 
 
 def _treated(seed: int, start: int, count: int, threshold: float, cut: np.uint64):

@@ -1,10 +1,10 @@
 """Standard-normal special functions used throughout the package.
 
-Everything here is pure and stateless, and scalar except ``ndtr`` and
-``ndtri`` (below), :func:`pdf_array`, the unchecked density the linear
-array core shares with :func:`pdf`, and :func:`conditional_sd`, the
-gamma_t of both models.  The ``check_alpha_*`` functions hold the four
-access-level domains the models use.  The quantile is the one primitive
+Everything here is pure and stateless, and scalar except ``ndtri``
+(below), :func:`pdf_array`, the unchecked density the linear array core
+shares with :func:`pdf`, and :func:`conditional_sd`, the gamma_t of both
+models.  The ``check_alpha_*`` functions hold the four access-level
+domains the models use.  The quantile is the one primitive
 the rest of the package leans on (thresholds, closed forms and the Monte
 Carlo sampler all use it), and it meets a tight round-trip contract:
 
@@ -12,13 +12,13 @@ Carlo sampler all use it), and it meets a tight round-trip contract:
 
 Implementation notes
 --------------------
-* The normal functions the array cores and the Monte Carlo kernel call,
-  ``ndtr`` (Phi) and ``ndtri`` (its inverse), are defined here with NumPy
-  and the standard library alone; no module of the package imports scipy.
-* ``cdf`` and ``sf`` are ``ndtr`` (``sf`` at -t, never ``1 - cdf``), the
-  CDF of the probit core and the Monte Carlo kernel: erfc from the C
-  library, within about 1e-14 relative of a 40-digit reference down to
-  the smallest normal doubles (``tests/data/reference.json``).
+* The normal functions are defined here with NumPy and the standard
+  library alone; no module of the package imports scipy.
+* ``cdf`` and ``sf`` share one ``_phi`` (``sf`` at -t, never
+  ``1 - cdf``), and the Monte Carlo kernel's cut calls ``cdf``: erfc from
+  the C library, within about 1e-14 relative of a 40-digit reference
+  down to the smallest normal doubles (``tests/data/reference.json``).
+  The probit core needs no Phi: Phi(quantile(alpha)) is alpha.
 * ``quantile`` is ``ndtri``, the same inverse CDF as the array closed
   forms and the Monte Carlo kernel: Wichura's AS 241, one coefficient
   table and one Horner helper for floats and arrays, an array running it
@@ -60,9 +60,9 @@ SQRT_2PI = 2.5066282746310002
 SQRT2 = 1.4142135623730951
 
 
-# Phi and its inverse take a float or an array.  An element of an
-# array goes through the same floating-point steps as that element passed
-# alone, so an array core's cell equals the scalar call at that cell.
+# Phi takes a float.  Its inverse, ``ndtri``, takes a float or an array, and
+# an element of an array goes through the same floating-point steps as that
+# element passed alone, so an array core's cell equals the scalar call there.
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
 _SQRT2_HI = _SPLIT * SQRT2 - (_SPLIT * SQRT2 - SQRT2)
@@ -85,13 +85,6 @@ def _phi(x: float) -> float:
     p_err = ((z_hi * _SQRT2_HI - p) + z_hi * _SQRT2_LO + z_lo * _SQRT2_HI) + z_lo * _SQRT2_LO
     d = ((-x - p) - p_err - z * _SQRT2_ERR) / SQRT2
     return 0.5 * math.erfc(z) * (1.0 - d * (2.0 * z + 1.0 / z))
-
-
-def ndtr(x):
-    """Standard normal CDF at a float or at every element of an array."""
-    if isinstance(x, np.ndarray) and x.ndim:
-        return np.fromiter(map(_phi, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return _phi(float(x))
 
 
 # Wichura's AS 241 (Appl. Statist. 37, 1988) as in CPython's statistics module: numerator

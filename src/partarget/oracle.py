@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, takewhile
 
 from . import gaussian
 from ._backend import linear_sums, probit_sums
@@ -180,22 +181,14 @@ def greedy_allocate(dist: DiscreteDistribution, alpha: float) -> Allocation:
     """
     check_alpha_closed(alpha)
     ranked = sorted(dist.atoms, key=lambda a: -a.cond_mean)
-    treated: list[str] = []
-    masses: list[float] = []
-    welfare_terms: list[float] = []
-    for atom in ranked:
-        if atom.cond_mean <= 0.0:
-            break
-        # exact prefix mass, so a budget equal to a prefix sum saturates
-        if math.fsum(masses + [atom.mass]) > alpha:
-            break
-        treated.append(atom.label)
-        masses.append(atom.mass)
-        welfare_terms.append(atom.mass * atom.cond_mean)
+    masses = [a.mass for a in takewhile(lambda a: a.cond_mean > 0.0, ranked)]
+    # The exact prefix mass (so a budget equal to a prefix sum saturates)
+    # grows with the prefix, so the longest prefix within alpha is a bisection.
+    n = bisect_right(range(1, len(masses) + 1), alpha, key=lambda i: math.fsum(masses[:i]))
     return Allocation(
-        treated=tuple(treated),
-        treated_mass=math.fsum(masses),
-        welfare=math.fsum(welfare_terms),
+        treated=tuple(a.label for a in ranked[:n]),
+        treated_mass=math.fsum(masses[:n]),
+        welfare=math.fsum(a.mass * a.cond_mean for a in ranked[:n]),
     )
 
 

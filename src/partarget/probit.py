@@ -12,15 +12,17 @@ treats the top alpha-quantile of z_s, giving
 the bivariate-normal orthant probability with h = quantile(alpha),
 k = m = quantile(b) and correlation rho = gamma_s.  It is Plackett's
 integral (Plackett 1954, "A reduction formula for normal multivariate
-integrals", Biometrika 41)
+integrals", Biometrika 41), with Phi(h) Phi(k) = alpha b:
 
-    Phi_2(h, k; rho) = Phi(h) Phi(k) + (1/2 pi) int_0^asin(rho) exp(-(h^2 + u^2)/2) dtheta
+    Phi_2(h, k; rho) = alpha b + (1/2 pi) int_0^asin(rho) exp(-(h^2 + u^2)/2) dtheta
 
 with u = (k - h sin theta)/cos theta, taken by a 48-point Gauss-Legendre
 rule in t = log((u + R)/(|h| + |k|)), R = sqrt(h^2 - k^2 + u^2), where
 dtheta = sech(t) dt, over the range where the Gaussian in u is above
 exp(-40.5) of its peak.  (In u itself the measure has a kink of width
 sqrt(h^2 - k^2) at u = 0 that a fixed rule misses when rho is near 1.)
+The core evaluates no Phi, and needs no branch at rho = 0: the range is
+empty there, and the value is alpha b exactly.
 :func:`value_probit_array` is the one numerical core, over arrays, and
 the scalar functions call it.  The derivative formulas below are exact
 and serve as independent cross-checks.
@@ -172,9 +174,9 @@ def value_probit_array(base_rate, gamma_s, alpha) -> np.ndarray | np.float64:
     broadcast inputs (a NumPy scalar when all three are scalars).
 
     Inputs are not validated: base_rate must lie in (0, 1), gamma_s in
-    [0, 1] and alpha in (0, 1].  gamma_s = 0, gamma_s = 1 and alpha = 1
-    take the analytic branches alpha * base_rate, min(alpha, base_rate)
-    and base_rate.
+    [0, 1] and alpha in (0, 1].  gamma_s = 1 and alpha = 1 take the
+    analytic branches min(alpha, base_rate) and base_rate; at gamma_s = 0
+    the integral's range is empty, so the value is alpha * base_rate.
 
     Against 40-digit values the relative error is below 3e-14 for alpha
     from 1e-30 to 0.9, base_rate from 1e-6 to 0.9 and gamma_s up to
@@ -201,23 +203,21 @@ def value_probit_array(base_rate, gamma_s, alpha) -> np.ndarray | np.float64:
         t1, t_cut = -np.arctanh(sr), np.log((cut + np.sqrt(d2 + cut * cut)) / a)
         lo = np.maximum(0.5 * (t1 - abs(t1)), np.log(d2 / (a * a)) - t_cut)
         half = 0.5 * (np.minimum(0.5 * (t1 + abs(t1)), t_cut) - lo)
-        v = gaussian.ndtr(h) * gaussian.ndtr(k) + _node_sum(lo, half, a, d2, -0.5 * big * big)
+        v = alpha * b + _node_sum(lo, half, a, d2, -0.5 * big * big)
         # Limits and analytic branches, patched only where they occur.
-        edge = (big == 0.0) | (rho == 0.0) | (rho == 1.0) | (alpha == 1.0)
+        edge = (big == 0.0) | (rho == 1.0) | (alpha == 1.0)
         if edge.any():
             v = np.where(big == 0.0, 0.25 + np.arcsin(rho) / (2.0 * math.pi), v)
             v = np.where(alpha == 1.0, b, v)
             v = np.where(rho == 1.0, np.minimum(alpha, b), v)
-            v = np.where(rho == 0.0, alpha * b, v)
     return v
 
 
 def value_probit(p: ProbitParams, alpha: float) -> float:
     """Expected welfare of the optimal policy at access level alpha.
 
-    Degenerate predictors get analytic branches: gamma_s = 0 gives
-    alpha * base_rate, gamma_s = 1 gives min(alpha, base_rate), and
-    alpha = 1 gives base_rate exactly.
+    gamma_s = 0 gives alpha * base_rate, gamma_s = 1 gives
+    min(alpha, base_rate), and alpha = 1 gives base_rate, all exactly.
     """
     check_alpha_open_closed(alpha)
     return float(value_probit_array(p.base_rate, p.gamma_s, alpha))

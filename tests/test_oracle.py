@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,7 +160,49 @@ class TestSimulateProbit:
         assert a == b
 
 
+def sequential_allocate(dist: DiscreteDistribution, alpha: float) -> Allocation:
+    """The greedy rule atom by atom, with the running prefix mass kept exactly."""
+    treated, mass = [], Fraction(0)
+    for atom in sorted(dist.atoms, key=lambda a: -a.cond_mean):
+        if atom.cond_mean <= 0.0 or float(mass + Fraction(atom.mass)) > alpha:
+            break
+        treated.append(atom)
+        mass += Fraction(atom.mass)
+    return Allocation(treated=tuple(a.label for a in treated), treated_mass=float(mass),
+                      welfare=math.fsum(a.mass * a.cond_mean for a in treated))
+
+
+def prefix_budgets(dist: DiscreteDistribution, k: int) -> list[float]:
+    """The mass of the first k atoms in rank order, and the doubles on either side."""
+    ranked = sorted(dist.atoms, key=lambda a: -a.cond_mean)
+    mass = math.fsum(a.mass for a in ranked[:k])
+    return [math.nextafter(mass, 0.0), mass, math.nextafter(mass, 2.0)]
+
+
 class TestGreedyAllocate:
+    def test_equals_the_sequential_rule(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            dist = make_distribution(rng, n)
+            if rng.random() < 0.5:  # tied means, which keep their input order
+                dist = DiscreteDistribution(tuple(
+                    Atom(a.label, a.mass, float(np.round(a.cond_mean))) for a in dist.atoms))
+            budgets = [0.0, 1.0, float(rng.uniform())]
+            budgets += prefix_budgets(dist, int(rng.integers(0, n + 1)))
+            for alpha in budgets:
+                alpha = min(alpha, 1.0)
+                assert greedy_allocate(dist, alpha) == sequential_allocate(dist, alpha)
+
+    def test_hundred_thousand_atoms(self):
+        rng = np.random.default_rng(43)
+        dist = make_distribution(rng, 100_000)
+        below, mass, _ = prefix_budgets(dist, 20_000)
+        saturated = greedy_allocate(dist, mass)
+        assert len(saturated.treated) == 20_000
+        assert saturated == sequential_allocate(dist, mass)
+        assert greedy_allocate(dist, below) == sequential_allocate(dist, below)
+
     def test_all_negative_means(self):
         dist = DiscreteDistribution((Atom("a", 0.5, -1.0), Atom("b", 0.5, -0.1)))
         alloc = greedy_allocate(dist, 1.0)

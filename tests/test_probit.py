@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 from scipy.stats import multivariate_normal
@@ -410,9 +410,20 @@ class TestValueProperties:
     def test_positive_and_below_alpha_and_base_rate(self, b, gs, alpha):
         v = value_probit(ProbitParams(b, gs), alpha)
         assert 0.0 < v <= min(alpha, b) * (1.0 + RTOL)
+        # Plackett's integral is non-negative for gamma_s >= 0
+        assert alpha * b <= v
 
     @settings(max_examples=200, deadline=None)
     @given(unit, unit, st.floats(0.0, 1.0))
+    # down to the smallest subnormal, where gamma_s = 0 is alpha * b with no branch
+    @example(5e-324, 5e-324, 0.5)
+    @example(1e-310, 0.5, 0.3)
+    @example(0.5, 1e-310, 0.9999)
+    @example(2.2250738585072014e-308, 2.2250738585072014e-308, 0.7)
+    @example(0.5, 0.5, 0.0)
+    @example(math.nextafter(1.0, 0.0), 5e-324, 0.1)
+    @example(5e-324, math.nextafter(1.0, 0.0), 0.1)
+    @example(math.nextafter(1.0, 0.0), math.nextafter(1.0, 0.0), 0.99)
     def test_boundary_identities(self, b, alpha, gs):
         assert value_probit(ProbitParams(b, 0.0), alpha) == alpha * b
         assert value_probit(ProbitParams(b, 1.0), alpha) == min(alpha, b)
