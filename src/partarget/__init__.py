@@ -3,6 +3,7 @@ grids for budget-constrained statistical targeting.
 
 Modules:
 
+* :mod:`partarget.inputs` -- input types and checks, without NumPy.
 * :mod:`partarget.gaussian` -- standard-normal special functions.
 * :mod:`partarget.linear` -- closed forms for the continuous-welfare model.
 * :mod:`partarget.probit` -- Plackett-integral value for the binary model.
@@ -16,42 +17,35 @@ a counter-based splitmix64 stream makes sample i a pure function of
 sums are combined in block order, so a fixed seed gives bit-identical
 sums whatever the thread count.  ``partarget.MC_BACKEND`` names it
 (``"numpy"``).
+
+The errors are imported with the package and every other export on first
+access, so ``import partarget.cli`` loads no NumPy.
 """
 
-from ._backend import BACKEND as MC_BACKEND
-from .errors import (
-    DegenerateLeverError,
-    DomainError,
-    NumericsError,
-    PartargetError,
-    PreconditionError,
-    RegimeError,
-)
-from .gaussian import BoundPair
-from .grid import CostModel, GridResult, GridSpec
-from .linear import LeverDelta, LinearParams
-from .oracle import DiscreteDistribution, Estimate, SimConfig
-from .probit import ProbitParams
+import importlib
+
+from .errors import (DegenerateLeverError, DomainError, NumericsError, PartargetError,
+                     PreconditionError, RegimeError)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MC_BACKEND",
-    "BoundPair",
-    "CostModel",
-    "DegenerateLeverError",
-    "DiscreteDistribution",
-    "DomainError",
-    "Estimate",
-    "GridResult",
-    "GridSpec",
-    "LeverDelta",
-    "LinearParams",
-    "NumericsError",
-    "PartargetError",
-    "PreconditionError",
-    "ProbitParams",
-    "RegimeError",
-    "SimConfig",
-    "__version__",
-]
+# The module that holds each export imported on first access (PEP 562).
+_LAZY = {"MC_BACKEND": "_backend", "BoundPair": "gaussian", "CostModel": "inputs",
+         "DiscreteDistribution": "inputs", "Estimate": "oracle", "GridResult": "grid",
+         "GridSpec": "inputs", "LeverDelta": "inputs", "LinearParams": "linear",
+         "ProbitParams": "probit", "SimConfig": "oracle"}
+
+__all__ = ["DegenerateLeverError", "DomainError", "NumericsError", "PartargetError",
+           "PreconditionError", "RegimeError", "__version__", *_LAZY]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module("." + _LAZY[name], __name__)
+    globals()[name] = value = getattr(module, "BACKEND" if name == "MC_BACKEND" else name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

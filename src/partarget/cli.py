@@ -8,6 +8,9 @@ byte-identical output.
 Exit codes: 0 success, 2 domain/precondition violations and bad usage,
 1 internal numerical failure (including a failed `verify`) or an output
 failure: stdout closed, a full disk, or a reader that left part-way.
+
+Importing this module loads no NumPy: a handler that computes imports
+``grid`` or ``oracle`` when it runs, after its input has been checked.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import os
 import sys
 from typing import NoReturn
 
-from . import grid as grid_mod, linear, oracle
+from . import inputs
 from .errors import DomainError, NumericsError, PartargetError
 
 __all__ = ["main", "run"]
@@ -37,7 +40,7 @@ def _lines(*lines: str) -> bytes:
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", required=True, choices=tuple(grid_mod.MODELS))
+    sub.add_argument("--model", required=True, choices=("linear", "probit"))
     sub.add_argument("--mu", type=float, help="mean welfare improvement (linear only)")
     sub.add_argument("--beta-norm", type=float,
                      help="welfare standard deviation (linear only)")
@@ -56,9 +59,10 @@ def _add_delta_flags(sub: argparse.ArgumentParser) -> None:
                      help="proposed prediction increment")
 
 
-def _model(args: argparse.Namespace) -> tuple[grid_mod.Model, object]:
+def _model(args: argparse.Namespace):
     """The model's functions and its parameters, from the flags."""
-    return grid_mod.MODELS[args.model], grid_mod.model_params(
+    from .grid import MODELS
+    return MODELS[args.model], inputs.model_params(
         args.model, args.gamma_s, args.mu, args.beta_norm, args.base_rate)
 
 
@@ -69,13 +73,13 @@ def _cmd_value(args: argparse.Namespace) -> tuple[int, bytes]:
 
 def _cmd_par(args: argparse.Namespace) -> tuple[int, bytes]:
     model, p = _model(args)
-    d = linear.LeverDelta(args.delta_alpha, args.delta_r2)
+    d = inputs.LeverDelta(args.delta_alpha, args.delta_r2)
     return 0, _lines(_fmt(model.par(p, args.alpha, d), args.machine))
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[int, bytes]:
     model, p = _model(args)
-    d = linear.LeverDelta(args.delta_alpha, args.delta_r2)
+    d = inputs.LeverDelta(args.delta_alpha, args.delta_r2)
     pair = (model.bounds(p, args.alpha, d) if args.eps is None
             else model.bounds(p, args.alpha, d, args.eps))
     exact = model.par(p, args.alpha, d)
@@ -85,7 +89,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, bytes]:
                      f"contained {'yes' if pair.contains(exact) else 'no'}")
 
 
-def _grid_spec_from_args(args: argparse.Namespace) -> grid_mod.GridSpec:
+def _grid_spec_from_args(args: argparse.Namespace) -> inputs.GridSpec:
     if args.spec is not None:
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
@@ -94,7 +98,7 @@ def _grid_spec_from_args(args: argparse.Namespace) -> grid_mod.GridSpec:
             raise DomainError(f"cannot read grid spec {args.spec!r}: {exc.strerror}") from exc
         except ValueError as exc:  # invalid JSON or invalid UTF-8
             raise DomainError(f"grid spec {args.spec!r} is not valid JSON: {exc}") from exc
-        return grid_mod.GridSpec.from_dict(doc)
+        return inputs.GridSpec.from_dict(doc)
     required = ("model", "alpha_lo", "alpha_hi", "gamma_lo", "gamma_hi",
                 "delta_alpha", "delta_r2", "cost_access", "cost_prediction")
     missing = [name for name in required if getattr(args, name) is None]
@@ -103,17 +107,19 @@ def _grid_spec_from_args(args: argparse.Namespace) -> grid_mod.GridSpec:
         raise DomainError(f"grid needs either --spec or all of: {flags}")
     # The flags' dest names are the spec's field names; from_dict ignores
     # the others (format, out, ...) and fills in the defaults.
-    return grid_mod.GridSpec.from_dict({k: v for k, v in vars(args).items() if v is not None})
+    return inputs.GridSpec.from_dict({k: v for k, v in vars(args).items() if v is not None})
 
 
 def _cmd_grid(args: argparse.Namespace) -> tuple[int, bytes]:
-    result = grid_mod.sweep_grid(_grid_spec_from_args(args))
-    return 0, grid_mod.serialize_grid(result, args.format)
+    spec = _grid_spec_from_args(args)  # a refused spec never loads NumPy
+    from .grid import serialize_grid, sweep_grid
+    return 0, serialize_grid(sweep_grid(spec), args.format)
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, bytes]:
+    from .oracle import Estimate, SimConfig
     model, p = _model(args)
-    cfg = oracle.SimConfig(samples=args.samples, seed=args.seed)
+    cfg = SimConfig(samples=args.samples, seed=args.seed)
     target = model.value(p, args.alpha)
     est = model.simulate(p, args.alpha, cfg)
     judged = est
@@ -123,7 +129,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, bytes]:
         var = model.second_moment(p, args.alpha) - target * target
         if not var < math.inf:
             raise NumericsError(f"the closed-form spread at the value {target!r} overflows")
-        judged = oracle.Estimate(est.mean, math.sqrt(var / est.samples), est.samples)
+        judged = Estimate(est.mean, math.sqrt(var / est.samples), est.samples)
     m = args.machine
     z = judged.z_score(target)
     ok = judged.within(target, 4.0)
@@ -133,7 +139,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, bytes]:
         f"result {'pass' if ok else 'fail'} (4 standard errors)")
 
 
-def _read_distribution(path: str) -> oracle.DiscreteDistribution:
+def _read_distribution(path: str) -> inputs.DiscreteDistribution:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
@@ -151,24 +157,24 @@ def _read_distribution(path: str) -> oracle.DiscreteDistribution:
     atoms = []
     for row in reader:
         try:
-            atoms.append(oracle.Atom(
+            atoms.append(inputs.Atom(
                 label=row["label"],
                 mass=float(row["mass"]),
                 cond_mean=float(row["cond_mean"]),
             ))
         except (TypeError, ValueError) as exc:
             raise DomainError(f"malformed distribution row {row!r}") from exc
-    return oracle.DiscreteDistribution(tuple(atoms))
+    return inputs.DiscreteDistribution(tuple(atoms))
 
 
 def _cmd_allocate(args: argparse.Namespace) -> tuple[int, bytes]:
     dist = _read_distribution(args.dist)
-    alloc = oracle.greedy_allocate(dist, args.alpha)
+    alloc = inputs.greedy_allocate(dist, args.alpha)
     m = args.machine
     lines = [f"treated {','.join(alloc.treated) if alloc.treated else '(none)'}",
              f"treated_mass {_fmt(alloc.treated_mass, m)}", f"welfare {_fmt(alloc.welfare, m)}"]
     if args.brute_force:
-        best = oracle.brute_force_allocate(dist, args.alpha)
+        best = inputs.brute_force_allocate(dist, args.alpha)
         lines += [f"brute_force_treated {','.join(best.treated) if best.treated else '(none)'}",
                   f"brute_force_welfare {_fmt(best.welfare, m)}"]
     return 0, _lines(*lines)
@@ -239,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("grid", help="cost-benefit grid sweep with contour")
     sub.add_argument("--spec", help="JSON grid spec file (overrides flags)")
-    sub.add_argument("--model", choices=tuple(grid_mod.MODELS))
+    sub.add_argument("--model", choices=("linear", "probit"))
     # The spec's numeric fields in its order; each dest is the field's name.
     for name in ("mu", "beta_norm", "base_rate", "alpha_lo", "alpha_hi", "alpha_count",
                  "gamma_lo", "gamma_hi", "gamma_count", "delta_alpha", "delta_r2",

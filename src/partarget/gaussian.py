@@ -3,10 +3,10 @@
 Everything here is pure and stateless, and scalar except ``ndtri``
 (below), :func:`pdf_array`, the unchecked density the linear array core
 shares with :func:`pdf`, and :func:`conditional_sd`, the gamma_t of both
-models.  The ``check_alpha_*`` functions hold the four access-level
-domains the models use.  The quantile is the one primitive
-the rest of the package leans on (thresholds, closed forms and the Monte
-Carlo sampler all use it), and it meets a tight round-trip contract:
+models.  The four ``check_alpha_*`` domain checks live in ``inputs``
+and are importable from here.  The quantile is the one primitive the rest
+of the package leans on (thresholds, closed forms and the Monte Carlo
+sampler all use it), and it meets a tight round-trip contract:
 
     |cdf(quantile(p)) - p| <= 1e-12   for p in [1e-10, 1 - 1e-10].
 
@@ -37,7 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, PreconditionError, RegimeError
+from .errors import DomainError, NumericsError, PreconditionError
+from .inputs import (_reject_nan, check_alpha_closed, check_alpha_half, check_alpha_open,
+                     check_alpha_open_closed)
 
 __all__ = [
     "BoundPair",
@@ -201,30 +203,6 @@ class BoundPair:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-
-def _reject_nan(x: float, name: str) -> None:
-    if math.isnan(x):
-        raise DomainError(f"{name} is NaN")
-
-
-def _alpha_check(inside, domain: str, error=DomainError, why: str = ""):
-    """The check that alpha lies in ``domain``, which ``inside`` tests."""
-    def check(alpha: float) -> None:
-        _reject_nan(alpha, "alpha")
-        if not inside(alpha):
-            raise error(f"alpha must lie in {domain}, got {alpha!r}{why}")
-    return check
-
-
-# The four access-level domains of the models and oracles.  Above 1/2 the
-# linear model's positivity constraint binds, so its regime is (0, 0.5).
-check_alpha_half = _alpha_check(
-    lambda a: 0.0 < a < 0.5, "(0, 0.5)", RegimeError,
-    " (above 0.5 the positivity constraint binds and the closed form does not apply)")
-check_alpha_open = _alpha_check(lambda a: 0.0 < a < 1.0, "(0, 1)")
-check_alpha_open_closed = _alpha_check(lambda a: 0.0 < a <= 1.0, "(0, 1]")
-check_alpha_closed = _alpha_check(lambda a: 0.0 <= a <= 1.0, "[0, 1]")
 
 
 def conditional_sd(rho):

@@ -9,7 +9,9 @@ preconditions fail carry an explicit skip status, mapped from the core's
 status codes, instead of fabricated numbers.  The indifference contour
 (where the cost-benefit ratio crosses 1) is interpolated per alpha column.
 The cells are one NumPy record array, which the contour search and the
-serializers read column by column.
+serializers read column by column.  The spec, the lever costs and
+:func:`model_params` are defined in ``inputs``, without NumPy, so a command
+checks its spec before it loads NumPy; they are importable from here too.
 
 Everything is deterministic: cells are laid out in row-major order with
 alpha as the outer axis, and serialization uses fixed formats, so two
@@ -20,15 +22,15 @@ from __future__ import annotations
 
 import io
 import json
-import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linear, oracle, probit
 from .errors import DomainError, PartargetError
-from .linear import PAR_OK, PAR_REGIME, LeverDelta
+from .inputs import MAX_CELLS, CostModel, GridSpec, LeverDelta, cost_benefit, model_params
+from .linear import PAR_OK, PAR_REGIME
 
 __all__ = [
     "CostModel",
@@ -48,59 +50,6 @@ STATUS_SKIPPED_DEGENERATE = "skipped-degenerate"
 STATUS_SKIPPED_REGIME = "skipped-regime"
 
 CSV_HEADER = "alpha,gamma_s,par,cost_benefit,cost_benefit_clipped,status"
-
-# Largest alpha_count * gamma_count a spec may ask for.  A sweep holds every
-# cell in memory at once; 10**6 cells take about 0.5 GB with their output.
-MAX_CELLS = 10**6
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Marginal costs of the two levers: raising access and raising
-    prediction by their respective unit increments."""
-
-    cost_access: float
-    cost_prediction: float
-
-    def __post_init__(self) -> None:
-        for name in ("cost_access", "cost_prediction"):
-            val = getattr(self, name)
-            if math.isnan(val) or not val > 0.0 or math.isinf(val):
-                raise DomainError(f"{name} must be finite and positive, got {val!r}")
-
-
-def cost_benefit(par: float, cm: CostModel) -> float:
-    """Cost-benefit ratio of expanding access: par * cost_prediction / cost_access.
-
-    Above 1, access is the cost-efficient lever; below 1, prediction is.
-    """
-    if math.isnan(par) or not par > 0.0:
-        raise DomainError(f"par must be positive, got {par!r}")
-    cb = par * cm.cost_prediction / cm.cost_access
-    if not math.isfinite(cb):
-        raise DomainError(f"cost-benefit ratio of par {par!r} overflows")
-    return cb
-
-
-def model_params(model: str, gamma_s: float, mu: float | None = None,
-                 beta_norm: float | None = None, base_rate: float | None = None):
-    """The parameters of one model at gamma_s: LinearParams from mu and
-    beta_norm, or ProbitParams from base_rate.  An unknown model, a missing
-    parameter and a parameter of the other model raise DomainError."""
-    if model == "linear":
-        if base_rate is not None:
-            raise DomainError("base_rate is only valid with the probit model")
-        if mu is None or beta_norm is None:
-            raise DomainError("linear model requires mu and beta_norm")
-        return linear.LinearParams(mu, beta_norm, gamma_s)
-    if model == "probit":
-        if mu is not None or beta_norm is not None:
-            raise DomainError("mu/beta_norm are only valid with the linear model")
-        if base_rate is None:
-            raise DomainError("probit model requires base_rate")
-        return probit.ProbitParams(base_rate, gamma_s)
-    raise DomainError(f"model must be 'linear' or 'probit', got {model!r}")
-
 
 # One model's functions, each taking its model_params first: value(p, alpha),
 # par(p, alpha, deltas), par_array(p, gamma_s, alpha, deltas) -> (par, status),
@@ -126,149 +75,6 @@ MODELS = {
         lambda p, g, a, d: probit.par_probit_array(p.base_rate, g, a, d),
         probit.par_probit_bounds, oracle.simulate_probit_value, probit.value_probit),
 }
-
-
-def _axis(lo: float, hi: float, n: int, spacing: str) -> tuple[float, ...]:
-    """n points from lo to hi, evenly or geometrically spaced, ends exact."""
-    if spacing == "log":
-        ratio = hi / lo
-        vals = [lo * ratio ** (i / (n - 1)) for i in range(n)]
-    else:
-        vals = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    vals[0], vals[-1] = float(lo), float(hi)
-    return tuple(vals)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Full description of one grid sweep; echoed into every output."""
-
-    model: str
-    alpha_lo: float
-    alpha_hi: float
-    alpha_count: int
-    gamma_lo: float
-    gamma_hi: float
-    gamma_count: int
-    deltas: LeverDelta
-    costs: CostModel
-    mu: float | None = None
-    beta_norm: float | None = None
-    base_rate: float | None = None
-    clip_lo: float = 0.5
-    clip_hi: float = 2.0
-    alpha_spacing: str = "log"
-
-    def __post_init__(self) -> None:
-        if self.alpha_count < 2 or self.gamma_count < 2:
-            raise DomainError("each axis needs at least 2 cells")
-        if self.alpha_count * self.gamma_count > MAX_CELLS:
-            raise DomainError(f"grid has {self.alpha_count} x {self.gamma_count} cells; "
-                              f"at most {MAX_CELLS} are allowed")
-        if self.deltas.delta_alpha == 0.0:
-            raise DomainError("delta_alpha must be positive for a grid: a zero access "
-                              "step gives a zero PAR, which cannot be priced")
-        if not 0.0 < self.alpha_lo <= self.alpha_hi < 1.0:
-            raise DomainError(f"alpha range [{self.alpha_lo!r}, {self.alpha_hi!r}] "
-                              "must lie in (0, 1)")
-        if not 0.0 <= self.gamma_lo <= self.gamma_hi <= 1.0:
-            raise DomainError(f"gamma range [{self.gamma_lo!r}, {self.gamma_hi!r}] "
-                              "must lie in [0, 1]")
-        ratio = self.costs.cost_prediction / self.costs.cost_access
-        if not 0.0 < ratio < math.inf:
-            raise DomainError(f"cost ratio cost_prediction / cost_access = {ratio!r} "
-                              "must be finite and positive")
-        if not self.clip_lo < self.clip_hi:
-            raise DomainError("clip_lo must be strictly below clip_hi")
-        if self.alpha_spacing not in ("log", "linear"):
-            raise DomainError("alpha_spacing must be 'log' or 'linear', "
-                              f"got {self.alpha_spacing!r}")
-        # The model parameters are shared by every cell, so a bad one is
-        # refused here rather than turning each cell into a skip.
-        self.params()
-        # What the axes and the JSON output cannot hold.
-        for name, lo, hi in (("alpha", self.alpha_lo, self.alpha_hi),
-                             ("gamma", self.gamma_lo, self.gamma_hi)):
-            if lo == hi:
-                raise DomainError(f"{name} range is degenerate with count >= 2")
-        if self.alpha_spacing == "log" and not self.alpha_hi / self.alpha_lo < math.inf:
-            raise DomainError(f"alpha range [{self.alpha_lo!r}, {self.alpha_hi!r}] is too "
-                              "wide for log spacing: alpha_hi / alpha_lo overflows")
-        if math.isinf(self.clip_lo) or math.isinf(self.clip_hi):
-            raise DomainError(f"clip bounds [{self.clip_lo!r}, {self.clip_hi!r}] "
-                              "must be finite")
-
-    def params(self):
-        """The model's parameters at gamma_lo (:func:`model_params`)."""
-        return model_params(self.model, self.gamma_lo, self.mu, self.beta_norm,
-                            self.base_rate)
-
-    def alphas(self) -> tuple[float, ...]:
-        return _axis(self.alpha_lo, self.alpha_hi, self.alpha_count, self.alpha_spacing)
-
-    def gammas(self) -> tuple[float, ...]:
-        return _axis(self.gamma_lo, self.gamma_hi, self.gamma_count, "linear")
-
-    def to_dict(self) -> dict:
-        """The fields in order, with deltas and costs flattened into theirs."""
-        d = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            d.update(asdict(val) if is_dataclass(val) else {f.name: val})
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        """Build a spec from its :meth:`to_dict` form, as read from a JSON
-        spec file or gathered from the ``grid`` flags.
-
-        Types are checked strictly: a count must be an integer and every
-        other numeric field a number, so booleans, strings and fractional
-        counts are refused rather than coerced.  Unknown keys are ignored.
-        """
-        if not isinstance(d, dict):
-            raise DomainError(f"grid spec must be a JSON object, got {type(d).__name__}")
-
-        def required(name: str):
-            if name not in d:
-                raise DomainError(f"grid spec is missing field {name!r}")
-            return d[name]
-
-        def count(name: str) -> int:
-            val = required(name)
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise DomainError(f"grid spec field {name!r} must be an integer, got {val!r}")
-            return val
-
-        def number(name: str, default: float | None = None) -> float:
-            val = required(name) if default is None else d.get(name, default)
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise DomainError(f"grid spec field {name!r} must be a number, got {val!r}")
-            try:
-                return float(val)
-            except OverflowError as exc:
-                raise DomainError(f"grid spec field {name!r} is out of range") from exc
-
-        def optional(name: str) -> float | None:
-            return None if d.get(name) is None else number(name)
-
-        return cls(
-            model=required("model"),
-            alpha_lo=number("alpha_lo"),
-            alpha_hi=number("alpha_hi"),
-            alpha_count=count("alpha_count"),
-            gamma_lo=number("gamma_lo"),
-            gamma_hi=number("gamma_hi"),
-            gamma_count=count("gamma_count"),
-            deltas=LeverDelta(number("delta_alpha"), number("delta_r2")),
-            costs=CostModel(number("cost_access"), number("cost_prediction")),
-            mu=optional("mu"),
-            beta_norm=optional("beta_norm"),
-            base_rate=optional("base_rate"),
-            clip_lo=number("clip_lo", cls.clip_lo),
-            clip_hi=number("clip_hi", cls.clip_hi),
-            alpha_spacing=d.get("alpha_spacing", cls.alpha_spacing),
-        )
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ closed form above no longer applies, so those inputs are rejected.
 :func:`value_linear_array` and :func:`par_linear_array` evaluate whole
 arrays of cells, and :func:`value_linear` and :func:`par_linear_exact`
 call them, so a grid cell and a scalar call give the same bits.
+The lever steps, :class:`LeverDelta`, are defined in ``inputs`` (no NumPy)
+and importable from here too.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .errors import (
     RegimeError,
 )
 from .gaussian import BoundPair, check_alpha_half, check_alpha_closed, pdf_array
+from .inputs import LeverDelta
 
 __all__ = [
     "LinearParams",
@@ -85,24 +88,6 @@ class LinearParams:
 
     def with_gamma_s(self, gamma_s: float) -> "LinearParams":
         return LinearParams(self.mu, self.beta_norm, gamma_s)
-
-
-@dataclass(frozen=True)
-class LeverDelta:
-    """Proposed increments to the two policy levers.
-
-    delta_alpha raises the access budget; delta_r2 raises the prediction
-    level gamma_s.  A ratio of marginal gains needs delta_r2 > 0.
-    """
-
-    delta_alpha: float
-    delta_r2: float
-
-    def __post_init__(self) -> None:
-        for name in ("delta_alpha", "delta_r2"):
-            val = getattr(self, name)
-            if math.isnan(val) or val < 0.0 or not math.isfinite(val):
-                raise DomainError(f"{name} must be finite and >= 0, got {val!r}")
 
 
 # Per-cell status codes of par_linear_array and par_probit_array.

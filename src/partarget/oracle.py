@@ -1,6 +1,6 @@
 """Independent verification oracles for the closed forms.
 
-Two kinds of ground truth live here:
+Two kinds of ground truth are reached from here:
 
 * Monte Carlo policy simulation for both welfare models, run on the
   NumPy kernel in ``_backend``: sample i is a pure function of (seed, i),
@@ -10,9 +10,10 @@ Two kinds of ground truth live here:
   so the oracle itself is testable.
 * An exact allocator for finitely supported feature distributions: the
   greedy quantile policy plus an exhaustive brute-force optimum to check
-  it against.  With deterministic 0/1 policies on atoms the budget can
-  fail to bind exactly, so greedy may fall short of brute force by at
-  most (max conditional mean) * (largest atom mass); callers relying on
+  it against, defined without NumPy in ``inputs`` and importable from
+  here.  With deterministic 0/1 policies on atoms the budget can fail to
+  bind exactly, so greedy may fall short of brute force by at most
+  (max conditional mean) * (largest atom mass); callers relying on
   equality should use instances whose treated prefix saturates exactly.
 """
 
@@ -20,14 +21,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, takewhile
 
 from . import gaussian
 from ._backend import linear_sums, probit_sums
 from .errors import DomainError, NumericsError
-from .gaussian import check_alpha_closed, check_alpha_half, check_alpha_open_closed
+from .gaussian import check_alpha_half, check_alpha_open_closed
+from .inputs import Allocation, Atom, DiscreteDistribution, brute_force_allocate, greedy_allocate
 from .linear import LinearParams
 from .probit import ProbitParams
 
@@ -46,7 +46,6 @@ __all__ = [
     "brute_force_allocate",
 ]
 
-_MASS_TOL = 1e-12
 MIN_SAMPLES = 10_000
 # Ceiling on one simulation: 1e9 samples take about 15 s at alpha = 0.02 and
 # 70 s at alpha = 1 on two cores (every sample is then treated).
@@ -90,46 +89,6 @@ class Estimate:
         return abs(self.mean - target) <= n_se * self.std_error
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One support point of a discrete feature distribution."""
-
-    label: str
-    mass: float
-    cond_mean: float
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """A finitely supported feature distribution with conditional means."""
-
-    atoms: tuple[Atom, ...]
-
-    def __post_init__(self) -> None:
-        if not self.atoms:
-            raise DomainError("distribution must have at least one atom")
-        labels = [a.label for a in self.atoms]
-        if len(set(labels)) != len(labels):
-            raise DomainError("atom labels must be distinct")
-        for a in self.atoms:
-            if not a.mass > 0.0 or math.isnan(a.mass):
-                raise DomainError(f"atom {a.label!r} has nonpositive mass {a.mass!r}")
-            if math.isnan(a.cond_mean) or math.isinf(a.cond_mean):
-                raise DomainError(f"atom {a.label!r} has non-finite mean")
-        total = math.fsum(a.mass for a in self.atoms)
-        if abs(total - 1.0) > _MASS_TOL:
-            raise DomainError(f"atom masses sum to {total!r}, not 1")
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """A deterministic 0/1 assignment over atoms and its total welfare."""
-
-    treated: tuple[str, ...]
-    treated_mass: float
-    welfare: float
-
-
 def _estimate(total: float, total_sq: float, n: int) -> Estimate:
     if not (math.isfinite(total_sq) and math.isfinite(total * total)):
         raise NumericsError(
@@ -170,45 +129,3 @@ def linear_second_moment(p: LinearParams, alpha: float) -> float:
     t, g = gaussian.upper_quantile(alpha), gaussian.phi_of_quantile(alpha)
     a, c = p.gamma_s * p.beta_norm, p.gamma_t * p.beta_norm
     return a * a * (alpha + t * g) + (c * c + p.mu * p.mu) * alpha + 2.0 * a * p.mu * g
-
-
-def greedy_allocate(dist: DiscreteDistribution, alpha: float) -> Allocation:
-    """Quantile-threshold policy on a discrete distribution.
-
-    Treats atoms in descending conditional mean (stable on ties) while
-    the mean is positive and the running mass stays within alpha; stops
-    at the first atom that would overflow the budget.
-    """
-    check_alpha_closed(alpha)
-    ranked = sorted(dist.atoms, key=lambda a: -a.cond_mean)
-    masses = [a.mass for a in takewhile(lambda a: a.cond_mean > 0.0, ranked)]
-    # The exact prefix mass (so a budget equal to a prefix sum saturates)
-    # grows with the prefix, so the longest prefix within alpha is a bisection.
-    n = bisect_right(range(1, len(masses) + 1), alpha, key=lambda i: math.fsum(masses[:i]))
-    return Allocation(
-        treated=tuple(a.label for a in ranked[:n]),
-        treated_mass=math.fsum(masses[:n]),
-        welfare=math.fsum(a.mass * a.cond_mean for a in ranked[:n]),
-    )
-
-
-def brute_force_allocate(dist: DiscreteDistribution, alpha: float) -> Allocation:
-    """Exhaustive optimum over all deterministic assignments (n <= 20)."""
-    check_alpha_closed(alpha)
-    n = len(dist.atoms)
-    if n > 20:
-        raise DomainError(f"brute force supports at most 20 atoms, got {n}")
-    best = Allocation(treated=(), treated_mass=0.0, welfare=0.0)
-    for size in range(1, n + 1):
-        for subset in combinations(dist.atoms, size):
-            mass = math.fsum(a.mass for a in subset)
-            if mass > alpha:
-                continue
-            welfare = math.fsum(a.mass * a.cond_mean for a in subset)
-            if welfare > best.welfare:
-                best = Allocation(
-                    treated=tuple(a.label for a in subset),
-                    treated_mass=mass,
-                    welfare=welfare,
-                )
-    return best

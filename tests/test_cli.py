@@ -856,3 +856,47 @@ class TestWithoutScipy:
                               env=stream_env())
         assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
         assert proc.returncode == 0 and proc.stdout
+
+
+SPEC_FIELDS = {"model": "linear", "mu": 1.0, "beta_norm": 10.0, **GRID_FIELDS}
+# Spec files of the four kinds that grid refuses as it reads them.
+BAD_SPECS = {"list": "[1, 2, 3]\n",
+             "non-numeric": json.dumps({**SPEC_FIELDS, "alpha_lo": "low"}),
+             "invalid-json": json.dumps(SPEC_FIELDS)[:-20],
+             "fractional-count": json.dumps({**SPEC_FIELDS, "alpha_count": 2.9})}
+
+
+class TestWithoutNumpy:
+    """Importing the CLI loads no NumPy, and the commands that compute
+    nothing with it run, with the output they have in process, in an
+    interpreter where importing numpy fails."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(COMMANDS["allocate"], id="allocate"),
+        *(pytest.param(["grid", "--spec", f"{{tmp}}/{name}.json"], id=f"spec-{name}")
+          for name in BAD_SPECS),
+        pytest.param(["grid", "--spec", "{tmp}/missing.json"], id="spec-missing"),
+        pytest.param(["--help"], id="help"),
+        pytest.param(["grid", "--help"], id="grid-help"),
+        pytest.param(["frobnicate"], id="unknown-subcommand"),
+    ])
+    def test_same_output(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal width
+        dist = tmp_path / "dist.csv"
+        dist.write_text("label,mass,cond_mean\na,0.25,2.0\nb,0.25,1.0\nc,0.5,-0.5\n")
+        for name, text in BAD_SPECS.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        argv = [arg.format(dist=dist, tmp=tmp_path) for arg in argv]
+        script = ("import sys\n"
+                  "sys.modules['numpy'] = None  # any import of numpy now raises\n"
+                  "from partarget import cli\n"
+                  f"sys.argv = ['partarget', *{argv!r}]\n"
+                  "cli.main()\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=stream_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        script = "import sys, partarget.cli; assert 'numpy' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
