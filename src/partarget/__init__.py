@@ -18,18 +18,22 @@ sums are combined in block order, so a fixed seed gives bit-identical
 sums whatever the thread count.  ``partarget.MC_BACKEND`` names it
 (``"numpy"``).
 
-The errors are imported with the package and every other export on first
+The errors are imported with the package; every other export, and every
+submodule (``partarget.grid`` after a bare ``import partarget``), on first
 access, so ``import partarget.cli`` loads no NumPy.
 """
 
-import importlib
+import sys
 
 from .errors import (DegenerateLeverError, DomainError, NumericsError, PartargetError,
                      PreconditionError, RegimeError)
 
 __version__ = "0.1.0"
 
-# The module that holds each export imported on first access (PEP 562).
+# The package's modules, and the one that holds each export, imported on
+# first access (PEP 562).
+_SUBMODULES = ("_backend", "cli", "errors", "gaussian", "grid", "inputs", "linear", "oracle",
+               "probit")
 _LAZY = {"MC_BACKEND": "_backend", "BoundPair": "gaussian", "CostModel": "inputs",
          "DiscreteDistribution": "inputs", "Estimate": "oracle", "GridResult": "grid",
          "GridSpec": "inputs", "LeverDelta": "inputs", "LinearParams": "linear",
@@ -40,12 +44,15 @@ __all__ = ["DegenerateLeverError", "DomainError", "NumericsError", "PartargetErr
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    home = _LAZY.get(name, name)
+    if home not in _SUBMODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module("." + _LAZY[name], __name__)
-    globals()[name] = value = getattr(module, "BACKEND" if name == "MC_BACKEND" else name)
+    __import__(f"{__name__}.{home}")  # unlike importlib, shows in -X importtime
+    value = sys.modules[f"{__name__}.{home}"]
+    if name != home:  # an export, bound here for the next access
+        globals()[name] = value = getattr(value, "BACKEND" if name == "MC_BACKEND" else name)
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

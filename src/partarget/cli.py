@@ -40,7 +40,7 @@ def _lines(*lines: str) -> bytes:
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", required=True, choices=("linear", "probit"))
+    sub.add_argument("--model", required=True, choices=inputs.MODEL_NAMES)
     sub.add_argument("--mu", type=float, help="mean welfare improvement (linear only)")
     sub.add_argument("--beta-norm", type=float,
                      help="welfare standard deviation (linear only)")
@@ -245,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("grid", help="cost-benefit grid sweep with contour")
     sub.add_argument("--spec", help="JSON grid spec file (overrides flags)")
-    sub.add_argument("--model", choices=("linear", "probit"))
+    sub.add_argument("--model", choices=inputs.MODEL_NAMES)
     # The spec's numeric fields in its order; each dest is the field's name.
     for name in ("mu", "beta_norm", "base_rate", "alpha_lo", "alpha_hi", "alpha_count",
                  "gamma_lo", "gamma_hi", "gamma_count", "delta_alpha", "delta_r2",

@@ -18,7 +18,8 @@ from .errors import DomainError, RegimeError
 
 __all__ = [
     "check_alpha_half", "check_alpha_open", "check_alpha_open_closed", "check_alpha_closed",
-    "LeverDelta", "CostModel", "cost_benefit", "MAX_CELLS", "model_params", "GridSpec",
+    "LeverDelta", "CostModel", "cost_benefit", "MAX_CELLS", "MODEL_NAMES", "model_params",
+    "GridSpec",
     "Atom", "DiscreteDistribution", "Allocation", "greedy_allocate", "brute_force_allocate",
 ]
 
@@ -98,6 +99,10 @@ def cost_benefit(par: float, cm: CostModel) -> float:
     return cb
 
 
+# The models, in the order of grid.MODELS; the CLI's --model choices.
+MODEL_NAMES = ("linear", "probit")
+
+
 def model_params(model: str, gamma_s: float, mu: float | None = None,
                  beta_norm: float | None = None, base_rate: float | None = None):
     """The parameters of one model at gamma_s: LinearParams from mu and
@@ -117,7 +122,7 @@ def model_params(model: str, gamma_s: float, mu: float | None = None,
             raise DomainError("probit model requires base_rate")
         from .probit import ProbitParams
         return ProbitParams(base_rate, gamma_s)
-    raise DomainError(f"model must be 'linear' or 'probit', got {model!r}")
+    raise DomainError(f"model must be {' or '.join(map(repr, MODEL_NAMES))}, got {model!r}")
 
 
 def _axis(lo: float, hi: float, n: int, spacing: str) -> tuple[float, ...]:

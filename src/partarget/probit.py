@@ -166,10 +166,8 @@ def _node_sum(lo, half, a, d2, top):
     f = np.exp(u2 * u2 * -0.125 + top)
     f /= np.cosh(t)
     f.T[...] *= _W  # the nodes on the last axis of f.T
-    if f.ndim == 1:  # one cell: a single accumulate beats 47 tiny adds
-        return half * np.add.accumulate(f)[-1]
     s = f[0]
-    for row in f[1:]:  # in place and in node order, as accumulate adds
+    for row in f[1:]:  # in place and in node order
         s += row
     return half * s
 

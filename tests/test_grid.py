@@ -32,6 +32,7 @@ from partarget.grid import (
     serialize_grid,
     sweep_grid,
 )
+from partarget.inputs import MODEL_NAMES
 from partarget.linear import LeverDelta, LinearParams, par_linear_exact
 from partarget.probit import ProbitParams, par_probit_exact
 
@@ -62,7 +63,7 @@ class TestModelParams:
     def test_builds_each_models_parameters(self):
         assert model_params("linear", 0.3, mu=1.0, beta_norm=2.0) == LinearParams(1.0, 2.0, 0.3)
         assert model_params("probit", 0.3, base_rate=0.1) == ProbitParams(0.1, 0.3)
-        assert sorted(MODELS) == ["linear", "probit"]
+        assert tuple(MODELS) == MODEL_NAMES == ("linear", "probit")
 
     @pytest.mark.parametrize("model, kwargs, message", [
         ("logit", {"base_rate": 0.1}, "model must be 'linear' or 'probit', got 'logit'"),

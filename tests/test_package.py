@@ -1,6 +1,7 @@
-"""The package's exports, which it imports on first access."""
+"""The package's exports and submodules, which it imports on first access."""
 
 import importlib
+import pathlib
 import subprocess
 import sys
 
@@ -23,6 +24,14 @@ def test_dir_lists_every_export():
     assert set(partarget.__all__) <= set(dir(partarget))
 
 
+def test_every_submodule_is_an_attribute():
+    files = pathlib.Path(partarget.__file__).parent.glob("*.py")
+    assert set(partarget._SUBMODULES) == {f.stem for f in files} - {"__init__"}
+    for name in partarget._SUBMODULES:
+        assert getattr(partarget, name) is importlib.import_module("partarget." + name)
+    assert set(partarget._SUBMODULES) <= set(dir(partarget))
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         getattr(partarget, "no_such_name")
@@ -36,5 +45,16 @@ def test_fresh_interpreter_star_import():
               "from partarget import *\n"
               "assert GridSpec is sys.modules['partarget.inputs'].GridSpec\n"
               "assert MC_BACKEND == 'numpy' and 'partarget.grid' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_fresh_interpreter_submodule_attributes():
+    script = ("import sys\n"
+              "import partarget\n"
+              "assert 'numpy' not in sys.modules\n"
+              "assert partarget.grid.sweep_grid.__module__ == 'partarget.grid'\n"
+              "assert partarget.linear is sys.modules['partarget.linear']\n"
+              "assert partarget.probit.ProbitParams is partarget.ProbitParams\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
