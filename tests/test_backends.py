@@ -119,6 +119,19 @@ class TestNumpyKernel:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
+    def test_treated_is_the_same_for_any_cut_and_room(self):
+        # a cut of 0 keeps every bit, so z_s falls below the threshold at
+        # most of them, and a buffer sized for a cut near 2**64 must grow
+        start, count, threshold = 2**20 + 3, 2**18 + 5, 0.8
+        cut = _backend._cut(threshold)
+        want = _backend._treated(13, start, count, threshold, cut)
+        small = _backend._Buffers(count, np.uint64(2**64 - 1))
+        assert small.near.size < 100
+        for got in (_backend._treated(13, start, count, threshold, np.uint64(0)),
+                    _backend._treated(13, start, count, threshold, cut, small)):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
     def test_probit_block_size_invariance(self, monkeypatch):
         monkeypatch.setattr(_backend, "_BLOCK", ARGS_PROBIT["n"])
         want = probit_sums(**ARGS_PROBIT)
@@ -140,3 +153,31 @@ class TestNumpyKernel:
                 assert probit_sums(**ARGS_PROBIT) == want_probit
         finally:
             sys.setswitchinterval(interval)
+
+    def test_worker_exception_is_raised(self, monkeypatch):
+        monkeypatch.setattr(_backend, "_BLOCK", 2**14)
+        monkeypatch.setattr(_backend, "_usable_cpus", lambda: 3)
+
+        def block(start, count, buf):
+            if start == 5 * 2**14:
+                raise ZeroDivisionError("block 5")
+            return 1.0, 1.0
+
+        with pytest.raises(ZeroDivisionError, match="block 5"):
+            _backend._block_sums(block, 40 * 2**14, _backend._cut(0.0))
+
+
+# Sums taken at the commit before the kernel reused its buffers, pinned
+# with ==: n spans three blocks and a short fourth, whose last chunk is short.
+GOLDEN_N = 3 * 2**20 + 12_345
+
+
+@pytest.mark.parametrize("alpha, linear, probit", [
+    (0.02, (518196.7027949412, 10015884.551505119), (17553.0, 17553.0)),
+    (0.3, (4228119.314415478, 107274850.85268259), (157782.0, 157782.0)),
+])
+def test_golden_sums(alpha, linear, probit):
+    threshold = gaussian.upper_quantile(alpha)
+    assert linear_sums(2026, GOLDEN_N, 1.0, 3.0, math.sqrt(91.0), threshold) == linear
+    assert probit_sums(2026, GOLDEN_N, -1.2815515655446004, 0.3, math.sqrt(0.91),
+                       threshold) == probit

@@ -196,6 +196,32 @@ class TestQuantile:
             want = [gaussian._ndtri_float(float(x)) for x in a]
             np.testing.assert_array_equal(gaussian.ndtri(a), want)
 
+    def test_out_takes_the_float_bits(self, monkeypatch):
+        # into a caller's buffer, in batches that hold every mix of branches:
+        # all central, all tail, both, and the far tail (p < 1.4e-11)
+        monkeypatch.setattr(gaussian, "_BATCH", 2**8)
+        rng = np.random.default_rng(20261019)
+        special = [0.0, 1.0, math.nan, -1.0, 2.0, math.inf, -math.inf, 5e-324, 1.0 - 2.0**-53]
+        p = np.concatenate([rng.uniform(0.08, 0.92, 600), 0.075 * 10.0 ** -rng.uniform(0, 9.5, 300),
+                            1.0 - 0.075 * 10.0 ** -rng.uniform(0, 14, 300),
+                            10.0 ** -rng.uniform(11, 300, 300), rng.random(2000), special])
+        want = np.array([gaussian._ndtri_float(float(x)) for x in p])
+        grid = (p[:3497].reshape(-1, 13), want[:3497].reshape(-1, 13))
+        for a, w in ((p, want), (p[::-1].copy(), want[::-1]), grid):
+            buf = np.full(a.shape, 7.0)
+            assert gaussian.ndtri(a, out=buf) is buf
+            assert buf.tobytes() == gaussian.ndtri(a).tobytes()
+            np.testing.assert_array_equal(buf, w)
+            nan = np.isnan(w)  # NaN where the float's is; its sign bit may differ
+            assert buf[~nan].tobytes() == w[~nan].tobytes()
+
+    @pytest.mark.parametrize("shape, out", [((6,), np.empty(5)), ((2, 3), np.empty((3, 2)).T),
+                                            ((6,), np.empty(6, np.float32))],
+                             ids=["shape", "layout", "dtype"])
+    def test_out_must_fit(self, shape, out):
+        with pytest.raises(ValueError, match="out must be"):
+            gaussian.ndtri(np.full(shape, 0.3), out=out)
+
     def test_limits(self):
         assert gaussian.ndtri(0.0) == -math.inf and gaussian.ndtri(1.0) == math.inf
         assert math.isnan(gaussian.ndtri(1.5)) and math.isnan(gaussian.ndtri(math.nan))

@@ -10,7 +10,7 @@ import pytest
 
 from partarget import oracle
 from partarget.errors import DomainError, NumericsError, RegimeError
-from partarget.linear import LinearParams
+from partarget.linear import LinearParams, value_linear
 from partarget.oracle import (
     MAX_SAMPLES,
     Allocation,
@@ -23,7 +23,7 @@ from partarget.oracle import (
     simulate_linear_value,
     simulate_probit_value,
 )
-from partarget.probit import ProbitParams
+from partarget.probit import ProbitParams, value_probit
 
 
 def make_distribution(rng, n: int) -> DiscreteDistribution:
@@ -158,6 +158,46 @@ class TestSimulateProbit:
         a = simulate_probit_value(ProbitParams(0.1, 0.3), 0.02, cfg)
         b = simulate_probit_value(ProbitParams(0.1, 0.3), 0.02, cfg)
         assert a == b
+
+
+class TestStandardErrorCalibration:
+    """Over fixed seeds, z = (estimate - closed form) / standard error at
+    MIN_SAMPLES should be close to N(0, 1): its mean within 4 standard
+    errors of 0, and its variance inside the chi-square band of a 1e-6
+    false-alarm rate.  A standard error off by a factor of 2 either way
+    fails the variance band.  Half of the seeds differ only in their high 32
+    bits and half only in their low 32, so a stream that ignores either half
+    of the seed repeats one run 200 times and fails a band too."""
+
+    SEEDS = [k << 32 for k in range(1, 201)] + list(range(1, 201))
+
+    def check(self, z):
+        from scipy.special import chdtri  # the chi-square upper-tail quantile
+        n = len(z)
+        dof = n - 1
+        assert abs(np.mean(z)) <= 4.0 / math.sqrt(n)
+        assert chdtri(dof, 1.0 - 5e-7) / dof <= np.var(z, ddof=1) <= chdtri(dof, 5e-7) / dof
+
+    @pytest.mark.parametrize("mu, beta_norm, gamma_s, alpha", [
+        (1.0, 10.0, 0.3, 0.05), (0.5, 3.0, 0.8, 0.2), (2.0, 1.0, 0.5, 0.4),
+    ])
+    def test_linear(self, mu, beta_norm, gamma_s, alpha):
+        p = LinearParams(mu, beta_norm, gamma_s)
+        value = value_linear(p, alpha)
+        ests = [simulate_linear_value(p, alpha, SimConfig(oracle.MIN_SAMPLES, seed))
+                for seed in self.SEEDS]
+        self.check([(e.mean - value) / e.std_error for e in ests])
+
+    # alpha * base rate is at least 0.05: 500 or more hits a run, so z is not discrete
+    @pytest.mark.parametrize("base_rate, gamma_s, alpha", [
+        (0.3, 0.5, 0.2), (0.5, 0.3, 0.1), (0.1, 0.9, 0.5),
+    ])
+    def test_probit(self, base_rate, gamma_s, alpha):
+        p = ProbitParams(base_rate, gamma_s)
+        value = value_probit(p, alpha)
+        ests = [simulate_probit_value(p, alpha, SimConfig(oracle.MIN_SAMPLES, seed))
+                for seed in self.SEEDS]
+        self.check([(e.mean - value) / e.std_error for e in ests])
 
 
 def sequential_allocate(dist: DiscreteDistribution, alpha: float) -> Allocation:
