@@ -45,7 +45,7 @@ _WRAP = 2**64
 
 
 def _mix(z, out, tmp):
-    """splitmix64's output at each state z = (c + 1) golden + seed, into out (tmp: scratch)."""
+    """splitmix64's output at each state z = (c + 1) golden + seed, into out (tmp: working space)."""
     np.bitwise_xor(z, np.right_shift(z, np.uint64(30), out=tmp), out=out)
     out *= _MIX1
     out ^= np.right_shift(out, np.uint64(27), out=tmp)
