@@ -13,10 +13,10 @@ Modules:
 
 The Monte Carlo oracle runs on one NumPy kernel (``partarget._backend``):
 a counter-based splitmix64 stream makes sample i a pure function of
-(seed, i), blocks of samples run across a thread pool, and their partial
-sums are combined in block order, so a fixed seed gives bit-identical
-sums whatever the thread count.  ``partarget.MC_BACKEND`` names it
-(``"numpy"``).
+(seed, i), blocks of samples run on one plain thread per usable CPU (the
+calling thread among them), and their partial sums are combined in block
+order, so a fixed seed gives bit-identical sums whatever the thread count.
+``partarget.MC_BACKEND`` names it (``"numpy"``).
 
 The errors are imported with the package; every other export, and every
 submodule (``partarget.grid`` after a bare ``import partarget``), on first

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import math
 import os
 import sys
@@ -91,6 +89,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, bytes]:
 
 def _grid_spec_from_args(args: argparse.Namespace) -> inputs.GridSpec:
     if args.spec is not None:
+        import json
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -148,6 +147,7 @@ def _read_distribution(path: str) -> inputs.DiscreteDistribution:
             f"cannot read distribution file {path!r}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise DomainError(f"distribution file {path!r} is not valid UTF-8: {exc}") from exc
+    import csv
     reader = csv.DictReader(io.StringIO(text, newline=""))
     expected = ["label", "mass", "cond_mean"]
     if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
@@ -157,11 +157,7 @@ def _read_distribution(path: str) -> inputs.DiscreteDistribution:
     atoms = []
     for row in reader:
         try:
-            atoms.append(inputs.Atom(
-                label=row["label"],
-                mass=float(row["mass"]),
-                cond_mean=float(row["cond_mean"]),
-            ))
+            atoms.append(inputs.Atom(row["label"], float(row["mass"]), float(row["cond_mean"])))
         except (TypeError, ValueError) as exc:
             raise DomainError(f"malformed distribution row {row!r}") from exc
     return inputs.DiscreteDistribution(tuple(atoms))

@@ -34,13 +34,12 @@ All functions reject NaN inputs explicitly instead of propagating them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericsError, PreconditionError
-from .inputs import (_reject_nan, check_alpha_closed, check_alpha_half, check_alpha_open,
-                     check_alpha_open_closed)
+from .inputs import (_Record, _reject_nan, check_alpha_closed, check_alpha_half,
+                     check_alpha_open, check_alpha_open_closed)
 
 __all__ = [
     "BoundPair",
@@ -152,36 +151,42 @@ def _ndtri_batch(p, out, a, b, c, d, mask, sign):
     """AS 241 at a contiguous float array p of at most _BATCH elements, into out.
 
     a to d are float and mask and sign bool working arrays at least as long
-    as p.  Each branch runs on its elements' integer-index gathers, so that
-    an element takes the float's IEEE steps and its tail log is np.log on
-    contiguous data, as in :func:`_ndtri_float`.  The gathers take with
-    mode="clip", which writes straight into out, where "raise" would copy.
+    as p.  A branch that holds every element runs on the batch itself; in
+    a mixed batch each branch runs on its elements' integer-index gathers.
+    Either way an element takes the float's IEEE steps and its tail log is
+    np.log on contiguous data, as in :func:`_ndtri_float`.  The gathers take
+    with mode="clip", which writes straight into out, where "raise" would copy.
     """
     m = p.size
     q = np.subtract(p, 0.5, out=a[:m])
     central = np.less_equal(np.abs(q, out=b[:m]), 0.425, out=mask[:m])
-    at = np.flatnonzero(central)
-    n = at.size
+    n = np.count_nonzero(central)
+    if n == m:  # every element central: the batch itself, with no gathers
+        r = np.subtract(0.180625, np.multiply(q, q, out=c[:m]), out=c[:m])
+        _ratio(_CENTRAL, r, q, out, d[:m])
+        return
+    at = None  # the tails hold every element: p is read and out written in place
     if n:
+        at = np.flatnonzero(central)
         q = np.take(q, at, out=b[:n], mode="clip")
         r = np.subtract(0.180625, np.multiply(q, q, out=c[:n]), out=c[:n])
         np.put(out, at, _ratio(_CENTRAL, r, q, a[:n], d[:n]), mode="clip")
-    if n == m:
-        return
-    at = np.flatnonzero(np.logical_not(central, out=mask[:m]))
-    n = at.size
-    pt = np.take(p, at, out=a[:n], mode="clip")
-    neg = np.less(pt, 0.5, out=sign[:n])  # the float's q = p - 0.5 < 0 exactly where p < 0.5
-    r = np.minimum(pt, np.subtract(1.0, pt, out=b[:n]), out=b[:n])  # the float's p or 1 - p
+        at = np.flatnonzero(np.logical_not(central, out=mask[:m]))
+        p = np.take(p, at, out=a[:at.size], mode="clip")
+    n = p.size
+    neg = np.less(p, 0.5, out=sign[:n])  # the float's q = p - 0.5 < 0 exactly where p < 0.5
+    r = np.minimum(p, np.subtract(1.0, p, out=b[:n]), out=b[:n])  # the float's p or 1 - p
     np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)  # inf at p = 0 or 1, NaN outside [0, 1]
-    x = _ratio(_NEAR, np.subtract(r, 1.6, out=c[:n]), 1.0, a[:n], d[:n])
+    x = _ratio(_NEAR, np.subtract(r, 1.6, out=c[:n]), 1.0, out if at is None else a[:n], d[:n])
     far = np.less_equal(r, 5.0, out=mask[:n])
     if np.count_nonzero(far) < n:  # the far tail, p < 1.4e-11, is rare
         np.logical_not(far, out=far)
         f = np.flatnonzero(far)
         v = r.take(f)
         x[f] = np.where(v == math.inf, v, _ratio(_FAR, v - 5.0))
-    np.put(out, at, np.negative(x, out=x, where=neg), mode="clip")
+    np.negative(x, out=x, where=neg)
+    if at is not None:
+        np.put(out, at, x, mode="clip")
 
 
 def ndtri(p, out=None):
@@ -211,8 +216,7 @@ def ndtri(p, out=None):
     return out
 
 
-@dataclass(frozen=True)
-class BoundPair:
+class BoundPair(_Record):
     """A lower/upper sandwich around some target quantity."""
 
     lower: float

@@ -23,13 +23,13 @@ from __future__ import annotations
 import io
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linear, oracle, probit
 from .errors import DomainError, PartargetError
-from .inputs import MAX_CELLS, CostModel, GridSpec, LeverDelta, cost_benefit, model_params
+from .inputs import (MAX_CELLS, CostModel, GridSpec, LeverDelta, _Record, cost_benefit,
+                     model_params)
 from .linear import PAR_OK, PAR_REGIME
 
 __all__ = [
@@ -77,8 +77,7 @@ MODELS = {
 }
 
 
-@dataclass(frozen=True)
-class GridResult:
+class GridResult(_Record):
     """Evaluated sweep and its interpolated indifference contour.
 
     ``cells`` is a NumPy record array with the fields of ``CSV_HEADER``, one

@@ -23,7 +23,6 @@ and importable from here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -36,7 +35,7 @@ from .errors import (
     RegimeError,
 )
 from .gaussian import BoundPair, check_alpha_half, check_alpha_closed, pdf_array
-from .inputs import LeverDelta
+from .inputs import LeverDelta, _Record
 
 __all__ = [
     "LinearParams",
@@ -58,8 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinearParams:
+class LinearParams(_Record):
     """Population parameters of the linear welfare model.
 
     mu: mean welfare improvement; beta_norm: standard deviation of the

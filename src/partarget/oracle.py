@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 from . import gaussian
 from ._backend import linear_sums, probit_sums
 from .errors import DomainError, NumericsError
 from .gaussian import check_alpha_half, check_alpha_open_closed
-from .inputs import Allocation, Atom, DiscreteDistribution, brute_force_allocate, greedy_allocate
+from .inputs import (Allocation, Atom, DiscreteDistribution, _Record, brute_force_allocate,
+                     greedy_allocate)
 from .linear import LinearParams
 from .probit import ProbitParams
 
@@ -55,8 +55,7 @@ MIN_SAMPLES = 10_000
 MAX_SAMPLES = 10**9
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
     """Simulation size, from MIN_SAMPLES to MAX_SAMPLES, and a 64-bit seed."""
 
     samples: int
@@ -75,8 +74,7 @@ class SimConfig:
             raise DomainError(f"seed must fit in 64 bits, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(_Record):
     """A Monte Carlo mean with its standard error."""
 
     mean: float

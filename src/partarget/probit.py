@@ -31,7 +31,6 @@ and serve as independent cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -44,6 +43,7 @@ from .errors import (
     PreconditionError,
 )
 from .gaussian import SQRT_2PI, BoundPair, check_alpha_open, check_alpha_open_closed
+from .inputs import _Record
 from .linear import PAR_NOISE, PAR_OK, PAR_REGIME, LeverDelta, par_from_values
 
 __all__ = [
@@ -78,8 +78,7 @@ BOUNDS_MAX_ALPHA = 0.01
 BOUNDS_MAX_DELTA_R2 = 0.01
 
 
-@dataclass(frozen=True)
-class ProbitParams:
+class ProbitParams(_Record):
     """Population parameters of the probit welfare model.
 
     base_rate is Pr[w = 1]; gamma_s is the observable share of the latent
@@ -111,8 +110,7 @@ class ProbitParams:
         return ProbitParams(self.base_rate, gamma_s)
 
 
-@dataclass(frozen=True)
-class CutoffResult:
+class CutoffResult(_Record):
     """Outcome of the access-is-cheaper cutoff test."""
 
     passes: bool

@@ -1,13 +1,22 @@
-"""The package's exports and submodules, which it imports on first access."""
+"""The package's exports and submodules, which it imports on first access, and its
+record types."""
 
 import importlib
 import pathlib
+import pickle
 import subprocess
 import sys
 
 import pytest
 
 import partarget
+from partarget.gaussian import BoundPair
+from partarget.grid import GridResult
+from partarget.inputs import (Allocation, Atom, CostModel, DiscreteDistribution, GridSpec,
+                              LeverDelta)
+from partarget.linear import LinearParams
+from partarget.oracle import Estimate, SimConfig
+from partarget.probit import CutoffResult, ProbitParams
 
 # Exports held under another name, or defined in the package itself.
 HOME = {"MC_BACKEND": ("partarget._backend", "BACKEND"), "__version__": ("partarget", "__version__")}
@@ -58,3 +67,110 @@ def test_fresh_interpreter_submodule_attributes():
               "assert partarget.probit.ProbitParams is partarget.ProbitParams\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_records_of_other_types_or_fields_differ():
+    assert LeverDelta(1.0, 2.0) != CostModel(1.0, 2.0)
+    assert LeverDelta(1.0, 2.0).__eq__(CostModel(1.0, 2.0)) is NotImplemented
+    assert LeverDelta(1.0, 2.0) != LeverDelta(1.0, 3.0)
+    assert len({LeverDelta(1.0, 2.0), LeverDelta(1.0, 2.0), CostModel(1.0, 2.0)}) == 2
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # Against a bare interpreter in the same environment, since a site hook may preload modules.
+    listing = "import sys; print(' '.join(sorted(sys.modules)))"
+    runs = [subprocess.run([sys.executable, "-c", stmt], capture_output=True, text=True, check=True)
+            for stmt in (listing, "import partarget.cli; " + listing)]
+    bare, cli = (set(run.stdout.split()) for run in runs)
+    assert "partarget.cli" in cli
+    assert {"numpy", "dataclasses", "inspect", "json", "csv"} & (cli - bare) == set()
+
+
+DELTAS = LeverDelta(0.001, 0.01)
+COSTS = CostModel(1.0, 1.0)
+SPEC_FIELDS = {"model": "probit", "alpha_lo": 0.001, "alpha_hi": 0.1, "alpha_count": 5,
+               "gamma_lo": 0.1, "gamma_hi": 0.9, "gamma_count": 5, "deltas": DELTAS,
+               "costs": COSTS}
+SPEC = GridSpec(**SPEC_FIELDS, base_rate=0.05)
+SPEC_REPR = ("GridSpec(model='probit', alpha_lo=0.001, alpha_hi=0.1, alpha_count=5, gamma_lo=0.1, "
+             "gamma_hi=0.9, gamma_count=5, deltas=LeverDelta(delta_alpha=0.001, delta_r2=0.01), "
+             "costs=CostModel(cost_access=1.0, cost_prediction=1.0), mu=None, beta_norm=None, "
+             "base_rate=0.05, clip_lo=0.5, clip_hi=2.0, alpha_spacing='log')")
+
+# Each record type, its fields in order, and the repr a frozen dataclass gives it.
+RECORDS = [
+    (LeverDelta, {"delta_alpha": 0.01, "delta_r2": 0.02},
+     "LeverDelta(delta_alpha=0.01, delta_r2=0.02)"),
+    (CostModel, {"cost_access": 1.0, "cost_prediction": 2.5},
+     "CostModel(cost_access=1.0, cost_prediction=2.5)"),
+    (GridSpec, {**SPEC_FIELDS, "mu": None, "beta_norm": None, "base_rate": 0.05, "clip_lo": 0.5,
+                "clip_hi": 2.0, "alpha_spacing": "log"}, SPEC_REPR),
+    (Atom, {"label": "a", "mass": 0.5, "cond_mean": -1.0},
+     "Atom(label='a', mass=0.5, cond_mean=-1.0)"),
+    (DiscreteDistribution, {"atoms": (Atom("a", 1.0, 2.0),)},
+     "DiscreteDistribution(atoms=(Atom(label='a', mass=1.0, cond_mean=2.0),))"),
+    (Allocation, {"treated": ("a",), "treated_mass": 0.25, "welfare": 0.5},
+     "Allocation(treated=('a',), treated_mass=0.25, welfare=0.5)"),
+    (BoundPair, {"lower": 1.0, "upper": 2.0}, "BoundPair(lower=1.0, upper=2.0)"),
+    (LinearParams, {"mu": 1.0, "beta_norm": 10.0, "gamma_s": 0.3},
+     "LinearParams(mu=1.0, beta_norm=10.0, gamma_s=0.3)"),
+    (ProbitParams, {"base_rate": 0.05, "gamma_s": 0.3}, "ProbitParams(base_rate=0.05, gamma_s=0.3)"),
+    (CutoffResult, {"passes": True, "margin": 0.5, "degenerate": False},
+     "CutoffResult(passes=True, margin=0.5, degenerate=False)"),
+    (SimConfig, {"samples": 10000, "seed": 7}, "SimConfig(samples=10000, seed=7)"),
+    (Estimate, {"mean": 0.1, "std_error": 0.01, "samples": 10000},
+     "Estimate(mean=0.1, std_error=0.01, samples=10000)"),
+    (GridResult, {"spec": SPEC, "alphas": (0.1,), "gammas": (0.2,), "cells": None, "contour": ()},
+     f"GridResult(spec={SPEC_REPR}, alphas=(0.1,), gammas=(0.2,), cells=None, contour=())"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+class TestRecord:
+    def test_repr(self, cls, fields, text):
+        assert repr(cls(*fields.values())) == text
+
+    def test_equality_and_hash_by_type_and_fields(self, cls, fields, text):
+        rec, values = cls(*fields.values()), tuple(fields.values())
+        same = cls(**dict(reversed(fields.items())))
+        assert rec == same and not rec != same and hash(rec) == hash(same) == hash(values)
+        assert [getattr(rec, name) for name in fields] == list(values)
+        assert rec.__eq__(values) is NotImplemented and rec != values
+        assert pickle.loads(pickle.dumps(rec)) == rec
+
+    def test_frozen(self, cls, fields, text):
+        rec = cls(*fields.values())
+        name, value = next(iter(fields.items()))
+        for attempt in (lambda: setattr(rec, name, value), lambda: setattr(rec, "other", 1),
+                        lambda: delattr(rec, name)):
+            with pytest.raises(AttributeError, match="cannot (assign to|delete) field"):
+                attempt()
+        assert getattr(rec, name) is value and not hasattr(rec, "other")
+
+    def test_bad_arguments(self, cls, fields, text):
+        args = list(fields.values())
+        first = next(iter(fields))
+        for bad in (lambda: cls(), lambda: cls(*args, 0), lambda: cls(*args, unknown=0),
+                    lambda: cls(*args[:1], **{first: args[0]})):
+            with pytest.raises(TypeError):
+                bad()
+
+
+def test_grid_spec_defaults_keywords_and_dict_order():
+    spec = GridSpec(**SPEC_FIELDS, base_rate=0.05)
+    assert (spec.mu, spec.beta_norm, spec.clip_lo, spec.clip_hi, spec.alpha_spacing) == \
+        (None, None, 0.5, 2.0, "log")
+    assert spec == GridSpec(*SPEC_FIELDS.values(), None, None, 0.05, 0.5, 2.0, "log")
+    assert spec == GridSpec(base_rate=0.05, **dict(reversed(SPEC_FIELDS.items())))
+    assert list(spec.to_dict()) == [
+        "model", "alpha_lo", "alpha_hi", "alpha_count", "gamma_lo", "gamma_hi", "gamma_count",
+        "delta_alpha", "delta_r2", "cost_access", "cost_prediction", "mu", "beta_norm",
+        "base_rate", "clip_lo", "clip_hi", "alpha_spacing"]
+    assert GridSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_records_check_keyword_and_positional_arguments_alike():
+    for build in (lambda: LeverDelta(-1.0, 0.0), lambda: LeverDelta(delta_r2=0.0, delta_alpha=-1.0),
+                  lambda: GridSpec(**{**SPEC_FIELDS, "alpha_count": 1}, base_rate=0.05)):
+        with pytest.raises(partarget.DomainError):
+            build()
