@@ -86,11 +86,9 @@ def test_cli_import_loads_no_heavy_modules():
     assert {"numpy", "dataclasses", "inspect", "json", "csv"} & (cli - bare) == set()
 
 
-DELTAS = LeverDelta(0.001, 0.01)
-COSTS = CostModel(1.0, 1.0)
 SPEC_FIELDS = {"model": "probit", "alpha_lo": 0.001, "alpha_hi": 0.1, "alpha_count": 5,
-               "gamma_lo": 0.1, "gamma_hi": 0.9, "gamma_count": 5, "deltas": DELTAS,
-               "costs": COSTS}
+               "gamma_lo": 0.1, "gamma_hi": 0.9, "gamma_count": 5,
+               "deltas": LeverDelta(0.001, 0.01), "costs": CostModel(1.0, 1.0)}
 SPEC = GridSpec(**SPEC_FIELDS, base_rate=0.05)
 SPEC_REPR = ("GridSpec(model='probit', alpha_lo=0.001, alpha_hi=0.1, alpha_count=5, gamma_lo=0.1, "
              "gamma_hi=0.9, gamma_count=5, deltas=LeverDelta(delta_alpha=0.001, delta_r2=0.01), "
