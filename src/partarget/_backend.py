@@ -148,16 +148,14 @@ def _scan(seed: int, start: int, count: int, cut: np.uint64, buf: _Buffers) -> i
 
 
 def _treated(seed: int, start: int, count: int, threshold: float, cut: np.uint64,
-             buf: _Buffers | None = None):
+             buf: _Buffers):
     """z_s and z_t of the treated samples among indices [start, start + count),
-    as views of buf's arrays (of new ones if buf is None).
+    as views of buf's arrays.
 
     z_s is computed only at the bits at or past ``cut`` (see :func:`_cut`),
     and z_t only where z_s >= threshold, from the state of counter 2i + 1:
     that of counter 2i plus golden.
     """
-    if buf is None:
-        buf = _Buffers(count, cut)
     k = _scan(seed, start, count, cut, buf)
     zs = gaussian.ndtri(_unit(buf.near[:k], buf.u[:k]), out=buf.zs[:k])
     ctr = buf.ctr[:k]

@@ -21,7 +21,7 @@ import io
 import math
 import os
 import sys
-from typing import NoReturn
+from typing import NoReturn, Sequence
 
 from . import inputs
 from .errors import DomainError, NumericsError, PartargetError
@@ -35,26 +35,6 @@ def _fmt(x: float, machine: bool) -> str:
 
 def _lines(*lines: str) -> bytes:
     return "".join(line + "\n" for line in lines).encode("utf-8")
-
-
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", required=True, choices=inputs.MODEL_NAMES)
-    sub.add_argument("--mu", type=float, help="mean welfare improvement (linear only)")
-    sub.add_argument("--beta-norm", type=float,
-                     help="welfare standard deviation (linear only)")
-    sub.add_argument("--base-rate", type=float,
-                     help="share with positive welfare (probit only)")
-    sub.add_argument("--gamma-s", type=float, required=True,
-                     help="prediction level, the square root of r squared")
-    sub.add_argument("--alpha", type=float, required=True,
-                     help="access level: maximum treatable fraction")
-
-
-def _add_delta_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--delta-alpha", type=float, required=True,
-                     help="proposed access increment")
-    sub.add_argument("--delta-r2", type=float, required=True,
-                     help="proposed prediction increment")
 
 
 def _model(args: argparse.Namespace):
@@ -78,6 +58,8 @@ def _cmd_par(args: argparse.Namespace) -> tuple[int, bytes]:
 def _cmd_bounds(args: argparse.Namespace) -> tuple[int, bytes]:
     model, p = _model(args)
     d = inputs.LeverDelta(args.delta_alpha, args.delta_r2)
+    if args.eps is not None and args.model != "probit":
+        raise DomainError("--eps is only valid with --model probit")
     pair = (model.bounds(p, args.alpha, d) if args.eps is None
             else model.bounds(p, args.alpha, d, args.eps))
     exact = model.par(p, args.alpha, d)
@@ -154,6 +136,7 @@ def _read_distribution(path: str) -> inputs.DiscreteDistribution:
         raise DomainError(
             f"distribution file must have header {','.join(expected)!r}"
         )
+    reader.fieldnames = expected  # rows are read by the stripped names
     atoms = []
     for row in reader:
         try:
@@ -215,70 +198,91 @@ class _Parser(argparse.ArgumentParser):
         _write_all(self.format_help().encode("utf-8"), None)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each subcommand's help line, in the order help lists them.  Its handler is
+# the function _cmd_<name>, looked up when the command runs.
+_SUBCOMMANDS = {
+    "value": "evaluate the optimal-policy value function",
+    "par": "exact prediction-access ratio",
+    "bounds": "analytic PAR bounds plus containment check",
+    "grid": "cost-benefit grid sweep with contour",
+    "verify": "Monte Carlo check of the value function",
+    "allocate": "greedy allocation on a discrete distribution",
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, name: str) -> None:
+    """Add the flags of subcommand ``name`` to its parser ``sub``."""
+    if name in ("value", "par", "bounds", "verify"):
+        sub.add_argument("--model", required=True, choices=inputs.MODEL_NAMES)
+        sub.add_argument("--mu", type=float, help="mean welfare improvement (linear only)")
+        sub.add_argument("--beta-norm", type=float,
+                         help="welfare standard deviation (linear only)")
+        sub.add_argument("--base-rate", type=float,
+                         help="share with positive welfare (probit only)")
+        sub.add_argument("--gamma-s", type=float, required=True,
+                         help="prediction level, the square root of r squared")
+        sub.add_argument("--alpha", type=float, required=True,
+                         help="access level: maximum treatable fraction")
+    if name in ("par", "bounds"):
+        sub.add_argument("--delta-alpha", type=float, required=True,
+                         help="proposed access increment")
+        sub.add_argument("--delta-r2", type=float, required=True,
+                         help="proposed prediction increment")
+    if name == "bounds":
+        sub.add_argument("--eps", type=float, default=None,
+                         help="slack for the probit bounds, in (0, 0.1); default 0.05")
+    elif name == "grid":
+        sub.add_argument("--spec", help="JSON grid spec file (overrides flags)")
+        sub.add_argument("--model", choices=inputs.MODEL_NAMES)
+        # The spec's numeric fields in its order; each dest is the field's name.
+        for field in ("mu", "beta_norm", "base_rate", "alpha_lo", "alpha_hi", "alpha_count",
+                      "gamma_lo", "gamma_hi", "gamma_count", "delta_alpha", "delta_r2",
+                      "cost_access", "cost_prediction", "clip_lo", "clip_hi"):
+            count = field.endswith("_count")
+            sub.add_argument("--" + field.replace("_", "-"), type=int if count else float,
+                             default=20 if count else None)
+        sub.add_argument("--alpha-spacing", choices=("log", "linear"))
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
+        sub.add_argument("--out", help="output path; stdout when omitted")
+    elif name == "verify":
+        sub.add_argument("--samples", type=int, required=True)
+        sub.add_argument("--seed", type=int, required=True)
+    elif name == "allocate":
+        sub.add_argument("--dist", required=True,
+                         help="CSV file with header label,mass,cond_mean")
+        sub.add_argument("--alpha", type=float, required=True)
+        sub.add_argument("--brute-force", action="store_true",
+                         help="also print the exhaustive optimum (at most 20 atoms)")
+    if name != "grid":  # a grid always writes every digit
+        sub.add_argument("--machine", action="store_true",
+                         help="print full 17-significant-digit precision")
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of all six subcommands, with flags only on the first one
+    that a token of ``argv`` names.  argparse takes the first positional
+    token for the subcommand, and one that names none is a usage error, so
+    the others' flags would never be read."""
     parser = _Parser(
         prog="partarget",
         description="Welfare value functions, prediction-access ratios and "
                     "cost-benefit grids for budget-constrained targeting.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("value", help="evaluate the optimal-policy value function")
-    _add_model_flags(sub)
-    sub.set_defaults(handler=_cmd_value)
-
-    sub = subs.add_parser("par", help="exact prediction-access ratio")
-    _add_model_flags(sub)
-    _add_delta_flags(sub)
-    sub.set_defaults(handler=_cmd_par)
-
-    sub = subs.add_parser("bounds", help="analytic PAR bounds plus containment check")
-    _add_model_flags(sub)
-    _add_delta_flags(sub)
-    sub.add_argument("--eps", type=float, default=None,
-                     help="slack for the probit bounds, in (0, 0.1); default 0.05")
-    sub.set_defaults(handler=_cmd_bounds)
-
-    sub = subs.add_parser("grid", help="cost-benefit grid sweep with contour")
-    sub.add_argument("--spec", help="JSON grid spec file (overrides flags)")
-    sub.add_argument("--model", choices=inputs.MODEL_NAMES)
-    # The spec's numeric fields in its order; each dest is the field's name.
-    for name in ("mu", "beta_norm", "base_rate", "alpha_lo", "alpha_hi", "alpha_count",
-                 "gamma_lo", "gamma_hi", "gamma_count", "delta_alpha", "delta_r2",
-                 "cost_access", "cost_prediction", "clip_lo", "clip_hi"):
-        count = name.endswith("_count")
-        sub.add_argument("--" + name.replace("_", "-"), type=int if count else float,
-                         default=20 if count else None)
-    sub.add_argument("--alpha-spacing", choices=("log", "linear"))
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", help="output path; stdout when omitted")
-    sub.set_defaults(handler=_cmd_grid)
-
-    sub = subs.add_parser("verify", help="Monte Carlo check of the value function")
-    _add_model_flags(sub)
-    sub.add_argument("--samples", type=int, required=True)
-    sub.add_argument("--seed", type=int, required=True)
-    sub.set_defaults(handler=_cmd_verify)
-
-    sub = subs.add_parser("allocate", help="greedy allocation on a discrete distribution")
-    sub.add_argument("--dist", required=True,
-                     help="CSV file with header label,mass,cond_mean")
-    sub.add_argument("--alpha", type=float, required=True)
-    sub.add_argument("--brute-force", action="store_true",
-                     help="also print the exhaustive optimum (at most 20 atoms)")
-    sub.set_defaults(handler=_cmd_allocate)
-
-    for name in ("value", "par", "bounds", "verify", "allocate"):  # grid writes every digit
-        subs.choices[name].add_argument("--machine", action="store_true",
-                                        help="print full 17-significant-digit precision")
+    chosen = next((arg for arg in argv if arg in _SUBCOMMANDS), None)
+    for name, text in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        if name == chosen:
+            _add_flags(sub, name)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     """Run the command in ``argv`` (default ``sys.argv[1:]``) and return its exit code."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
-        code, payload = args.handler(args)
+        args = _build_parser(argv).parse_args(argv)
+        code, payload = globals()["_cmd_" + args.command](args)
         _write_all(payload, getattr(args, "out", None))
         return code
     except SystemExit as exc:  # argparse: 0 after help, 2 after a usage error

@@ -151,8 +151,8 @@ def _ndtri_batch(p, out, a, b, c, d, mask, sign):
     """AS 241 at a contiguous float array p of at most _BATCH elements, into out.
 
     a to d are float and mask and sign bool working arrays at least as long
-    as p.  A branch that holds every element runs on the batch itself; in
-    a mixed batch each branch runs on its elements' integer-index gathers.
+    as p.  Only a batch whose elements all lie in the tails runs in place;
+    otherwise each branch runs on its elements' integer-index gathers.
     Either way an element takes the float's IEEE steps and its tail log is
     np.log on contiguous data, as in :func:`_ndtri_float`.  The gathers take
     with mode="clip", which writes straight into out, where "raise" would copy.
@@ -161,10 +161,6 @@ def _ndtri_batch(p, out, a, b, c, d, mask, sign):
     q = np.subtract(p, 0.5, out=a[:m])
     central = np.less_equal(np.abs(q, out=b[:m]), 0.425, out=mask[:m])
     n = np.count_nonzero(central)
-    if n == m:  # every element central: the batch itself, with no gathers
-        r = np.subtract(0.180625, np.multiply(q, q, out=c[:m]), out=c[:m])
-        _ratio(_CENTRAL, r, q, out, d[:m])
-        return
     at = None  # the tails hold every element: p is read and out written in place
     if n:
         at = np.flatnonzero(central)

@@ -21,15 +21,13 @@ sweeps of the same spec are byte-identical.
 from __future__ import annotations
 
 import io
-import json
 from collections import namedtuple
 
 import numpy as np
 
 from . import linear, oracle, probit
 from .errors import DomainError, PartargetError
-from .inputs import (MAX_CELLS, CostModel, GridSpec, LeverDelta, _Record, cost_benefit,
-                     model_params)
+from .inputs import MAX_CELLS, CostModel, GridSpec, _Record, cost_benefit, model_params
 from .linear import PAR_OK, PAR_REGIME
 
 __all__ = [
@@ -53,22 +51,16 @@ CSV_HEADER = "alpha,gamma_s,par,cost_benefit,cost_benefit_clipped,status"
 
 # One model's functions, each taking its model_params first: value(p, alpha),
 # par(p, alpha, deltas), par_array(p, gamma_s, alpha, deltas) -> (par, status),
-# bounds(p, alpha, deltas[, eps]), simulate(p, alpha, SimConfig) -> Estimate,
+# bounds(p, alpha, deltas) (probit's also takes eps), simulate(p, alpha, SimConfig) -> Estimate,
 # and second_moment(p, alpha), the mean square of one simulated sample.
 Model = namedtuple("Model", "value par par_array bounds simulate second_moment")
-
-
-def _linear_bounds(p, alpha: float, d: LeverDelta, eps: float | None = None):
-    if eps is not None:
-        raise DomainError("--eps is only valid with --model probit")
-    return linear.par_linear_bounds(p, alpha, d)
 
 
 MODELS = {
     "linear": Model(
         linear.value_linear, linear.par_linear_exact,
         lambda p, g, a, d: linear.par_linear_array(p.mu, p.beta_norm, g, a, d),
-        _linear_bounds, oracle.simulate_linear_value, oracle.linear_second_moment),
+        linear.par_linear_bounds, oracle.simulate_linear_value, oracle.linear_second_moment),
     # A simulated probit sample is 0 or 1, so its mean square is the value.
     "probit": Model(
         probit.value_probit, probit.par_probit_exact,
@@ -222,6 +214,7 @@ def serialize_grid(g: GridResult, format: str) -> bytes:
         out.write(CSV_HEADER.encode("utf-8") + b"\n")
         _write_cells(out, g, "%.17g".__mod__, "nan", _CSV_KEYS, "")
     else:
+        import json  # only here, so the commands that reach MODELS do not load it
         doc = {"spec": g.spec.to_dict(), "alphas": list(g.alphas),
                "gammas": list(g.gammas), "cells": [],
                "contour": [[a, gm] for a, gm in g.contour]}

@@ -100,7 +100,8 @@ class TestNumpyKernel:
         monkeypatch.setattr(_backend, "_CHUNK", 2**12)
         start, count, threshold = 5 * 2**16 + 123, 2 * 2**12 + 1000, -0.5
         cut = _backend._cut(threshold)
-        zs, zt = _backend._treated(7, start, count, threshold, cut)
+        zs, zt = _backend._treated(7, start, count, threshold, cut,
+                                    _backend._Buffers(count, cut))
         counter = 2 * np.arange(start, start + count, dtype=np.uint64)
         want_zs = [gaussian.quantile(u) for u in _backend._uniform(7, counter).tolist()]
         treated = [i for i, z in enumerate(want_zs) if z >= threshold]
@@ -113,9 +114,9 @@ class TestNumpyKernel:
         start, count, threshold = 3 * 2**20 + 5, 2**20 - 77, 1.0  # a short last chunk
         cut = _backend._cut(threshold)
         monkeypatch.setattr(_backend, "_CHUNK", 2**16)
-        want = _backend._treated(11, start, count, threshold, cut)
+        want = _backend._treated(11, start, count, threshold, cut, _backend._Buffers(count, cut))
         monkeypatch.setattr(_backend, "_CHUNK", 2**18)
-        got = _backend._treated(11, start, count, threshold, cut)
+        got = _backend._treated(11, start, count, threshold, cut, _backend._Buffers(count, cut))
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
@@ -124,10 +125,11 @@ class TestNumpyKernel:
         # most of them, and a buffer sized for a cut near 2**64 must grow
         start, count, threshold = 2**20 + 3, 2**18 + 5, 0.8
         cut = _backend._cut(threshold)
-        want = _backend._treated(13, start, count, threshold, cut)
+        want = _backend._treated(13, start, count, threshold, cut, _backend._Buffers(count, cut))
         small = _backend._Buffers(count, np.uint64(2**64 - 1))
         assert small.near.size < 100
-        for got in (_backend._treated(13, start, count, threshold, np.uint64(0)),
+        everything = _backend._Buffers(count, np.uint64(0))
+        for got in (_backend._treated(13, start, count, threshold, np.uint64(0), everything),
                     _backend._treated(13, start, count, threshold, cut, small)):
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()

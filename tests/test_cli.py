@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partarget import cli, grid as grid_mod, oracle
+from partarget import cli, grid as grid_mod, inputs, oracle
 
 
 def run_cli(capsys, *argv):
@@ -98,7 +98,25 @@ class TestBounds:
                                "--alpha", "0.02", "--delta-alpha", "0.01",
                                "--delta-r2", "0.01", "--eps", "0.05")
         assert code == 2
-        assert "--eps" in err
+        assert err == "error: --eps is only valid with --model probit\n"
+
+    def test_eps_reaches_the_probit_bounds(self, capsys, monkeypatch):
+        calls = []
+        model = grid_mod.MODELS["probit"]
+
+        def bounds(*args):
+            calls.append(args[3:])
+            return model.bounds(*args)
+
+        monkeypatch.setitem(grid_mod.MODELS, "probit", model._replace(bounds=bounds))
+        argv = ("bounds", "--model", "probit", "--base-rate", "0.05", "--gamma-s", "0.3",
+                "--alpha", "0.002", "--delta-alpha", "0.0001", "--delta-r2", "0.001")
+        code, out, err = run_cli(capsys, *argv, "--eps", "0.05", "--machine")
+        assert (code, err, calls) == (0, "", [(0.05,)])
+        p = grid_mod.model_params("probit", 0.3, None, None, 0.05)
+        pair = model.bounds(p, 0.002, inputs.LeverDelta(0.0001, 0.001), 0.05)
+        assert out.startswith("lower %.17g\nupper %.17g\n" % (pair.lower, pair.upper))
+        assert run_cli(capsys, *argv)[0] == 0 and calls[1] == ()
 
     def test_probit_overflow_is_numerical_failure(self):
         # 1/(sqrt(2 pi) alpha T) ~ 129 raised to a power ~ 1/gamma_t^2 = 500
@@ -627,6 +645,20 @@ class TestAllocate:
             capture_output=True, env={**os.environ, "PYTHONIOENCODING": "ascii"})
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert proc.stdout.startswith("treated café\n".encode("utf-8"))
+
+    def test_header_with_spaces_reads_as_plain(self, tmp_path):
+        # the header's names are compared stripped, and the rows read by them
+        rows = "a,0.25,2.0\nb,0.25,1.0\nc,0.5,-0.5\n"
+        runs = []
+        for name, header in (("plain.csv", "label,mass,cond_mean"),
+                             ("spaced.csv", "label, mass , cond_mean ")):
+            path = tmp_path / name
+            path.write_text(f"{header}\n{rows}")
+            runs.append(run_process("allocate", "--dist", str(path), "--alpha", "0.5",
+                                    "--brute-force"))
+        plain, spaced = ((run.returncode, run.stdout, run.stderr) for run in runs)
+        assert plain == spaced == (0, plain[1], "")
+        assert "treated a,b" in plain[1]
 
     def test_bad_header_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

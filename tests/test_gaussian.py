@@ -183,10 +183,11 @@ class TestQuantile:
         for x in (0.3, 1e-20, 1.0 - 1e-12, 0.0):  # a 0-d and a one-element array
             assert gaussian.ndtri(np.array(x)) == gaussian.ndtri(np.array([x]))[0]
             assert gaussian.ndtri(np.array(x)) == gaussian.ndtri(x)
-        # Arrays that leave a branch empty or give it every element, so
-        # that it runs on the array itself: all central, all in the near
-        # tail, all in the far tail (p < 1.4e-11), and no central element
-        # among the limits, out-of-range values and one of each tail.
+        # Arrays that leave a branch empty or give it every element: all
+        # central (gathered as in a mixed array), all in the near tail and
+        # all in the far tail (p < 1.4e-11), which run on the array itself,
+        # and no central element among the limits, out-of-range values and
+        # one of each tail.
         near = 0.075 * 10.0 ** -rng.uniform(0, 9.5, 1000)
         far = 10.0 ** -rng.uniform(11, 300, 1000)
         for a in (rng.uniform(0.08, 0.92, 1000), np.concatenate([near, 1.0 - near]),
@@ -195,6 +196,13 @@ class TestQuantile:
                   np.array([0.0, 1.0, math.nan, -1.0, 2.0])):
             want = [gaussian._ndtri_float(float(x)) for x in a]
             np.testing.assert_array_equal(gaussian.ndtri(a), want)
+
+    @pytest.mark.parametrize("size", [1, 625, 70_000])
+    def test_all_central_is_the_float_path(self, size):
+        # 70,000 elements span more than one batch of _BATCH
+        p = np.random.default_rng(size).uniform(0.08, 0.92, size)
+        want = np.array([gaussian._ndtri_float(x) for x in p.tolist()])
+        assert gaussian.ndtri(p).tobytes() == want.tobytes()
 
     def test_out_takes_the_float_bits(self, monkeypatch):
         # into a caller's buffer, in batches that hold every mix of branches:

@@ -80,10 +80,14 @@ def test_cli_import_loads_no_heavy_modules():
     # Against a bare interpreter in the same environment, since a site hook may preload modules.
     listing = "import sys; print(' '.join(sorted(sys.modules)))"
     runs = [subprocess.run([sys.executable, "-c", stmt], capture_output=True, text=True, check=True)
-            for stmt in (listing, "import partarget.cli; " + listing)]
-    bare, cli = (set(run.stdout.split()) for run in runs)
+            for stmt in (listing, "import partarget.cli; " + listing,
+                         "import numpy; " + listing, "import partarget.grid; " + listing)]
+    bare, cli, numpy, grid = (set(run.stdout.split()) for run in runs)
     assert "partarget.cli" in cli
     assert {"numpy", "dataclasses", "inspect", "json", "csv"} & (cli - bare) == set()
+    # the modules that compute load no json beyond numpy's own: only serialize_grid imports it
+    assert "partarget.linear" in grid
+    assert {"json", "csv"} & (grid - numpy) == set()
 
 
 SPEC_FIELDS = {"model": "probit", "alpha_lo": 0.001, "alpha_hi": 0.1, "alpha_count": 5,
