@@ -36,8 +36,8 @@ _SUBMODULES = ("_backend", "cli", "errors", "gaussian", "grid", "inputs", "linea
                "probit")
 _LAZY = {"MC_BACKEND": "_backend", "BoundPair": "gaussian", "CostModel": "inputs",
          "DiscreteDistribution": "inputs", "Estimate": "oracle", "GridResult": "grid",
-         "GridSpec": "inputs", "LeverDelta": "inputs", "LinearParams": "linear",
-         "ProbitParams": "probit", "SimConfig": "oracle"}
+         "GridSpec": "inputs", "LeverDelta": "inputs", "LinearParams": "inputs",
+         "ProbitParams": "inputs", "SimConfig": "inputs"}
 
 __all__ = ["DegenerateLeverError", "DomainError", "NumericsError", "PartargetError",
            "PreconditionError", "RegimeError", "__version__", *_LAZY]

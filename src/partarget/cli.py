@@ -9,8 +9,11 @@ Exit codes: 0 success, 2 domain/precondition violations and bad usage,
 1 internal numerical failure (including a failed `verify`) or an output
 failure: stdout closed, a full disk, or a reader that left part-way.
 
-Importing this module loads no NumPy: a handler that computes imports
-``grid`` or ``oracle`` when it runs, after its input has been checked.
+Importing this module loads no NumPy.  A handler builds all its input records
+before it imports ``grid``, so only the computation's own refusals load NumPy:
+alpha outside a function's domain, a lever step out of the model's regime or
+too small, a failed bounds hypothesis or ``--eps`` outside (0, 0.1), a grid
+whose cost ratio prices no cell, and numerical failures.
 """
 
 from __future__ import annotations
@@ -37,31 +40,33 @@ def _lines(*lines: str) -> bytes:
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
+def _params(args: argparse.Namespace):
+    """The model's parameters, from the flags."""
+    return inputs.model_params(args.model, args.gamma_s, args.mu, args.beta_norm, args.base_rate)
+
+
 def _model(args: argparse.Namespace):
-    """The model's functions and its parameters, from the flags."""
+    """The model's functions; this loads NumPy, so it comes after the records."""
     from .grid import MODELS
-    return MODELS[args.model], inputs.model_params(
-        args.model, args.gamma_s, args.mu, args.beta_norm, args.base_rate)
+    return MODELS[args.model]
 
 
 def _cmd_value(args: argparse.Namespace) -> tuple[int, bytes]:
-    model, p = _model(args)
-    return 0, _lines(_fmt(model.value(p, args.alpha), args.machine))
+    p = _params(args)
+    return 0, _lines(_fmt(_model(args).value(p, args.alpha), args.machine))
 
 
 def _cmd_par(args: argparse.Namespace) -> tuple[int, bytes]:
-    model, p = _model(args)
-    d = inputs.LeverDelta(args.delta_alpha, args.delta_r2)
-    return 0, _lines(_fmt(model.par(p, args.alpha, d), args.machine))
+    p, d = _params(args), inputs.LeverDelta(args.delta_alpha, args.delta_r2)
+    return 0, _lines(_fmt(_model(args).par(p, args.alpha, d), args.machine))
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[int, bytes]:
-    model, p = _model(args)
-    d = inputs.LeverDelta(args.delta_alpha, args.delta_r2)
+    p, d = _params(args), inputs.LeverDelta(args.delta_alpha, args.delta_r2)
     if args.eps is not None and args.model != "probit":
         raise DomainError("--eps is only valid with --model probit")
-    pair = (model.bounds(p, args.alpha, d) if args.eps is None
-            else model.bounds(p, args.alpha, d, args.eps))
+    model, eps = _model(args), () if args.eps is None else (args.eps,)
+    pair = model.bounds(p, args.alpha, d, *eps)  # no eps: the probit default
     exact = model.par(p, args.alpha, d)
     m = args.machine
     return 0, _lines(f"lower {_fmt(pair.lower, m)}", f"upper {_fmt(pair.upper, m)}",
@@ -72,8 +77,8 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, bytes]:
 def _grid_spec_from_args(args: argparse.Namespace) -> inputs.GridSpec:
     if args.spec is not None:
         import json
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
+        try:  # utf-8-sig: a byte-order mark, as spreadsheets write one, is not part of the JSON
+            with open(args.spec, "r", encoding="utf-8-sig") as fh:
                 doc = json.load(fh)
         except OSError as exc:
             raise DomainError(f"cannot read grid spec {args.spec!r}: {exc.strerror}") from exc
@@ -92,15 +97,14 @@ def _grid_spec_from_args(args: argparse.Namespace) -> inputs.GridSpec:
 
 
 def _cmd_grid(args: argparse.Namespace) -> tuple[int, bytes]:
-    spec = _grid_spec_from_args(args)  # a refused spec never loads NumPy
+    spec = _grid_spec_from_args(args)
     from .grid import serialize_grid, sweep_grid
     return 0, serialize_grid(sweep_grid(spec), args.format)
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, bytes]:
-    from .oracle import Estimate, SimConfig
-    model, p = _model(args)
-    cfg = SimConfig(samples=args.samples, seed=args.seed)
+    p, cfg = _params(args), inputs.SimConfig(samples=args.samples, seed=args.seed)
+    model = _model(args)
     target = model.value(p, args.alpha)
     est = model.simulate(p, args.alpha, cfg)
     judged = est
@@ -110,6 +114,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, bytes]:
         var = model.second_moment(p, args.alpha) - target * target
         if not var < math.inf:
             raise NumericsError(f"the closed-form spread at the value {target!r} overflows")
+        from .oracle import Estimate
         judged = Estimate(est.mean, math.sqrt(var / est.samples), est.samples)
     m = args.machine
     z = judged.z_score(target)
@@ -121,25 +126,24 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, bytes]:
 
 
 def _read_distribution(path: str) -> inputs.DiscreteDistribution:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+    try:  # utf-8-sig: a byte-order mark, as spreadsheets write one, is not part of the header
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except OSError as exc:
-        raise DomainError(
-            f"cannot read distribution file {path!r}: {exc.strerror}") from exc
+        raise DomainError(f"cannot read distribution file {path!r}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise DomainError(f"distribution file {path!r} is not valid UTF-8: {exc}") from exc
     import csv
     reader = csv.DictReader(io.StringIO(text, newline=""))
     expected = ["label", "mass", "cond_mean"]
     if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
-        raise DomainError(
-            f"distribution file must have header {','.join(expected)!r}"
-        )
+        raise DomainError(f"distribution file must have header {','.join(expected)!r}")
     reader.fieldnames = expected  # rows are read by the stripped names
     atoms = []
     for row in reader:
         try:
+            if None in row:  # DictReader's key for the fields past the header's three
+                raise ValueError
             atoms.append(inputs.Atom(row["label"], float(row["mass"]), float(row["cond_mean"])))
         except (TypeError, ValueError) as exc:
             raise DomainError(f"malformed distribution row {row!r}") from exc

@@ -10,8 +10,8 @@ status codes, instead of fabricated numbers.  The indifference contour
 (where the cost-benefit ratio crosses 1) is interpolated per alpha column.
 The cells are one NumPy record array, which the contour search and the
 serializers read column by column.  The spec, the lever costs and
-:func:`model_params` are defined in ``inputs``, without NumPy, so a command
-checks its spec before it loads NumPy; they are importable from here too.
+:func:`model_params` are defined in ``inputs``, without NumPy, so no
+refused spec loads NumPy; they are importable from here too.
 
 Everything is deterministic: cells are laid out in row-major order with
 alpha as the outer axis, and serialization uses fixed formats, so two

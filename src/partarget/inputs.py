@@ -1,10 +1,10 @@
 """Input types and the checks a command runs before it computes anything:
-the access-level domains, lever steps and costs, the grid spec, and
-discrete distributions with their allocators.  Nothing here imports NumPy
-(:func:`model_params` imports the model it builds when called), so
-``allocate`` and a refused input run without it.  Each name is also
-importable from the module that uses it: ``grid``, ``linear``,
-``gaussian`` or ``oracle``.
+the access-level domains, lever steps and costs, both models' parameters,
+the simulation size, the grid spec, and discrete distributions with their
+allocators.  Nothing here imports NumPy (``gamma_t`` and ``mu_over_beta``
+load ``gaussian`` when read), so ``allocate`` and every refused record run
+without it.  Each name is also importable from the module that uses it:
+``grid``, ``linear``, ``probit``, ``gaussian`` or ``oracle``.
 
 Every record type of the package derives from :class:`_Record`, a frozen
 record base that costs about as much to define as a plain class.  Its
@@ -27,8 +27,8 @@ from .errors import DomainError, RegimeError
 
 __all__ = [
     "check_alpha_half", "check_alpha_open", "check_alpha_open_closed", "check_alpha_closed",
-    "LeverDelta", "CostModel", "cost_benefit", "MAX_CELLS", "MODEL_NAMES", "model_params",
-    "GridSpec",
+    "LeverDelta", "CostModel", "cost_benefit", "MAX_CELLS", "MODEL_NAMES", "LinearParams",
+    "ProbitParams", "model_params", "MIN_SAMPLES", "MAX_SAMPLES", "SimConfig", "GridSpec",
     "Atom", "DiscreteDistribution", "Allocation", "greedy_allocate", "brute_force_allocate",
 ]
 
@@ -180,6 +180,63 @@ def cost_benefit(par: float, cm: CostModel) -> float:
 MODEL_NAMES = ("linear", "probit")
 
 
+class _ModelParams(_Record):
+    """Base of the two models' parameters: every field is checked for NaN,
+    then each but the last, gamma_s, for (0, ``_upper``), then gamma_s for [0, 1]."""
+
+    _upper, _domain = math.inf, "be finite and positive"
+
+    def __post_init__(self) -> None:
+        for name in self._fields:
+            _reject_nan(getattr(self, name), name)
+        for name in self._fields[:-1]:
+            val = getattr(self, name)
+            if not 0.0 < val < self._upper:
+                raise DomainError(f"{name} must {self._domain}, got {val!r}")
+        if not 0.0 <= self.gamma_s <= 1.0:
+            raise DomainError(f"gamma_s must lie in [0, 1], got {self.gamma_s!r}")
+
+    @property
+    def gamma_t(self) -> float:
+        from . import gaussian  # NumPy, loaded only when a model computes
+        return float(gaussian.conditional_sd(self.gamma_s))
+
+    def with_gamma_s(self, gamma_s: float):
+        return type(self)(*self._values()[:-1], gamma_s)
+
+
+class LinearParams(_ModelParams):
+    """Population parameters of the linear welfare model.
+
+    mu: mean welfare improvement; beta_norm: standard deviation of the
+    welfare improvement; gamma_s: observable share of that deviation
+    (the square root of the model's r squared).
+    """
+
+    mu: float
+    beta_norm: float
+    gamma_s: float
+
+
+class ProbitParams(_ModelParams):
+    """Population parameters of the probit welfare model.
+
+    base_rate is Pr[w = 1]; gamma_s is the observable share of the latent
+    score's standard deviation (square root of the latent r squared).
+    """
+
+    base_rate: float
+    gamma_s: float
+
+    _upper, _domain = 1.0, "lie in (0, 1)"
+
+    @property
+    def mu_over_beta(self) -> float:
+        """Latent mean offset implied by the base rate: quantile(base_rate)."""
+        from . import gaussian
+        return gaussian.quantile(self.base_rate)
+
+
 def model_params(model: str, gamma_s: float, mu: float | None = None,
                  beta_norm: float | None = None, base_rate: float | None = None):
     """The parameters of one model at gamma_s: LinearParams from mu and
@@ -190,16 +247,40 @@ def model_params(model: str, gamma_s: float, mu: float | None = None,
             raise DomainError("base_rate is only valid with the probit model")
         if mu is None or beta_norm is None:
             raise DomainError("linear model requires mu and beta_norm")
-        from .linear import LinearParams
         return LinearParams(mu, beta_norm, gamma_s)
     if model == "probit":
         if mu is not None or beta_norm is not None:
             raise DomainError("mu/beta_norm are only valid with the linear model")
         if base_rate is None:
             raise DomainError("probit model requires base_rate")
-        from .probit import ProbitParams
         return ProbitParams(base_rate, gamma_s)
     raise DomainError(f"model must be {' or '.join(map(repr, MODEL_NAMES))}, got {model!r}")
+
+
+MIN_SAMPLES = 10_000
+# Ceiling on one simulation: measured at 1e8 samples, probit on two cores, one
+# simulation takes about 0.45 s at alpha = 0.02 and 4 s at alpha = 1 (every
+# sample is then treated), so 1e9 takes about 5 s and 40 s.
+MAX_SAMPLES = 10**9
+
+
+class SimConfig(_Record):
+    """Simulation size, from MIN_SAMPLES to MAX_SAMPLES, and a 64-bit seed."""
+
+    samples: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        from numbers import Integral  # here, so that import partarget.cli does not load it
+        for name in ("samples", "seed"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, Integral):
+                raise DomainError(f"{name} must be an integer, got {val!r}")
+        if not MIN_SAMPLES <= self.samples <= MAX_SAMPLES:
+            raise DomainError(f"samples must lie in [{MIN_SAMPLES}, {MAX_SAMPLES}], "
+                              f"got {self.samples!r}")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed must fit in 64 bits, got {self.seed!r}")
 
 
 def _axis(lo: float, hi: float, n: int, spacing: str) -> tuple[float, ...]:

@@ -16,8 +16,9 @@ closed form above no longer applies, so those inputs are rejected.
 :func:`value_linear_array` and :func:`par_linear_array` evaluate whole
 arrays of cells, and :func:`value_linear` and :func:`par_linear_exact`
 call them, so a grid cell and a scalar call give the same bits.
-The lever steps, :class:`LeverDelta`, are defined in ``inputs`` (no NumPy)
-and importable from here too.
+The parameters, :class:`LinearParams`, and the lever steps,
+:class:`LeverDelta`, are defined in ``inputs`` (no NumPy) and importable
+from here too.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     RegimeError,
 )
 from .gaussian import BoundPair, check_alpha_half, check_alpha_closed, pdf_array
-from .inputs import LeverDelta, _Record
+from .inputs import LeverDelta, LinearParams
 
 __all__ = [
     "LinearParams",
@@ -55,37 +56,6 @@ __all__ = [
     "quality_gain_linear",
     "linear_indifference_gamma",
 ]
-
-
-class LinearParams(_Record):
-    """Population parameters of the linear welfare model.
-
-    mu: mean welfare improvement; beta_norm: standard deviation of the
-    welfare improvement; gamma_s: observable share of that deviation
-    (the square root of the model's r squared).
-    """
-
-    mu: float
-    beta_norm: float
-    gamma_s: float
-
-    def __post_init__(self) -> None:
-        for name in ("mu", "beta_norm", "gamma_s"):
-            if math.isnan(getattr(self, name)):
-                raise DomainError(f"{name} is NaN")
-        for name in ("mu", "beta_norm"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(
-                    f"{name} must be finite and positive, got {getattr(self, name)!r}")
-        if not 0.0 <= self.gamma_s <= 1.0:
-            raise DomainError(f"gamma_s must lie in [0, 1], got {self.gamma_s!r}")
-
-    @property
-    def gamma_t(self) -> float:
-        return float(gaussian.conditional_sd(self.gamma_s))
-
-    def with_gamma_s(self, gamma_s: float) -> "LinearParams":
-        return LinearParams(self.mu, self.beta_norm, gamma_s)
 
 
 # Per-cell status codes of par_linear_array and par_probit_array.

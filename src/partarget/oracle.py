@@ -9,7 +9,9 @@ Two kinds of ground truth are reached from here:
   in block order.  Fixed (seed, samples) therefore gives bit-identical
   estimates on every call and with any number of threads, so the oracle
   itself is testable; its standard error is checked against the closed
-  forms over fixed seeds in ``tests/test_oracle.py``.
+  forms over fixed seeds in ``tests/test_oracle.py``.  The simulation
+  size, :class:`SimConfig`, is defined in ``inputs`` (no NumPy) and
+  importable from here.
 * An exact allocator for finitely supported feature distributions: the
   greedy quantile policy plus an exhaustive brute-force optimum to check
   it against, defined without NumPy in ``inputs`` and importable from
@@ -22,16 +24,14 @@ Two kinds of ground truth are reached from here:
 from __future__ import annotations
 
 import math
-import numbers
 
 from . import gaussian
 from ._backend import linear_sums, probit_sums
-from .errors import DomainError, NumericsError
+from .errors import NumericsError
 from .gaussian import check_alpha_half, check_alpha_open_closed
-from .inputs import (Allocation, Atom, DiscreteDistribution, _Record, brute_force_allocate,
+from .inputs import (MAX_SAMPLES, MIN_SAMPLES, Allocation, Atom, DiscreteDistribution,
+                     LinearParams, ProbitParams, SimConfig, _Record, brute_force_allocate,
                      greedy_allocate)
-from .linear import LinearParams
-from .probit import ProbitParams
 
 __all__ = [
     "MAX_SAMPLES",
@@ -47,32 +47,6 @@ __all__ = [
     "greedy_allocate",
     "brute_force_allocate",
 ]
-
-MIN_SAMPLES = 10_000
-# Ceiling on one simulation: measured at 1e8 samples, probit on two cores, one
-# simulation takes about 0.45 s at alpha = 0.02 and 4 s at alpha = 1 (every
-# sample is then treated), so 1e9 takes about 5 s and 40 s.
-MAX_SAMPLES = 10**9
-
-
-class SimConfig(_Record):
-    """Simulation size, from MIN_SAMPLES to MAX_SAMPLES, and a 64-bit seed."""
-
-    samples: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        for name in ("samples", "seed"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {val!r}")
-        if not MIN_SAMPLES <= self.samples <= MAX_SAMPLES:
-            raise DomainError(
-                f"samples must lie in [{MIN_SAMPLES}, {MAX_SAMPLES}], got {self.samples!r}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must fit in 64 bits, got {self.seed!r}")
-
 
 class Estimate(_Record):
     """A Monte Carlo mean with its standard error."""

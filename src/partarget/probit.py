@@ -25,7 +25,9 @@ The core evaluates no Phi, and needs no branch at rho = 0: the range is
 empty there, and the value is alpha b exactly.
 :func:`value_probit_array` is the one numerical core, over arrays, and
 the scalar functions call it.  The derivative formulas below are exact
-and serve as independent cross-checks.
+and serve as independent cross-checks.  The parameters,
+:class:`ProbitParams`, are defined in ``inputs`` (no NumPy) and
+importable from here.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
     PreconditionError,
 )
 from .gaussian import SQRT_2PI, BoundPair, check_alpha_open, check_alpha_open_closed
-from .inputs import _Record
+from .inputs import ProbitParams, _Record
 from .linear import PAR_NOISE, PAR_OK, PAR_REGIME, LeverDelta, par_from_values
 
 __all__ = [
@@ -76,38 +78,6 @@ GAIN_FLOOR = 1e-9
 # threshold the result leaves unspecified; these stand in for it.
 BOUNDS_MAX_ALPHA = 0.01
 BOUNDS_MAX_DELTA_R2 = 0.01
-
-
-class ProbitParams(_Record):
-    """Population parameters of the probit welfare model.
-
-    base_rate is Pr[w = 1]; gamma_s is the observable share of the latent
-    score's standard deviation (square root of the latent r squared).
-    """
-
-    base_rate: float
-    gamma_s: float
-
-    def __post_init__(self) -> None:
-        for name in ("base_rate", "gamma_s"):
-            if math.isnan(getattr(self, name)):
-                raise DomainError(f"{name} is NaN")
-        if not 0.0 < self.base_rate < 1.0:
-            raise DomainError(f"base_rate must lie in (0, 1), got {self.base_rate!r}")
-        if not 0.0 <= self.gamma_s <= 1.0:
-            raise DomainError(f"gamma_s must lie in [0, 1], got {self.gamma_s!r}")
-
-    @property
-    def mu_over_beta(self) -> float:
-        """Latent mean offset implied by the base rate: quantile(base_rate)."""
-        return gaussian.quantile(self.base_rate)
-
-    @property
-    def gamma_t(self) -> float:
-        return float(gaussian.conditional_sd(self.gamma_s))
-
-    def with_gamma_s(self, gamma_s: float) -> "ProbitParams":
-        return ProbitParams(self.base_rate, gamma_s)
 
 
 class CutoffResult(_Record):

@@ -120,19 +120,26 @@ class TestNumpyKernel:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
-    def test_treated_is_the_same_for_any_cut_and_room(self):
+    def test_treated_is_the_same_for_any_cut_and_room(self, monkeypatch):
         # a cut of 0 keeps every bit, so z_s falls below the threshold at
-        # most of them, and a buffer sized for a cut near 2**64 must grow
+        # most of them, and a buffer sized for a cut near 2**64 must grow:
+        # with chunks of 64 counters, after chunks have kept bits
         start, count, threshold = 2**20 + 3, 2**18 + 5, 0.8
         cut = _backend._cut(threshold)
         want = _backend._treated(13, start, count, threshold, cut, _backend._Buffers(count, cut))
+        everything = _backend._Buffers(count, np.uint64(0))
+        got = [_backend._treated(13, start, count, threshold, np.uint64(0), everything)]
+        monkeypatch.setattr(_backend, "_CHUNK", 64)
         small = _backend._Buffers(count, np.uint64(2**64 - 1))
         assert small.near.size < 100
-        everything = _backend._Buffers(count, np.uint64(0))
-        for got in (_backend._treated(13, start, count, threshold, np.uint64(0), everything),
-                    _backend._treated(13, start, count, threshold, cut, small)):
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+        kept, fit = [], _backend._Buffers.fit
+        monkeypatch.setattr(_backend._Buffers, "fit",
+                            lambda buf, size, keep: (kept.append(keep), fit(buf, size, keep)))
+        got.append(_backend._treated(13, start, count, threshold, cut, small))
+        assert kept and kept[0] > 0  # the grown arrays start with the bits kept so far
+        for zs, zt in got:
+            assert zs.tobytes() == want[0].tobytes()
+            assert zt.tobytes() == want[1].tobytes()
 
     def test_probit_block_size_invariance(self, monkeypatch):
         monkeypatch.setattr(_backend, "_BLOCK", ARGS_PROBIT["n"])

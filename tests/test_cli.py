@@ -216,6 +216,10 @@ class TestGrid:
         doc = json.loads(out)
         assert doc["spec"]["model"] == "probit"
         assert len(doc["cells"]) == 4
+        # a byte-order mark, as spreadsheets and some editors write one, is skipped
+        spec_path.write_bytes(b"\xef\xbb\xbf" + spec_path.read_bytes())
+        assert run_cli(capsys, "grid", "--spec", str(spec_path), "--format", "json") == \
+            (0, out, "")
 
     def test_missing_flags_named(self, capsys):
         code, _, err = run_cli(capsys, "grid", "--model", "linear")
@@ -241,6 +245,8 @@ class TestGrid:
         (json.dumps({**GOOD_SPEC, "alpha_count": 3.0}), "'alpha_count' must be an integer"),
         (json.dumps({**GOOD_SPEC, "gamma_count": "3"}), "'gamma_count' must be an integer"),
         (json.dumps({**GOOD_SPEC, "gamma_count": True}), "'gamma_count' must be an integer"),
+        (json.dumps({**GOOD_SPEC, "alpha_hi": 1.0}), "alpha range [0.01, 1.0] must lie in (0, 1)"),
+        (json.dumps({**GOOD_SPEC, "gamma_hi": 1.5}), "gamma range [0.1, 1.5] must lie in [0, 1]"),
         (json.dumps({**GOOD_SPEC, "alpha_hi": 0.01}), "alpha range is degenerate"),
         (json.dumps({**GOOD_SPEC, "gamma_lo": 0.9}), "gamma range is degenerate"),
         (json.dumps({**GOOD_SPEC, "alpha_lo": 1e-310}), "alpha_hi / alpha_lo overflows"),
@@ -626,7 +632,19 @@ class TestAllocate:
         ("absent.csv", None, "cannot read distribution file"),
         ("", None, "cannot read distribution file"),  # the directory itself
         ("utf16.csv", b"\xff\xfe", "is not valid UTF-8"),
-    ], ids=["missing", "directory", "not-utf8"])
+        ("d.csv", b"label,mass,cond_mean\na,heavy,2.0\nb,1.0,1.0\n",
+         "malformed distribution row {'label': 'a', 'mass': 'heavy', 'cond_mean': '2.0'}"),
+        ("d.csv", b"label,mass,cond_mean\na,0.25,2.0,junk\nb,0.75,1.0\n",
+         "malformed distribution row {'label': 'a', 'mass': '0.25', 'cond_mean': '2.0', "
+         "None: ['junk']}"),
+        ("d.csv", b"label,mass,cond_mean\na,0,2.0\nb,1.0,1.0\n",
+         "atom 'a' has nonpositive mass 0.0"),
+        ("d.csv", b"label,mass,cond_mean\na,1.0,2.0\nb,nan,1.0\n",
+         "atom 'b' has nonpositive mass nan"),
+        ("d.csv", b"label,mass,cond_mean\na,0.5,-inf\nb,0.5,1.0\n",
+         "atom 'a' has non-finite mean"),
+    ], ids=["missing", "directory", "not-utf8", "non-numeric-mass", "extra-field", "zero-mass",
+            "nan-mass", "infinite-mean"])
     def test_unreadable_dist_is_usage_error(self, capsys, tmp_path, name, content, message):
         path = tmp_path / name
         if content is not None:
@@ -651,13 +669,14 @@ class TestAllocate:
         rows = "a,0.25,2.0\nb,0.25,1.0\nc,0.5,-0.5\n"
         runs = []
         for name, header in (("plain.csv", "label,mass,cond_mean"),
-                             ("spaced.csv", "label, mass , cond_mean ")):
+                             ("spaced.csv", "label, mass , cond_mean "),
+                             ("bom.csv", "\ufefflabel,mass,cond_mean")):  # as Excel writes it
             path = tmp_path / name
-            path.write_text(f"{header}\n{rows}")
+            path.write_text(f"{header}\n{rows}", encoding="utf-8")
             runs.append(run_process("allocate", "--dist", str(path), "--alpha", "0.5",
                                     "--brute-force"))
-        plain, spaced = ((run.returncode, run.stdout, run.stderr) for run in runs)
-        assert plain == spaced == (0, plain[1], "")
+        plain, spaced, bom = ((run.returncode, run.stdout, run.stderr) for run in runs)
+        assert plain == spaced == bom == (0, plain[1], "")
         assert "treated a,b" in plain[1]
 
     def test_bad_header_rejected(self, capsys, tmp_path):
@@ -932,3 +951,55 @@ class TestWithoutNumpy:
         script = "import sys, partarget.cli; assert 'numpy' not in sys.modules"
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# One refusal of each input record, each found before NumPy loads, with its line.
+REFUSALS = {
+    "linear-parameters": (["value", "--model", "linear", "--mu", "-1", "--beta-norm", "10",
+                           "--gamma-s", "0.3", "--alpha", "0.02"],
+                          "error: mu must be finite and positive, got -1.0\n"),
+    "probit-parameters": (["par", "--model", "probit", "--base-rate", "1.5", "--gamma-s", "0.3",
+                           "--alpha", "0.002", *LEVERS],
+                          "error: base_rate must lie in (0, 1), got 1.5\n"),
+    "other-models-flag": (["bounds", *LINEAR, "--base-rate", "0.1", *LEVERS],
+                          "error: base_rate is only valid with the probit model\n"),
+    "lever-step": (["par", *LINEAR, "--delta-alpha", "-1", "--delta-r2", "0.01"],
+                   "error: delta_alpha must be finite and >= 0, got -1.0\n"),
+    "sample-count": (["verify", *PROBIT, "--samples", "5", "--seed", "1"],
+                     "error: samples must lie in [10000, 1000000000], got 5\n"),
+    "eps-with-linear": (["bounds", *LINEAR, *LEVERS, "--eps", "0.05"],
+                        "error: --eps is only valid with --model probit\n"),
+    "spec-parameters": (["grid", *_flags({"model": "probit", "base_rate": 0.0, **GRID_FIELDS})],
+                        "error: base_rate must lie in (0, 1), got 0.0\n"),
+    "spec-axis": (["grid", *_flags({**SPEC_FIELDS, "alpha_hi": 0.01})],
+                  "error: alpha range is degenerate with count >= 2\n"),
+    "distribution": (["allocate", "--dist", "{dist}", "--alpha", "0.5"],
+                     "error: atom 'a' has nonpositive mass -0.5\n"),
+}
+
+
+def test_refusals_load_no_numpy(tmp_path):
+    """In a fresh interpreter, importing the CLI adds only argparse and the
+    package's own modules, and each refusal exits 2 with NumPy still unloaded."""
+    dist = tmp_path / "dist.csv"
+    dist.write_text("label,mass,cond_mean\na,-0.5,2.0\nb,1.5,1.0\n")
+    argvs = {name: [arg.format(dist=dist) for arg in argv]
+             for name, (argv, _) in REFUSALS.items()}
+    script = ("import sys\n"
+              "import partarget.cli\n"
+              "modules, results = sorted(sys.modules), {}\n"
+              "import io, json\n"
+              f"for name, argv in {argvs!r}.items():\n"
+              "    sys.stderr = io.StringIO()\n"
+              "    code = partarget.cli.run(argv)\n"
+              "    results[name] = [code, sys.stderr.getvalue(), 'numpy' in sys.modules]\n"
+              "print(json.dumps([modules, results]))\n")
+    base = "import sys, __future__, argparse; print(' '.join(sorted(sys.modules)))"
+    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=stream_env()) for code in (base, script)]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, ""), (0, "")]
+    base_modules = set(runs[0].stdout.split())
+    modules, results = json.loads(runs[1].stdout)
+    assert set(modules) - base_modules == {"partarget", "partarget.cli", "partarget.errors",
+                                           "partarget.inputs"}
+    assert results == {name: [2, err, False] for name, (_, err) in REFUSALS.items()}

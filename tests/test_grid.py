@@ -73,11 +73,18 @@ class TestModelParams:
          "base_rate is only valid with the probit model"),
         ("probit", {"base_rate": 0.1, "beta_norm": 1.0},
          "mu/beta_norm are only valid with the linear model"),
+        ("linear", {"mu": math.nan, "beta_norm": -1.0}, "mu is NaN"),
+        ("linear", {"mu": -1.0, "beta_norm": math.nan}, "beta_norm is NaN"),
+        ("linear", {"mu": 1.0, "beta_norm": 1.0, "gamma_s": math.nan}, "gamma_s is NaN"),
+        ("probit", {"base_rate": math.nan}, "base_rate is NaN"),
+        ("probit", {"base_rate": 2.0, "gamma_s": math.nan}, "gamma_s is NaN"),
     ])
     def test_refusals(self, model, kwargs, message):
         with pytest.raises(DomainError) as exc:
-            model_params(model, 0.3, **kwargs)
+            model_params(model, **{"gamma_s": 0.3, **kwargs})
         assert str(exc.value) == message
+        if "gamma_s" in kwargs:  # a spec's gamma_s is gamma_lo, which its range check refuses
+            return
         # A grid spec refuses the same parameters with the same words.
         fields = dict(model=model, alpha_lo=0.01, alpha_hi=0.02, alpha_count=2, gamma_lo=0.3,
                       gamma_hi=0.5, gamma_count=2, deltas=LeverDelta(0.001, 0.01),
