@@ -65,8 +65,9 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, bytes]:
     p, d = _params(args), inputs.LeverDelta(args.delta_alpha, args.delta_r2)
     if args.eps is not None and args.model != "probit":
         raise DomainError("--eps is only valid with --model probit")
-    model, eps = _model(args), () if args.eps is None else (args.eps,)
-    pair = model.bounds(p, args.alpha, d, *eps)  # no eps: the probit default
+    model = _model(args)
+    pair = (model.bounds(p, args.alpha, d) if args.eps is None
+            else model.bounds(p, args.alpha, d, args.eps))
     exact = model.par(p, args.alpha, d)
     m = args.machine
     return 0, _lines(f"lower {_fmt(pair.lower, m)}", f"upper {_fmt(pair.upper, m)}",
@@ -130,21 +131,23 @@ def _read_distribution(path: str) -> inputs.DiscreteDistribution:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except OSError as exc:
-        raise DomainError(f"cannot read distribution file {path!r}: {exc.strerror}") from exc
+        raise DomainError(
+            f"cannot read distribution file {path!r}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise DomainError(f"distribution file {path!r} is not valid UTF-8: {exc}") from exc
     import csv
     reader = csv.DictReader(io.StringIO(text, newline=""))
     expected = ["label", "mass", "cond_mean"]
     if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
-        raise DomainError(f"distribution file must have header {','.join(expected)!r}")
+        raise DomainError(
+            f"distribution file must have header {','.join(expected)!r}"
+        )
     reader.fieldnames = expected  # rows are read by the stripped names
     atoms = []
     for row in reader:
         try:
-            if None in row:  # DictReader's key for the fields past the header's three
-                raise ValueError
-            atoms.append(inputs.Atom(row["label"], float(row["mass"]), float(row["cond_mean"])))
+            label, mass, cond_mean = row.values()  # a field past the header's three is a fourth
+            atoms.append(inputs.Atom(label, float(mass), float(cond_mean)))
         except (TypeError, ValueError) as exc:
             raise DomainError(f"malformed distribution row {row!r}") from exc
     return inputs.DiscreteDistribution(tuple(atoms))

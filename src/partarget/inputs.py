@@ -181,17 +181,17 @@ MODEL_NAMES = ("linear", "probit")
 
 
 class _ModelParams(_Record):
-    """Base of the two models' parameters: every field is checked for NaN,
-    then each but the last, gamma_s, for (0, ``_upper``), then gamma_s for [0, 1]."""
+    """Base of the two models' parameters: every field is checked for NaN, then
+    each field other than gamma_s for (0, ``_upper``), then gamma_s for [0, 1]."""
 
     _upper, _domain = math.inf, "be finite and positive"
 
     def __post_init__(self) -> None:
         for name in self._fields:
             _reject_nan(getattr(self, name), name)
-        for name in self._fields[:-1]:
+        for name in self._fields:
             val = getattr(self, name)
-            if not 0.0 < val < self._upper:
+            if name != "gamma_s" and not 0.0 < val < self._upper:
                 raise DomainError(f"{name} must {self._domain}, got {val!r}")
         if not 0.0 <= self.gamma_s <= 1.0:
             raise DomainError(f"gamma_s must lie in [0, 1], got {self.gamma_s!r}")
@@ -202,7 +202,7 @@ class _ModelParams(_Record):
         return float(gaussian.conditional_sd(self.gamma_s))
 
     def with_gamma_s(self, gamma_s: float):
-        return type(self)(*self._values()[:-1], gamma_s)
+        return type(self)(*(gamma_s if n == "gamma_s" else getattr(self, n) for n in self._fields))
 
 
 class LinearParams(_ModelParams):

@@ -16,9 +16,8 @@ closed form above no longer applies, so those inputs are rejected.
 :func:`value_linear_array` and :func:`par_linear_array` evaluate whole
 arrays of cells, and :func:`value_linear` and :func:`par_linear_exact`
 call them, so a grid cell and a scalar call give the same bits.
-The parameters, :class:`LinearParams`, and the lever steps,
-:class:`LeverDelta`, are defined in ``inputs`` (no NumPy) and importable
-from here too.
+:class:`LinearParams` and :class:`LeverDelta` (the lever steps) are
+defined in ``inputs`` (no NumPy) and importable from here too.
 """
 
 from __future__ import annotations

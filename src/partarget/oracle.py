@@ -9,9 +9,8 @@ Two kinds of ground truth are reached from here:
   in block order.  Fixed (seed, samples) therefore gives bit-identical
   estimates on every call and with any number of threads, so the oracle
   itself is testable; its standard error is checked against the closed
-  forms over fixed seeds in ``tests/test_oracle.py``.  The simulation
-  size, :class:`SimConfig`, is defined in ``inputs`` (no NumPy) and
-  importable from here.
+  forms over fixed seeds in ``tests/test_oracle.py``.  :class:`SimConfig`
+  (the simulation size) is defined in ``inputs`` and importable from here.
 * An exact allocator for finitely supported feature distributions: the
   greedy quantile policy plus an exhaustive brute-force optimum to check
   it against, defined without NumPy in ``inputs`` and importable from
@@ -57,7 +56,7 @@ class Estimate(_Record):
 
     def z_score(self, target: float) -> float:
         if self.std_error == 0.0:
-            return 0.0 if self.mean == target else math.inf
+            return 0.0 if self.mean == target else math.copysign(math.inf, self.mean - target)
         return (self.mean - target) / self.std_error
 
     def within(self, target: float, n_se: float = 4.0) -> bool:

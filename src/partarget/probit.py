@@ -25,9 +25,8 @@ The core evaluates no Phi, and needs no branch at rho = 0: the range is
 empty there, and the value is alpha b exactly.
 :func:`value_probit_array` is the one numerical core, over arrays, and
 the scalar functions call it.  The derivative formulas below are exact
-and serve as independent cross-checks.  The parameters,
-:class:`ProbitParams`, are defined in ``inputs`` (no NumPy) and
-importable from here.
+and serve as independent cross-checks.  :class:`ProbitParams` is defined
+in ``inputs`` (no NumPy) and importable from here.
 """
 
 from __future__ import annotations

@@ -917,42 +917,6 @@ BAD_SPECS = {"list": "[1, 2, 3]\n",
              "fractional-count": json.dumps({**SPEC_FIELDS, "alpha_count": 2.9})}
 
 
-class TestWithoutNumpy:
-    """Importing the CLI loads no NumPy, and the commands that compute
-    nothing with it run, with the output they have in process, in an
-    interpreter where importing numpy fails."""
-
-    @pytest.mark.parametrize("argv", [
-        pytest.param(COMMANDS["allocate"], id="allocate"),
-        *(pytest.param(["grid", "--spec", f"{{tmp}}/{name}.json"], id=f"spec-{name}")
-          for name in BAD_SPECS),
-        pytest.param(["grid", "--spec", "{tmp}/missing.json"], id="spec-missing"),
-        pytest.param(["--help"], id="help"),
-        pytest.param(["grid", "--help"], id="grid-help"),
-        pytest.param(["frobnicate"], id="unknown-subcommand"),
-    ])
-    def test_same_output(self, capsys, monkeypatch, tmp_path, argv):
-        monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal width
-        dist = tmp_path / "dist.csv"
-        dist.write_text("label,mass,cond_mean\na,0.25,2.0\nb,0.25,1.0\nc,0.5,-0.5\n")
-        for name, text in BAD_SPECS.items():
-            (tmp_path / f"{name}.json").write_text(text)
-        argv = [arg.format(dist=dist, tmp=tmp_path) for arg in argv]
-        script = ("import sys\n"
-                  "sys.modules['numpy'] = None  # any import of numpy now raises\n"
-                  "from partarget import cli\n"
-                  f"sys.argv = ['partarget', *{argv!r}]\n"
-                  "cli.main()\n")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=stream_env())
-        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
-
-    def test_importing_the_cli_loads_no_numpy(self):
-        script = "import sys, partarget.cli; assert 'numpy' not in sys.modules"
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert (proc.returncode, proc.stderr) == (0, "")
-
-
 # One refusal of each input record, each found before NumPy loads, with its line.
 REFUSALS = {
     "linear-parameters": (["value", "--model", "linear", "--mu", "-1", "--beta-norm", "10",
@@ -973,33 +937,48 @@ REFUSALS = {
                         "error: base_rate must lie in (0, 1), got 0.0\n"),
     "spec-axis": (["grid", *_flags({**SPEC_FIELDS, "alpha_hi": 0.01})],
                   "error: alpha range is degenerate with count >= 2\n"),
-    "distribution": (["allocate", "--dist", "{dist}", "--alpha", "0.5"],
+    "distribution": (["allocate", "--dist", "{tmp}/bad-dist.csv", "--alpha", "0.5"],
                      "error: atom 'a' has nonpositive mass -0.5\n"),
 }
 
 
-def test_refusals_load_no_numpy(tmp_path):
-    """In a fresh interpreter, importing the CLI adds only argparse and the
-    package's own modules, and each refusal exits 2 with NumPy still unloaded."""
-    dist = tmp_path / "dist.csv"
-    dist.write_text("label,mass,cond_mean\na,-0.5,2.0\nb,1.5,1.0\n")
-    argvs = {name: [arg.format(dist=dist) for arg in argv]
-             for name, (argv, _) in REFUSALS.items()}
-    script = ("import sys\n"
-              "import partarget.cli\n"
-              "modules, results = sorted(sys.modules), {}\n"
-              "import io, json\n"
-              f"for name, argv in {argvs!r}.items():\n"
-              "    sys.stderr = io.StringIO()\n"
-              "    code = partarget.cli.run(argv)\n"
-              "    results[name] = [code, sys.stderr.getvalue(), 'numpy' in sys.modules]\n"
-              "print(json.dumps([modules, results]))\n")
-    base = "import sys, __future__, argparse; print(' '.join(sorted(sys.modules)))"
-    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env=stream_env()) for code in (base, script)]
-    assert [(run.returncode, run.stderr) for run in runs] == [(0, ""), (0, "")]
-    base_modules = set(runs[0].stdout.split())
-    modules, results = json.loads(runs[1].stdout)
-    assert set(modules) - base_modules == {"partarget", "partarget.cli", "partarget.errors",
-                                           "partarget.inputs"}
-    assert results == {name: [2, err, False] for name, (_, err) in REFUSALS.items()}
+class TestWithoutNumpy:
+    """Importing the CLI loads no NumPy, and the commands that compute
+    nothing with it run, with the output they have in process, in an
+    interpreter where importing numpy fails.  Each refused input record
+    exits 2 with its line there, so none of them loads NumPy."""
+
+    @pytest.mark.parametrize("argv, refusal", [
+        pytest.param(COMMANDS["allocate"], None, id="allocate"),
+        *(pytest.param(["grid", "--spec", f"{{tmp}}/{name}.json"], None, id=f"spec-{name}")
+          for name in BAD_SPECS),
+        pytest.param(["grid", "--spec", "{tmp}/missing.json"], None, id="spec-missing"),
+        pytest.param(["--help"], None, id="help"),
+        pytest.param(["grid", "--help"], None, id="grid-help"),
+        pytest.param(["frobnicate"], None, id="unknown-subcommand"),
+        *(pytest.param(argv, line, id=name) for name, (argv, line) in REFUSALS.items()),
+    ])
+    def test_same_output(self, capsys, monkeypatch, tmp_path, argv, refusal):
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal width
+        dist = tmp_path / "dist.csv"
+        dist.write_text("label,mass,cond_mean\na,0.25,2.0\nb,0.25,1.0\nc,0.5,-0.5\n")
+        (tmp_path / "bad-dist.csv").write_text("label,mass,cond_mean\na,-0.5,2.0\nb,1.5,1.0\n")
+        for name, text in BAD_SPECS.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        argv = [arg.format(dist=dist, tmp=tmp_path) for arg in argv]
+        script = ("import sys\n"
+                  "sys.modules['numpy'] = None  # any import of numpy now raises\n"
+                  "from partarget import cli\n"
+                  f"sys.argv = ['partarget', *{argv!r}]\n"
+                  "cli.main()\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=stream_env())
+        result = (proc.returncode, proc.stdout, proc.stderr)
+        assert result == run_cli(capsys, *argv)
+        if refusal is not None:
+            assert result == (2, "", refusal)
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        script = "import sys, partarget.cli; assert 'numpy' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")

@@ -96,7 +96,8 @@ class TestConfigTypes:
         assert est.z_score(0.8) == pytest.approx(2.0)
         assert est.within(1.3, 4.0) and not est.within(1.5, 4.0)
         exact = Estimate(mean=1.0, std_error=0.0, samples=100000)
-        assert (exact.z_score(1.0), exact.z_score(0.8)) == (0.0, math.inf)
+        # with no spread, the sign of the infinite score is the sign of mean - target
+        assert [exact.z_score(t) for t in (1.0, 0.8, 1.2)] == [0.0, math.inf, -math.inf]
 
     def test_distribution_validation(self):
         with pytest.raises(DomainError):

@@ -76,15 +76,22 @@ def test_records_of_other_types_or_fields_differ():
     assert len({LeverDelta(1.0, 2.0), LeverDelta(1.0, 2.0), CostModel(1.0, 2.0)}) == 2
 
 
+# The standard modules that partarget, cli, errors and inputs import when they load.
+CLI_STDLIB = "__future__, argparse, bisect, contextlib, io, itertools, math, os, sys, typing"
+
+
 def test_cli_import_loads_no_heavy_modules():
     # Against a bare interpreter in the same environment, since a site hook may preload modules.
     listing = "import sys; print(' '.join(sorted(sys.modules)))"
     runs = [subprocess.run([sys.executable, "-c", stmt], capture_output=True, text=True, check=True)
             for stmt in (listing, "import partarget.cli; " + listing,
-                         "import numpy; " + listing, "import partarget.grid; " + listing)]
-    bare, cli, numpy, grid = (set(run.stdout.split()) for run in runs)
+                         "import numpy; " + listing, "import partarget.grid; " + listing,
+                         f"import {CLI_STDLIB}; " + listing)]
+    bare, cli, numpy, grid, stdlib = (set(run.stdout.split()) for run in runs)
     assert "partarget.cli" in cli
     assert {"numpy", "dataclasses", "inspect", "json", "csv"} & (cli - bare) == set()
+    # past the standard modules it names, the CLI loads only the package's own four
+    assert cli - stdlib == {"partarget", "partarget.cli", "partarget.errors", "partarget.inputs"}
     # the modules that compute load no json beyond numpy's own: only serialize_grid imports it
     assert "partarget.linear" in grid
     assert {"json", "csv"} & (grid - numpy) == set()
