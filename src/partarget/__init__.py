@@ -12,10 +12,11 @@ Modules:
 * :mod:`partarget.cli` -- the ``partarget`` command-line entry point.
 
 The Monte Carlo oracle runs on one NumPy kernel (``partarget._backend``):
-a counter-based splitmix64 stream makes sample i a pure function of
-(seed, i), blocks of samples run on one plain thread per usable CPU (the
-calling thread among them), and their partial sums are combined in block
-order, so a fixed seed gives bit-identical sums whatever the thread count.
+it draws only the treated samples, block j of them from its own NumPy
+Generator seeded by (seed, j), blocks run on one plain thread per usable
+CPU (the calling thread among them), and their partial sums are combined
+in block order, so a fixed seed and sample count give bit-identical sums
+whatever the thread count.
 ``partarget.MC_BACKEND`` names it (``"numpy"``).
 
 The errors are imported with the package; every other export, and every

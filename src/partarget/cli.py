@@ -12,8 +12,8 @@ failure: stdout closed, a full disk, or a reader that left part-way.
 Importing this module loads no NumPy.  A handler builds all its input records
 before it imports ``grid``, so only the computation's own refusals load NumPy:
 alpha outside a function's domain, a lever step out of the model's regime or
-too small, a failed bounds hypothesis or ``--eps`` outside (0, 0.1), a grid
-whose cost ratio prices no cell, and numerical failures.
+too small, a failed bounds hypothesis, a grid whose cost ratio prices no
+cell, and numerical failures.
 """
 
 from __future__ import annotations
@@ -63,8 +63,10 @@ def _cmd_par(args: argparse.Namespace) -> tuple[int, bytes]:
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[int, bytes]:
     p, d = _params(args), inputs.LeverDelta(args.delta_alpha, args.delta_r2)
-    if args.eps is not None and args.model != "probit":
-        raise DomainError("--eps is only valid with --model probit")
+    if args.eps is not None:
+        if args.model != "probit":
+            raise DomainError("--eps is only valid with --model probit")
+        inputs.check_bounds_eps(args.alpha, args.eps)
     model = _model(args)
     pair = (model.bounds(p, args.alpha, d) if args.eps is None
             else model.bounds(p, args.alpha, d, args.eps))
@@ -314,6 +316,11 @@ def main() -> NoReturn:
     flush is passed over, as ``run()`` reported any failed write; an uncaught
     exception takes the ordinary exit, which reports it as before.
     """
+    if "numpy" not in sys.modules:
+        # The package calls no BLAS routine, so the CLI's own process needs
+        # none of the threads OpenBLAS would start as NumPy loads.  A value
+        # the caller set is kept.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = run()
     for stream in (sys.stdout, sys.stderr):
         with contextlib.suppress(AttributeError, OSError):

@@ -15,9 +15,10 @@ Implementation notes
 * The normal functions are defined here with NumPy and the standard
   library alone; no module of the package imports scipy.
 * ``cdf`` and ``sf`` share one ``_phi`` (``sf`` at -t, never
-  ``1 - cdf``), and the Monte Carlo kernel's cut calls ``cdf``: erfc from
-  the C library, within about 1e-14 relative of a 40-digit reference
-  down to the smallest normal doubles (``tests/data/reference.json``).
+  ``1 - cdf``), and the Monte Carlo kernel's treated share is ``sf``:
+  erfc from the C library, within about 1e-14 relative of a 40-digit
+  reference down to the smallest normal doubles
+  (``tests/data/reference.json``).
   The probit core needs no Phi: Phi(quantile(alpha)) is alpha.
 * ``quantile`` is ``ndtri``, the same inverse CDF as the array closed
   forms and the Monte Carlo kernel: Wichura's AS 241, one coefficient
@@ -143,7 +144,8 @@ def _ndtri_float(p: float) -> float:
     return -x if q < 0.0 else x
 
 
-# Elements per pass of an array: the fastest of 2**14 to 2**16 in the Monte Carlo kernel.
+# Elements per pass of an array: its four float working arrays take 2 MB, under the 4 MB at
+# which NumPy asks for huge pages, and passes of 2**14 elements or fewer measured slower.
 _BATCH = 1 << 16
 
 
@@ -185,24 +187,19 @@ def _ndtri_batch(p, out, a, b, c, d, mask, sign):
         np.put(out, at, x, mode="clip")
 
 
-def ndtri(p, out=None):
+def ndtri(p):
     """Inverse standard normal CDF at a float or at every element of an
     array: -inf at 0, +inf at 1, NaN outside [0, 1].
 
     AS 241 as CPython's ``statistics.NormalDist`` runs it, and an element of
-    an array equals the float call bit for bit.  An array's quantiles go into
-    ``out`` if it is given (a C-contiguous float array of p's shape), else
-    into a new array, and ``out`` is returned.  The array runs in batches of
+    an array equals the float call bit for bit.  An array runs in batches of
     ``_BATCH`` elements through one set of working arrays made per call, so
-    no other array of p's size is made.
+    the only array of p's size made is the result.
     """
     if not (isinstance(p, np.ndarray) and p.ndim):
         return _ndtri_float(float(p))
     flat = np.ravel(np.asarray(p, dtype=float))
-    if out is None:
-        out = np.empty(p.shape)
-    elif not (out.shape == p.shape and out.dtype == float and out.flags.c_contiguous):
-        raise ValueError("out must be a C-contiguous float array of p's shape")
+    out = np.empty(p.shape)
     dest = out.reshape(-1)
     size = min(flat.size, _BATCH)
     work, masks = np.empty((4, size)), np.empty((2, size), bool)

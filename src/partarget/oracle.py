@@ -3,10 +3,10 @@
 Two kinds of ground truth are reached from here:
 
 * Monte Carlo policy simulation for both welfare models, run on the
-  NumPy kernel in ``_backend``: sample i is a pure function of (seed, i),
-  blocks of samples run on one thread per usable CPU, each thread reusing
-  the arrays it makes once per call, and their partial sums are combined
-  in block order.  Fixed (seed, samples) therefore gives bit-identical
+  NumPy kernel in ``_backend``: it draws only the treated samples, each
+  block of them a pure function of (seed, block index), blocks run on one
+  thread per usable CPU, and their partial sums are combined in block
+  order.  Fixed (seed, samples) therefore gives bit-identical
   estimates on every call and with any number of threads, so the oracle
   itself is testable; its standard error is checked against the closed
   forms over fixed seeds in ``tests/test_oracle.py``.  :class:`SimConfig`

@@ -44,7 +44,7 @@ from .errors import (
     PreconditionError,
 )
 from .gaussian import SQRT_2PI, BoundPair, check_alpha_open, check_alpha_open_closed
-from .inputs import ProbitParams, _Record
+from .inputs import ProbitParams, _Record, check_bounds_eps
 from .linear import PAR_NOISE, PAR_OK, PAR_REGIME, LeverDelta, par_from_values
 
 __all__ = [
@@ -283,9 +283,7 @@ def par_probit_bounds(
     BOUNDS_MAX_DELTA_R2 stand in.  Violations of any checked hypothesis
     raise :class:`PreconditionError` naming it.
     """
-    check_alpha_open(alpha)
-    if math.isnan(eps) or not 0.0 < eps < 0.1:
-        raise DomainError(f"eps must lie in (0, 0.1), got {eps!r}")
+    check_bounds_eps(alpha, eps)
     if not 0.0 < p.gamma_s < 1.0:
         raise PreconditionError(f"requires gamma_s in (0, 1), got {p.gamma_s!r}")
     if p.base_rate > 0.1:

@@ -466,12 +466,12 @@ class TestVerifyWithoutSpread:
     spread the closed form implies; every other run is judged as before."""
 
     NO_HIT = {
-        # expects 2.8 hits in 10,000 samples and draws none
-        "probit": ["--model", "probit", "--base-rate", "0.25249576438414895",
-                   "--gamma-s", "0.24935022693918818", "--alpha", "0.00047612558661011474",
-                   "--samples", "10000", "--seed", "9854801201985000845"],
+        # n V is 7.6e-4 (probit) and 2.7e-4 (linear): a hit is as good as
+        # impossible, whatever the stream
+        "probit": ["--model", "probit", "--base-rate", "0.25", "--gamma-s", "0.25",
+                   "--alpha", "1e-7", "--samples", "10000", "--seed", "1"],
         "linear": ["--model", "linear", "--mu", "1", "--beta-norm", "1", "--gamma-s", "0.3",
-                   "--alpha", "1e-6", "--samples", "10000", "--seed", "1"],
+                   "--alpha", "1e-8", "--samples", "10000", "--seed", "1"],
     }
 
     @pytest.mark.parametrize("model", ["probit", "linear"])
@@ -504,7 +504,7 @@ class TestVerifyWithoutSpread:
                                        ["--mu", "1", "--beta-norm", "1e160"]])
     def test_no_hit_with_an_overflowing_spread_is_numerical_failure(self, capsys, scale):
         code, out, err = run_cli(capsys, "verify", "--model", "linear", *scale,
-                                 "--gamma-s", "0.3", "--alpha", "1e-6", "--samples", "10000",
+                                 "--gamma-s", "0.3", "--alpha", "1e-8", "--samples", "10000",
                                  "--seed", "1")
         assert (code, out) == (1, "")
         assert err.startswith("numerical failure: the closed-form spread at the value")
@@ -512,21 +512,23 @@ class TestVerifyWithoutSpread:
     @pytest.mark.parametrize("argv, stdout", [
         (["--model", "linear", "--mu", "1", "--beta-norm", "10", "--gamma-s", "0.3",
           "--alpha", "0.05", "--samples", "200000", "--seed", "7"],
-         "closed_form 0.359407\nmc_mean 0.364039\nmc_std_error 0.00599892\n"
-         "z_score 0.772221\nresult pass (4 standard errors)\n"),
+         "closed_form 0.359407\nmc_mean 0.351068\nmc_std_error 0.00589854\n"
+         "z_score -1.41364\nresult pass (4 standard errors)\n"),
         (["--model", "probit", "--base-rate", "0.1", "--gamma-s", "0.3", "--alpha", "0.02",
           "--samples", "500000", "--seed", "11", "--machine"],
          # closed_form: the 40-digit value is 0.005624985789780389672
-         "closed_form 0.0056249857897803929\nmc_mean 0.0056319999999999999\n"
-         "mc_std_error 0.00010583280943623818\nz_score 0.066276330156697552\n"
+         "closed_form 0.0056249857897803929\nmc_mean 0.0056020000000000002\n"
+         "mc_std_error 0.00010555215523386981\nz_score -0.21776712876647103\n"
          "result pass (4 standard errors)\n"),
         (["--model", "probit", "--base-rate", "0.25", "--gamma-s", "0.25", "--alpha", "0.001",
           "--samples", "10000", "--seed", "5"],
-         "closed_form 0.000568399\nmc_mean 0.0006\nmc_std_error 0.000244888\n"
-         "z_score 0.129043\nresult pass (4 standard errors)\n"),
-    ], ids=["linear", "probit-machine", "probit-six-hits"])
+         "closed_form 0.000568399\nmc_mean 0.0004\nmc_std_error 0.00019997\n"
+         "z_score -0.842121\nresult pass (4 standard errors)\n"),
+    ], ids=["linear", "probit-machine", "probit-four-hits"])
     def test_runs_with_spread_are_unchanged(self, capsys, argv, stdout):
         assert run_cli(capsys, "verify", *argv) == (0, stdout, "")
+        z = float(dict(line.split(" ", 1) for line in stdout.splitlines())["z_score"])
+        assert -4.0 <= z <= 4.0
 
     def test_pinned_probit_closed_form_is_the_40_digit_value(self, capsys):
         code, out, _ = run_cli(capsys, "value", "--model", "probit", "--base-rate", "0.1",
@@ -909,6 +911,41 @@ class TestWithoutScipy:
         assert proc.returncode == 0 and proc.stdout
 
 
+def blas_env(threads: str | None) -> dict:
+    """stream_env() with OPENBLAS_NUM_THREADS set to threads, or unset."""
+    env = {k: v for k, v in stream_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    return env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+
+
+class TestOpenblasThreads:
+    """`main` sets OPENBLAS_NUM_THREADS to 1 for its own process unless the
+    caller set it or NumPy is already loaded; no output depends on it."""
+
+    @pytest.mark.parametrize("name", ["value-probit", "par-linear", "grid-probit",
+                                      "verify-linear"])
+    def test_same_output_with_a_callers_setting(self, name):
+        argv = [sys.executable, "-m", "partarget.cli", *COMMANDS[name]]
+        runs = [subprocess.run(argv, capture_output=True, env=blas_env(threads))
+                for threads in (None, "2")]
+        assert runs[0].returncode == 0 and runs[0].stdout
+        assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == \
+            [(runs[0].returncode, runs[0].stdout, runs[0].stderr)]
+
+    @pytest.mark.parametrize("threads, preload, seen", [
+        (None, "", "1"), ("2", "", "2"), (None, "import numpy\n", "unset")],
+        ids=["unset", "callers-value-kept", "numpy-already-loaded"])
+    def test_setting_seen_by_the_command(self, threads, preload, seen):
+        script = (f"import os, sys\n{preload}"
+                  "from partarget import cli\n"
+                  "cli._cmd_value = lambda args: "
+                  "(0, os.environ.get('OPENBLAS_NUM_THREADS', 'unset').encode())\n"
+                  f"sys.argv = ['partarget', *{VALUE_ARGV!r}]\n"
+                  "cli.main()\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=blas_env(threads))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, seen, "")
+
+
 SPEC_FIELDS = {"model": "linear", "mu": 1.0, "beta_norm": 10.0, **GRID_FIELDS}
 # Spec files of the four kinds that grid refuses as it reads them.
 BAD_SPECS = {"list": "[1, 2, 3]\n",
@@ -933,6 +970,8 @@ REFUSALS = {
                      "error: samples must lie in [10000, 1000000000], got 5\n"),
     "eps-with-linear": (["bounds", *LINEAR, *LEVERS, "--eps", "0.05"],
                         "error: --eps is only valid with --model probit\n"),
+    "probit-eps": (["bounds", *PROBIT, *LEVERS, "--eps", "0.5"],
+                   "error: eps must lie in (0, 0.1), got 0.5\n"),
     "spec-parameters": (["grid", *_flags({"model": "probit", "base_rate": 0.0, **GRID_FIELDS})],
                         "error: base_rate must lie in (0, 1), got 0.0\n"),
     "spec-axis": (["grid", *_flags({**SPEC_FIELDS, "alpha_hi": 0.01})],

@@ -80,14 +80,19 @@ def test_records_of_other_types_or_fields_differ():
 CLI_STDLIB = "__future__, argparse, bisect, contextlib, io, itertools, math, os, sys, typing"
 
 
+VALUE_RUN = ("from partarget.cli import run; run(['value', '--model', 'probit', '--base-rate', "
+             "'0.05', '--gamma-s', '0.3', '--alpha', '0.002']); ")
+
+
 def test_cli_import_loads_no_heavy_modules():
     # Against a bare interpreter in the same environment, since a site hook may preload modules.
     listing = "import sys; print(' '.join(sorted(sys.modules)))"
     runs = [subprocess.run([sys.executable, "-c", stmt], capture_output=True, text=True, check=True)
             for stmt in (listing, "import partarget.cli; " + listing,
-                         "import numpy; " + listing, "import partarget.grid; " + listing,
-                         f"import {CLI_STDLIB}; " + listing)]
-    bare, cli, numpy, grid, stdlib = (set(run.stdout.split()) for run in runs)
+                         "import numpy; " + listing,
+                         "import partarget.cli, partarget.grid, partarget.probit; " + listing,
+                         f"import {CLI_STDLIB}; " + listing, VALUE_RUN + listing)]
+    bare, cli, numpy, grid, stdlib, value = (set(run.stdout.split()) for run in runs)
     assert "partarget.cli" in cli
     assert {"numpy", "dataclasses", "inspect", "json", "csv"} & (cli - bare) == set()
     # past the standard modules it names, the CLI loads only the package's own four
@@ -95,6 +100,9 @@ def test_cli_import_loads_no_heavy_modules():
     # the modules that compute load no json beyond numpy's own: only serialize_grid imports it
     assert "partarget.linear" in grid
     assert {"json", "csv"} & (grid - numpy) == set()
+    # only the Monte Carlo kernel imports numpy.random, when it runs
+    assert "partarget.oracle" in grid and "partarget.probit" in value
+    assert "numpy.random" not in (grid | value) - bare
 
 
 SPEC_FIELDS = {"model": "probit", "alpha_lo": 0.001, "alpha_hi": 0.1, "alpha_count": 5,
