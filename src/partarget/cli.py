@@ -268,10 +268,10 @@ def _add_flags(sub: argparse.ArgumentParser, name: str) -> None:
 
 
 def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser of all six subcommands, with flags only on the first one
-    that a token of ``argv`` names.  argparse takes the first positional
-    token for the subcommand, and one that names none is a usage error, so
-    the others' flags would never be read."""
+    """The parser of all six subcommands, with flags (and -h) only on the
+    first one that a token of ``argv`` names.  argparse takes the first
+    positional token for the subcommand, and one that names none is a usage
+    error, so the others' flags would never be read."""
     parser = _Parser(
         prog="partarget",
         description="Welfare value functions, prediction-access ratios and "
@@ -280,7 +280,7 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     chosen = next((arg for arg in argv if arg in _SUBCOMMANDS), None)
     for name, text in _SUBCOMMANDS.items():
-        sub = subs.add_parser(name, help=text)
+        sub = subs.add_parser(name, help=text, add_help=name == chosen)
         if name == chosen:
             _add_flags(sub, name)
     return parser

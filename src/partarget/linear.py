@@ -70,6 +70,12 @@ def policy_threshold_linear(p: LinearParams, alpha: float) -> float:
     return gaussian.upper_quantile(alpha) * p.gamma_s * p.beta_norm
 
 
+def _welfare_unit(mu: float, beta_norm: float) -> float:
+    """The power of two at or below max(mu, beta_norm): scaling by it is exact, and in
+    it the PAR and the Monte Carlo sums neither overflow nor underflow at any scale."""
+    return math.ldexp(0.5, math.frexp(max(mu, beta_norm))[1])
+
+
 def value_linear_array(mu, beta_norm, gamma_s, alpha) -> np.ndarray | np.float64:
     """V(alpha, gamma_s) of the linear model at every element of the
     broadcast inputs (a NumPy scalar when all four are scalars).
@@ -145,6 +151,8 @@ def par_linear_array(
         raise DegenerateLeverError("delta_r2 must be positive to form a ratio")
     gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
     regime = (alpha + d.delta_alpha >= 0.5) | (gamma_s + d.delta_r2 > 1.0)
+    u = _welfare_unit(mu, beta_norm)  # the ratio does not depend on the scale
+    mu, beta_norm = mu / u, beta_norm / u
     # V is linear in gamma_s, so V(gamma_s + delta_r2) - V(gamma_s) is exactly
     # delta_r2 * beta_norm * g(alpha), formed without the alpha * mu of each value.
     gain = d.delta_r2 * beta_norm * pdf_array(gaussian.ndtri(alpha))

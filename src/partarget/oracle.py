@@ -6,11 +6,11 @@ Two kinds of ground truth are reached from here:
   NumPy kernel in ``_backend``: it draws only the treated samples, each
   block of them a pure function of (seed, block index), blocks run on one
   thread per usable CPU, and their partial sums are combined in block
-  order.  Fixed (seed, samples) therefore gives bit-identical
-  estimates on every call and with any number of threads, so the oracle
-  itself is testable; its standard error is checked against the closed
-  forms over fixed seeds in ``tests/test_oracle.py``.  :class:`SimConfig`
-  (the simulation size) is defined in ``inputs`` and importable from here.
+  order, so fixed (seed, samples) gives bit-identical estimates with any
+  number of threads.  The linear sums are taken in a power-of-two unit of
+  mu and beta_norm, where they neither overflow nor underflow, and scaled
+  back.  The standard error is checked in ``tests/test_oracle.py``.
+  :class:`SimConfig` (the simulation size) is defined in ``inputs``.
 * An exact allocator for finitely supported feature distributions: the
   greedy quantile policy plus an exhaustive brute-force optimum to check
   it against, defined without NumPy in ``inputs`` and importable from
@@ -26,11 +26,11 @@ import math
 
 from . import gaussian
 from ._backend import linear_sums, probit_sums
-from .errors import NumericsError
 from .gaussian import check_alpha_half, check_alpha_open_closed
 from .inputs import (MAX_SAMPLES, MIN_SAMPLES, Allocation, Atom, DiscreteDistribution,
                      LinearParams, ProbitParams, SimConfig, _Record, brute_force_allocate,
                      greedy_allocate)
+from .linear import _welfare_unit
 
 __all__ = [
     "MAX_SAMPLES",
@@ -63,15 +63,10 @@ class Estimate(_Record):
         return abs(self.mean - target) <= n_se * self.std_error
 
 
-def _estimate(total: float, total_sq: float, n: int) -> Estimate:
-    if not (math.isfinite(total_sq) and math.isfinite(total * total)):
-        raise NumericsError(
-            f"the Monte Carlo sums overflow (sum {total!r}, sum of squares {total_sq!r}); "
-            "the welfare scale is too large to simulate"
-        )
+def _estimate(total: float, total_sq: float, n: int, unit: float = 1.0) -> Estimate:
     mean = total / n
     var = max(0.0, (total_sq - total * total / n) / (n - 1))
-    return Estimate(mean=mean, std_error=math.sqrt(var / n), samples=n)
+    return Estimate(mean=mean * unit, std_error=math.sqrt(var / n) * unit, samples=n)
 
 
 def simulate_linear_value(p: LinearParams, alpha: float, cfg: SimConfig) -> Estimate:
@@ -82,17 +77,17 @@ def simulate_linear_value(p: LinearParams, alpha: float, cfg: SimConfig) -> Esti
     treated welfare.  Deterministic for fixed cfg.
     """
     check_alpha_half(alpha)
-    total, total_sq = linear_sums(cfg.seed, cfg.samples, p.mu, p.gamma_s * p.beta_norm,
-                                  p.gamma_t * p.beta_norm, gaussian.upper_quantile(alpha))
-    return _estimate(total, total_sq, cfg.samples)
+    u = _welfare_unit(p.mu, p.beta_norm)  # the sums are taken in u, then scaled back
+    b = p.beta_norm / u
+    return _estimate(*linear_sums(cfg.seed, cfg.samples, p.mu / u, p.gamma_s * b, p.gamma_t * b,
+                                  gaussian.upper_quantile(alpha)), cfg.samples, u)
 
 
 def simulate_probit_value(p: ProbitParams, alpha: float, cfg: SimConfig) -> Estimate:
     """Monte Carlo estimate of the probit model's optimal-policy welfare."""
     check_alpha_open_closed(alpha)
-    total, total_sq = probit_sums(cfg.seed, cfg.samples, p.mu_over_beta, p.gamma_s,
-                                  p.gamma_t, gaussian.upper_quantile(alpha))
-    return _estimate(total, total_sq, cfg.samples)
+    return _estimate(*probit_sums(cfg.seed, cfg.samples, p.mu_over_beta, p.gamma_s, p.gamma_t,
+                                  gaussian.upper_quantile(alpha)), cfg.samples)
 
 
 def linear_second_moment(p: LinearParams, alpha: float) -> float:

@@ -431,14 +431,21 @@ class TestVerify:
         _, out2, _ = run_cli(capsys, *self.ARGV)
         assert out1 == out2
 
-    def test_overflowing_sums_are_numerical_failure(self):
-        proc = run_process("verify", "--model", "linear", "--mu", "1", "--beta-norm", "1e308",
-                           "--gamma-s", "0.5", "--alpha", "0.1", "--samples", "10000",
-                           "--seed", "1")
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("numerical failure: the Monte Carlo sums overflow")
-        assert proc.stderr.count("\n") == 1
+    def test_same_verdict_at_every_scale(self, capsys):
+        # (mu, beta_norm) = (1, 10) * 2**k: the z-score does not depend on the
+        # scale, and the sums, taken in a power-of-two unit, neither underflow
+        # (2**-900 read mc_std_error 0 and failed) nor overflow (2**900 was refused).
+        verdicts = []
+        for k in (-900, 0, 900):
+            code, out, err = run_cli(capsys, "verify", "--model", "linear",
+                                     "--mu", repr(math.ldexp(1.0, k)),
+                                     "--beta-norm", repr(math.ldexp(10.0, k)),
+                                     "--gamma-s", "0.3", "--alpha", "0.05",
+                                     "--samples", "100000", "--seed", "1", "--machine")
+            assert (code, err) == (0, "")
+            verdicts.append(out.splitlines()[3:])
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+        assert verdicts[1] == ["z_score 1.4094136708042575", "result pass (4 standard errors)"]
 
     def test_probit_verify(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--model", "probit", "--base-rate",

@@ -176,6 +176,26 @@ class TestParExact:
         with pytest.raises(DegenerateLeverError, match="too small to divide by"):
             par_linear_exact(p, alpha, LeverDelta(0.01, 0.01))
 
+    @pytest.mark.parametrize("k", [-1060, -600, 600, 1000])
+    def test_scale_is_exact(self, k):
+        # The PAR does not depend on the scale of (mu, beta_norm), and it is
+        # taken in a power-of-two unit of them, so (1, 10) * 2**k gives the
+        # bits of (1, 10), in a scalar call and in a grid, even where mu is
+        # subnormal (k = -1060).
+        from partarget.grid import serialize_grid, sweep_grid
+        from partarget.inputs import CostModel, GridSpec
+        d = LeverDelta(0.01, 0.01)
+
+        def at(k):
+            p = LinearParams(math.ldexp(1.0, k), math.ldexp(10.0, k), 0.3)
+            grid = sweep_grid(GridSpec(
+                model="linear", mu=p.mu, beta_norm=p.beta_norm, alpha_lo=0.001, alpha_hi=0.45,
+                alpha_count=6, gamma_lo=0.0, gamma_hi=1.0, gamma_count=6, deltas=d,
+                costs=CostModel(1.0, 0.5)))
+            return par_linear_exact(p, 0.05, d), serialize_grid(grid, "csv"), grid.contour
+
+        assert at(k) == at(0)
+
     @pytest.mark.parametrize("mu, beta_norm", [(1e6, 1e-6), (1e3, 1e-3), (1.0, 10.0)])
     def test_matches_50_digit_ratio(self, mu, beta_norm):
         # alpha * mu dwarfs the prediction gain gamma_s * beta_norm * g(alpha)

@@ -127,17 +127,21 @@ class TestSimulateLinear:
         b = simulate_linear_value(p, 0.05, SimConfig(samples=100_000, seed=2))
         assert a.mean != b.mean
 
-    @pytest.mark.parametrize("mu, beta_norm, samples", [
-        (1.0, 1e308, 10_000),      # the samples themselves overflow
-        (1e152, 1.0, 10_000),      # the sum of squares is finite, the squared sum is not
-        (1e303, 1.0, 3_000_000),   # each block's sum is finite, their total is not
-    ], ids=["samples", "square-of-sum", "blocks"])
-    def test_overflowing_sums_raise(self, mu, beta_norm, samples):
+    @pytest.mark.parametrize("k", [-900, 900])
+    def test_scale_is_exact(self, k):
+        # The sums are taken in a power-of-two unit of (mu, beta_norm), so
+        # scaling both by 2**k scales the mean and standard error by 2**k
+        # exactly: at 2**-900 the raw sum of squares would underflow to 0,
+        # and at 2**900 overflow.
+        cfg = SimConfig(samples=100_000, seed=1)
+        base = simulate_linear_value(LinearParams(1.0, 10.0, 0.3), 0.05, cfg)
+        scaled = LinearParams(math.ldexp(1.0, k), math.ldexp(10.0, k), 0.3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericsError, match="overflow"):
-                simulate_linear_value(LinearParams(mu, beta_norm, 0.5), 0.1,
-                                      SimConfig(samples=samples, seed=1))
+            est = simulate_linear_value(scaled, 0.05, cfg)
+        assert (est.mean, est.std_error) == (math.ldexp(base.mean, k),
+                                             math.ldexp(base.std_error, k))
+        assert est.std_error > 0.0
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
