@@ -15,6 +15,8 @@ from partarget.errors import (
     PreconditionError,
     RegimeError,
 )
+from partarget.grid import serialize_grid, sweep_grid
+from partarget.inputs import CostModel, GridSpec
 from partarget.linear import (
     LeverDelta,
     LinearParams,
@@ -182,8 +184,6 @@ class TestParExact:
         # taken in a power-of-two unit of them, so (1, 10) * 2**k gives the
         # bits of (1, 10), in a scalar call and in a grid, even where mu is
         # subnormal (k = -1060).
-        from partarget.grid import serialize_grid, sweep_grid
-        from partarget.inputs import CostModel, GridSpec
         d = LeverDelta(0.01, 0.01)
 
         def at(k):
