@@ -52,7 +52,7 @@ CSV_HEADER = "alpha,gamma_s,par,cost_benefit,cost_benefit_clipped,status"
 # One model's functions, each taking its model_params first: value(p, alpha),
 # par(p, alpha, deltas), par_array(p, gamma_s, alpha, deltas) -> (par, status),
 # bounds(p, alpha, deltas) (probit's also takes eps), simulate(p, alpha, SimConfig) -> Estimate,
-# and second_moment(p, alpha), the mean square of one simulated sample.
+# and second_moment(p, alpha) -> (m, u), with m * u**2 the mean square of one simulated sample.
 Model = namedtuple("Model", "value par par_array bounds simulate second_moment")
 
 
@@ -61,11 +61,12 @@ MODELS = {
         linear.value_linear, linear.par_linear_exact,
         lambda p, g, a, d: linear.par_linear_array(p.mu, p.beta_norm, g, a, d),
         linear.par_linear_bounds, oracle.simulate_linear_value, oracle.linear_second_moment),
-    # A simulated probit sample is 0 or 1, so its mean square is the value.
+    # A simulated probit sample is 0 or 1, so its mean square is the value, in the unit 1.
     "probit": Model(
         probit.value_probit, probit.par_probit_exact,
         lambda p, g, a, d: probit.par_probit_array(p.base_rate, g, a, d),
-        probit.par_probit_bounds, oracle.simulate_probit_value, probit.value_probit),
+        probit.par_probit_bounds, oracle.simulate_probit_value,
+        lambda p, a: (probit.value_probit(p, a), 1.0)),
 }
 
 

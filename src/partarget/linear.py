@@ -70,10 +70,12 @@ def policy_threshold_linear(p: LinearParams, alpha: float) -> float:
     return gaussian.upper_quantile(alpha) * p.gamma_s * p.beta_norm
 
 
-def _welfare_unit(mu: float, beta_norm: float) -> float:
-    """The power of two at or below max(mu, beta_norm): scaling by it is exact, and in
-    it the PAR and the Monte Carlo sums neither overflow nor underflow at any scale."""
-    return math.ldexp(0.5, math.frexp(max(mu, beta_norm))[1])
+def _in_welfare_unit(mu: float, beta_norm: float) -> tuple[float, float, float]:
+    """(mu / u, beta_norm / u, u), with u the power of two at or below max(mu, beta_norm).
+    Scaling by u is exact, and the PAR, bounds, indifference threshold, Monte Carlo sums
+    and second moment are taken in u, where none overflows or underflows at any scale."""
+    u = math.ldexp(0.5, math.frexp(max(mu, beta_norm))[1])
+    return mu / u, beta_norm / u, u
 
 
 def value_linear_array(mu, beta_norm, gamma_s, alpha) -> np.ndarray | np.float64:
@@ -151,8 +153,7 @@ def par_linear_array(
         raise DegenerateLeverError("delta_r2 must be positive to form a ratio")
     gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
     regime = (alpha + d.delta_alpha >= 0.5) | (gamma_s + d.delta_r2 > 1.0)
-    u = _welfare_unit(mu, beta_norm)  # the ratio does not depend on the scale
-    mu, beta_norm = mu / u, beta_norm / u
+    mu, beta_norm, _ = _in_welfare_unit(mu, beta_norm)
     # V is linear in gamma_s, so V(gamma_s + delta_r2) - V(gamma_s) is exactly
     # delta_r2 * beta_norm * g(alpha), formed without the alpha * mu of each value.
     gain = d.delta_r2 * beta_norm * pdf_array(gaussian.ndtri(alpha))
@@ -200,8 +201,9 @@ def par_linear_bounds(p: LinearParams, alpha: float, d: LeverDelta) -> BoundPair
             f"requires delta_alpha in [0, 4*alpha]; got delta_alpha={d.delta_alpha!r} "
             f"with alpha={alpha!r}"
         )
+    mu, beta_norm, _ = _in_welfare_unit(p.mu, p.beta_norm)
     t = gaussian.upper_quantile(alpha)
-    upper = (p.mu / (p.beta_norm * t) + p.gamma_s) * (d.delta_alpha / d.delta_r2) / alpha
+    upper = (mu / (beta_norm * t) + p.gamma_s) * (d.delta_alpha / d.delta_r2) / alpha
     return BoundPair(0.25 * upper, upper)
 
 
@@ -235,6 +237,7 @@ def linear_indifference_gamma(
         raise DomainError(f"cost ratio must be positive, got {cr!r}")
     if d.delta_alpha <= 0.0 or d.delta_r2 <= 0.0:
         raise DomainError("both lever increments must be positive")
+    mu, beta_norm, _ = _in_welfare_unit(p.mu, p.beta_norm)
     t = gaussian.upper_quantile(alpha)
-    raw = (d.delta_r2 / d.delta_alpha) * cr * alpha - p.mu / (p.beta_norm * t)
+    raw = (d.delta_r2 / d.delta_alpha) * cr * alpha - mu / (beta_norm * t)
     return max(0.0, raw)

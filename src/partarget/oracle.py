@@ -7,9 +7,9 @@ Two kinds of ground truth are reached from here:
   block of them a pure function of (seed, block index), blocks run on one
   thread per usable CPU, and their partial sums are combined in block
   order, so fixed (seed, samples) gives bit-identical estimates with any
-  number of threads.  The linear sums are taken in a power-of-two unit of
-  mu and beta_norm, where they neither overflow nor underflow, and scaled
-  back.  The standard error is checked in ``tests/test_oracle.py``.
+  number of threads.  The linear sums and second moment are taken in a
+  power-of-two unit of mu and beta_norm, where they neither overflow nor
+  underflow.  The standard error is checked in ``tests/test_oracle.py``.
   :class:`SimConfig` (the simulation size) is defined in ``inputs``.
 * An exact allocator for finitely supported feature distributions: the
   greedy quantile policy plus an exhaustive brute-force optimum to check
@@ -30,7 +30,7 @@ from .gaussian import check_alpha_half, check_alpha_open_closed
 from .inputs import (MAX_SAMPLES, MIN_SAMPLES, Allocation, Atom, DiscreteDistribution,
                      LinearParams, ProbitParams, SimConfig, _Record, brute_force_allocate,
                      greedy_allocate)
-from .linear import _welfare_unit
+from .linear import _in_welfare_unit
 
 __all__ = [
     "MAX_SAMPLES",
@@ -77,9 +77,8 @@ def simulate_linear_value(p: LinearParams, alpha: float, cfg: SimConfig) -> Esti
     treated welfare.  Deterministic for fixed cfg.
     """
     check_alpha_half(alpha)
-    u = _welfare_unit(p.mu, p.beta_norm)  # the sums are taken in u, then scaled back
-    b = p.beta_norm / u
-    return _estimate(*linear_sums(cfg.seed, cfg.samples, p.mu / u, p.gamma_s * b, p.gamma_t * b,
+    mu, b, u = _in_welfare_unit(p.mu, p.beta_norm)  # the sums are taken in u, then scaled back
+    return _estimate(*linear_sums(cfg.seed, cfg.samples, mu, p.gamma_s * b, p.gamma_t * b,
                                   gaussian.upper_quantile(alpha)), cfg.samples, u)
 
 
@@ -90,11 +89,12 @@ def simulate_probit_value(p: ProbitParams, alpha: float, cfg: SimConfig) -> Esti
                                   gaussian.upper_quantile(alpha)), cfg.samples)
 
 
-def linear_second_moment(p: LinearParams, alpha: float) -> float:
-    """Mean square of one sample of :func:`simulate_linear_value`: treated
-    welfare a z_s + c z_t + mu on z_s >= T, with a = gamma_s beta_norm and
-    c = gamma_t beta_norm, has a^2 (alpha + T g) + (c^2 + mu^2) alpha + 2 a mu g,
-    where g is the density at T."""
+def linear_second_moment(p: LinearParams, alpha: float) -> tuple[float, float]:
+    """(m, u): m u^2, which may overflow, is the mean square of one sample of
+    :func:`simulate_linear_value`.  Treated welfare a z_s + c z_t + mu on z_s >= T,
+    with a = gamma_s beta_norm and c = gamma_t beta_norm in the welfare unit u, has
+    a^2 (alpha + T g) + (c^2 + mu^2) alpha + 2 a mu g, where g is the density at T."""
+    mu, b, u = _in_welfare_unit(p.mu, p.beta_norm)
     t, g = gaussian.upper_quantile(alpha), gaussian.phi_of_quantile(alpha)
-    a, c = p.gamma_s * p.beta_norm, p.gamma_t * p.beta_norm
-    return a * a * (alpha + t * g) + (c * c + p.mu * p.mu) * alpha + 2.0 * a * p.mu * g
+    a, c = p.gamma_s * b, p.gamma_t * b
+    return a * a * (alpha + t * g) + (c * c + mu * mu) * alpha + 2.0 * a * mu * g, u

@@ -507,14 +507,20 @@ class TestVerifyWithoutSpread:
         assert "mc_std_error 0\n" in out
         assert "result fail (4 standard errors)" in out
 
-    @pytest.mark.parametrize("scale", [["--mu", "1e200", "--beta-norm", "1"],
-                                       ["--mu", "1", "--beta-norm", "1e160"]])
-    def test_no_hit_with_an_overflowing_spread_is_numerical_failure(self, capsys, scale):
-        code, out, err = run_cli(capsys, "verify", "--model", "linear", *scale,
-                                 "--gamma-s", "0.3", "--alpha", "1e-8", "--samples", "10000",
-                                 "--seed", "1")
-        assert (code, out) == (1, "")
-        assert err.startswith("numerical failure: the closed-form spread at the value")
+    def test_no_hit_gives_the_same_verdict_at_every_scale(self, capsys):
+        # (mu, beta_norm) = (1, 1) * 2**k: the no-hit spread is taken in the
+        # welfare unit, where its mean square neither underflows (2**-900 read
+        # a spread of 0 and failed) nor overflows (2**664 and up were refused).
+        verdicts = []
+        for k in (-900, 0, 664, 900):
+            x = repr(math.ldexp(1.0, k))
+            code, out, err = run_cli(capsys, "verify", "--model", "linear", "--mu", x,
+                                     "--beta-norm", x, "--gamma-s", "0.3", "--alpha", "1e-8",
+                                     "--samples", "10000", "--seed", "1", "--machine")
+            assert (code, err) == (0, "")
+            verdicts.append(out.splitlines()[3:])
+        assert verdicts[0] == verdicts[1] == verdicts[2] == verdicts[3]
+        assert verdicts[1][1] == "result pass (4 standard errors)"
 
     @pytest.mark.parametrize("argv, stdout", [
         (["--model", "linear", "--mu", "1", "--beta-norm", "10", "--gamma-s", "0.3",

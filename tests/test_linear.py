@@ -1,10 +1,11 @@
 """Tests for the linear welfare model's closed forms and bounds."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from partarget import gaussian, oracle
@@ -16,7 +17,7 @@ from partarget.errors import (
     RegimeError,
 )
 from partarget.grid import serialize_grid, sweep_grid
-from partarget.inputs import CostModel, GridSpec
+from partarget.inputs import CostModel, GridSpec, SimConfig
 from partarget.linear import (
     LeverDelta,
     LinearParams,
@@ -311,6 +312,41 @@ class TestIndifferenceGamma:
         # the analytic upper bound agrees; the /4 lower bound is too
         # loose to certify this margin and is not asserted here
         assert par_linear_bounds(p, alpha, d).upper / cr > 1.0
+
+
+class TestScale:
+    # m * 2**e with m < 2**8 and e >= -4, so x * 2**k is exact for every k >= -1060;
+    # below 2**23, so it stays finite up to k = 1000.
+    SCALES = st.builds(math.ldexp, st.integers(1, 255), st.integers(-4, 15))
+
+    @settings(max_examples=20, deadline=None)
+    @given(SCALES, SCALES, st.floats(0.01, 0.95), st.floats(1e-4, 0.02),
+           st.floats(1.0, 1e4), st.integers(-1060, 1000))
+    # beta_norm * T underflows at the first and overflows at the second in raw units
+    @example(1.0, 1.0, 0.3, 0.01, 100.0, -1060)
+    @example(1.0, 255 * 2.0 ** 15, 0.3, 0.01, 100.0, 1000)
+    def test_every_function_at_every_scale(self, mu, beta_norm, gamma_s, alpha, cr, k):
+        # At (mu, beta_norm) * 2**k the outputs that do not depend on the scale
+        # keep their bits, and the others are scaled by exactly 2**k wherever
+        # that is a normal double.
+        d = LeverDelta(alpha, 0.01)
+
+        def outputs(k):
+            p = LinearParams(math.ldexp(mu, k), math.ldexp(beta_norm, k), gamma_s)
+            est = oracle.simulate_linear_value(p, alpha, SimConfig(samples=10_000, seed=1))
+            return ((par_linear_exact(p, alpha, d), par_linear_bounds(p, alpha, d),
+                     linear_indifference_gamma(alpha, cr, d, p),
+                     random_to_optimal_ratio(p, alpha)),
+                    (value_linear(p, alpha), policy_threshold_linear(p, alpha),
+                     est.mean, est.std_error))
+
+        free, scaled = outputs(k)
+        free0, scaled0 = outputs(0)
+        assert free == free0
+        for x, x0 in zip(scaled, scaled0):
+            want = x0 * 2.0 ** k
+            if sys.float_info.min <= want < math.inf:
+                assert x == want
 
 
 class TestSandwiches:

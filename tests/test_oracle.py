@@ -52,7 +52,8 @@ class TestLinearSecondMoment:
         want, _ = integrate.quad(
             lambda z: math.exp(-z * z / 2) / math.sqrt(2 * math.pi) * ((a * z + mu) ** 2 + c * c),
             t, math.inf, epsabs=0.0, epsrel=1e-13)
-        assert oracle.linear_second_moment(p, alpha) == pytest.approx(want, rel=1e-11)
+        m, u = oracle.linear_second_moment(p, alpha)  # the mean square in the welfare unit u
+        assert m * u * u == pytest.approx(want, rel=1e-11)
 
 
 class TestSharedAlphaChecks:
