@@ -71,9 +71,8 @@ def policy_threshold_linear(p: LinearParams, alpha: float) -> float:
 
 
 def _in_welfare_unit(mu: float, beta_norm: float) -> tuple[float, float, float]:
-    """(mu / u, beta_norm / u, u), with u the power of two at or below max(mu, beta_norm).
-    Scaling by u is exact, and the PAR, bounds, indifference threshold, Monte Carlo sums
-    and second moment are taken in u, where none overflows or underflows at any scale."""
+    """(mu / u, beta_norm / u, u), with u the power of two at or below max(mu, beta_norm):
+    scaling by u is exact, and in u the scale of (mu, beta_norm) over- or underflows nothing."""
     u = math.ldexp(0.5, math.frexp(max(mu, beta_norm))[1])
     return mu / u, beta_norm / u, u
 

@@ -91,8 +91,8 @@ def simulate_probit_value(p: ProbitParams, alpha: float, cfg: SimConfig) -> Esti
 
 def linear_second_moment(p: LinearParams, alpha: float) -> tuple[float, float]:
     """(m, u): m u^2, which may overflow, is the mean square of one sample of
-    :func:`simulate_linear_value`.  Treated welfare a z_s + c z_t + mu on z_s >= T,
-    with a = gamma_s beta_norm and c = gamma_t beta_norm in the welfare unit u, has
+    :func:`simulate_linear_value`.  In the welfare unit u, treated welfare a z_s + c z_t + mu
+    on z_s >= T, with a = gamma_s beta_norm and c = gamma_t beta_norm, has
     a^2 (alpha + T g) + (c^2 + mu^2) alpha + 2 a mu g, where g is the density at T."""
     mu, b, u = _in_welfare_unit(p.mu, p.beta_norm)
     t, g = gaussian.upper_quantile(alpha), gaussian.phi_of_quantile(alpha)
