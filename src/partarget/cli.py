@@ -10,7 +10,9 @@ Exit codes: 0 success, 2 domain/precondition violations and bad usage,
 failure: stdout closed, a full disk, or a reader that left part-way.
 
 Importing this module loads no NumPy.  A handler builds all its input records
-before it imports ``grid``, so only the computation's own refusals load NumPy:
+before it calls a function of ``inputs.MODELS``, which imports its model's
+module, or imports ``grid``.  The linear ``value``, ``par`` and ``bounds``
+never load NumPy; elsewhere only the computation's own refusals load it:
 alpha outside a function's domain, a lever step out of the model's regime or
 too small, a failed bounds hypothesis, a grid whose cost ratio prices no
 cell, and numerical failures.
@@ -45,20 +47,14 @@ def _params(args: argparse.Namespace):
     return inputs.model_params(args.model, args.gamma_s, args.mu, args.beta_norm, args.base_rate)
 
 
-def _model(args: argparse.Namespace):
-    """The model's functions; this loads NumPy, so it comes after the records."""
-    from .grid import MODELS
-    return MODELS[args.model]
-
-
 def _cmd_value(args: argparse.Namespace) -> tuple[int, bytes]:
     p = _params(args)
-    return 0, _lines(_fmt(_model(args).value(p, args.alpha), args.machine))
+    return 0, _lines(_fmt(inputs.MODELS[args.model].value(p, args.alpha), args.machine))
 
 
 def _cmd_par(args: argparse.Namespace) -> tuple[int, bytes]:
     p, d = _params(args), inputs.LeverDelta(args.delta_alpha, args.delta_r2)
-    return 0, _lines(_fmt(_model(args).par(p, args.alpha, d), args.machine))
+    return 0, _lines(_fmt(inputs.MODELS[args.model].par(p, args.alpha, d), args.machine))
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[int, bytes]:
@@ -67,7 +63,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, bytes]:
         if args.model != "probit":
             raise DomainError("--eps is only valid with --model probit")
         inputs.check_bounds_eps(args.alpha, args.eps)
-    model = _model(args)
+    model = inputs.MODELS[args.model]
     pair = (model.bounds(p, args.alpha, d) if args.eps is None
             else model.bounds(p, args.alpha, d, args.eps))
     exact = model.par(p, args.alpha, d)
@@ -107,7 +103,7 @@ def _cmd_grid(args: argparse.Namespace) -> tuple[int, bytes]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, bytes]:
     p, cfg = _params(args), inputs.SimConfig(samples=args.samples, seed=args.seed)
-    model = _model(args)
+    model = inputs.MODELS[args.model]
     target = model.value(p, args.alpha)
     est = model.simulate(p, args.alpha, cfg)
     judged, v = est, target

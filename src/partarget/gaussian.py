@@ -1,30 +1,36 @@
 """Standard-normal special functions used throughout the package.
 
 Everything here is pure and stateless, and scalar except ``ndtri``
-(below), :func:`pdf_array`, the unchecked density the linear array core
-shares with :func:`pdf`, and :func:`conditional_sd`, the gamma_t of both
-models.  The four ``check_alpha_*`` domain checks live in ``inputs``
-and are importable from here.  The quantile is the one primitive the rest
-of the package leans on (thresholds, closed forms and the Monte Carlo
-sampler all use it), and it meets a tight round-trip contract:
+(below) and :func:`conditional_sd`, the gamma_t of both models.  The
+four ``check_alpha_*`` domain checks live in ``inputs`` and are
+importable from here.  The quantile is the one primitive the rest of the
+package leans on (thresholds, closed forms and the Monte Carlo sampler
+all use it), and it meets a tight round-trip contract:
 
     |cdf(quantile(p)) - p| <= 1e-12   for p in [1e-10, 1 - 1e-10].
 
 Implementation notes
 --------------------
-* The normal functions are defined here with NumPy and the standard
-  library alone; no module of the package imports scipy.
+* The float functions use the standard library alone, and NumPy is
+  imported only by the functions that take arrays, so the linear model's
+  value, PAR and bounds run without it.  No module of the package
+  imports scipy.
 * ``cdf`` and ``sf`` share one ``_phi`` (``sf`` at -t, never
   ``1 - cdf``), and the Monte Carlo kernel's treated share is ``sf``:
   erfc from the C library, within about 1e-14 relative of a 40-digit
   reference down to the smallest normal doubles
   (``tests/data/reference.json``).
   The probit core needs no Phi: Phi(quantile(alpha)) is alpha.
-* ``quantile`` is ``ndtri``, the same inverse CDF as the array closed
-  forms and the Monte Carlo kernel: Wichura's AS 241, one coefficient
-  table and one Horner helper for floats and arrays, an array running it
-  as NumPy loops on each branch's elements, in batches (within about 6
-  ulps of a 40-digit reference).
+* ``quantile`` is Wichura's AS 241 as CPython's ``statistics.NormalDist``
+  runs it, with the C library's log in the tails; ``pdf`` takes the C
+  library's exp.  ``ndtri`` runs the same coefficient table and Horner
+  helper on arrays, as NumPy loops on each branch's elements, in batches,
+  with ``np.log`` in the tails: the two paths differ only where the two
+  logs do, by at most 4 ulps (both are within about 6 ulps of a 40-digit
+  reference).  The probit model takes its quantiles on the array path,
+  scalars included, and the linear model takes its density at the
+  quantile, g(alpha), on the float path, arrays included, so each
+  model's grid cell equals its scalar call bit for bit.
 * ``upper_quantile(alpha)`` returns the (1 - alpha) quantile without ever
   forming ``1 - alpha``, so it stays accurate for alpha down to the
   smallest normal doubles.
@@ -36,8 +42,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError, NumericsError, PreconditionError
 from .inputs import (_Record, _reject_nan, check_alpha_closed, check_alpha_half,
                      check_alpha_open, check_alpha_open_closed)
@@ -46,7 +50,6 @@ __all__ = [
     "BoundPair",
     "conditional_sd",
     "pdf",
-    "pdf_array",
     "cdf",
     "sf",
     "quantile",
@@ -64,8 +67,8 @@ SQRT2 = 1.4142135623730951
 
 
 # Phi takes a float.  Its inverse, ``ndtri``, takes a float or an array, and
-# an element of an array goes through the same floating-point steps as that
-# element passed alone, so an array core's cell equals the scalar call there.
+# an element of an array goes through the float's floating-point steps but
+# for the tail's log: the C library's for a float, NumPy's for an array.
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
 _SQRT2_HI = _SPLIT * SQRT2 - (_SPLIT * SQRT2 - SQRT2)
@@ -116,7 +119,12 @@ _CENTRAL, _NEAR, _FAR = (
 
 def _horner(coeffs, r, acc=None):
     """The polynomial with these coefficients at a float r, or at an array r into the array acc."""
-    acc = coeffs[0] * r if acc is None else np.multiply(r, coeffs[0], out=acc)
+    if acc is None:
+        acc = coeffs[0] * r
+    else:
+        import numpy as np
+
+        np.multiply(r, coeffs[0], out=acc)
     for c in coeffs[1:-1]:
         acc += c
         acc *= r
@@ -132,14 +140,14 @@ def _ratio(branch, r, q=1.0, num=None, den=None):
     return x
 
 
-def _ndtri_float(p: float) -> float:
-    """ndtri at a float, as :func:`ndtri` describes."""
+def _ndtri_float(p: float, log=math.log) -> float:
+    """ndtri at a float, as :func:`ndtri` describes, with ``log`` for the tail's log."""
     if not 0.0 < p < 1.0:
         return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
     q = p - 0.5
     if abs(q) <= 0.425:
         return _ratio(_CENTRAL, 0.180625 - q * q, q)
-    r = math.sqrt(-float(np.log(p if q <= 0.0 else 1.0 - p)))
+    r = math.sqrt(-log(p if q <= 0.0 else 1.0 - p))
     x = _ratio(_NEAR, r - 1.6) if r <= 5.0 else _ratio(_FAR, r - 5.0)
     return -x if q < 0.0 else x
 
@@ -155,10 +163,13 @@ def _ndtri_batch(p, out, a, b, c, d, mask, sign):
     a to d are float and mask and sign bool working arrays at least as long
     as p.  Only a batch whose elements all lie in the tails runs in place;
     otherwise each branch runs on its elements' integer-index gathers.
-    Either way an element takes the float's IEEE steps and its tail log is
-    np.log on contiguous data, as in :func:`_ndtri_float`.  The gathers take
-    with mode="clip", which writes straight into out, where "raise" would copy.
+    Either way an element takes the float's IEEE steps, with np.log on
+    contiguous data for its tail log, so its bits depend on neither the
+    layout nor the batch.  The gathers take with mode="clip", which writes
+    straight into out, where "raise" would copy.
     """
+    import numpy as np
+
     m = p.size
     q = np.subtract(p, 0.5, out=a[:m])
     central = np.less_equal(np.abs(q, out=b[:m]), 0.425, out=mask[:m])
@@ -191,14 +202,24 @@ def ndtri(p):
     """Inverse standard normal CDF at a float or at every element of an
     array: -inf at 0, +inf at 1, NaN outside [0, 1].
 
-    AS 241 as CPython's ``statistics.NormalDist`` runs it, and an element of
-    an array equals the float call bit for bit.  An array runs in batches of
-    ``_BATCH`` elements through one set of working arrays made per call, so
-    the only array of p's size made is the result.
+    AS 241 as CPython's ``statistics.NormalDist`` runs it: at a Python
+    float or int on the float path, and at anything else (an array, a
+    0-d array or a NumPy scalar, which gives a NumPy scalar) with NumPy's
+    log, whose elements take the same bits whatever the array's shape or
+    layout.  A 0-d array or NumPy scalar takes the float's steps with
+    ``np.log``, the bits of a one-element array at a twentieth of its
+    cost.  An array runs in batches of ``_BATCH`` elements through one
+    set of working arrays made per call, so the only array of p's size
+    made is the result.
     """
-    if not (isinstance(p, np.ndarray) and p.ndim):
+    if type(p) in (float, int):
         return _ndtri_float(float(p))
-    flat = np.ravel(np.asarray(p, dtype=float))
+    import numpy as np
+
+    p = np.asarray(p, dtype=float)
+    if not p.ndim:
+        return np.float64(_ndtri_float(float(p), np.log))
+    flat = np.ravel(p)
     out = np.empty(p.shape)
     dest = out.reshape(-1)
     size = min(flat.size, _BATCH)
@@ -233,12 +254,14 @@ def conditional_sd(rho):
     """sqrt(1 - rho^2), the standard deviation of one standard normal given
     another at correlation rho, formed as sqrt((1 - rho)(1 + rho)) so that
     it keeps its relative accuracy as rho approaches 1."""
+    import numpy as np
+
     return np.sqrt((1.0 - rho) * (1.0 + rho))
 
 
-def pdf_array(z):
-    """Standard normal density (1/sqrt(2*pi)) * exp(-z^2/2), unchecked."""
-    return INV_SQRT_2PI * np.exp(-0.5 * z * z)
+def _density(z: float) -> float:
+    """Standard normal density (1/sqrt(2*pi)) * exp(-z^2/2) at a float, unchecked."""
+    return INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
 def pdf(z: float) -> float:
@@ -246,7 +269,7 @@ def pdf(z: float) -> float:
     _reject_nan(z, "z")
     if math.isinf(z):
         raise DomainError("pdf requires a finite argument")
-    return float(pdf_array(z))
+    return _density(float(z))
 
 
 def cdf(t: float) -> float:

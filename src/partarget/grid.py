@@ -9,9 +9,10 @@ preconditions fail carry an explicit skip status, mapped from the core's
 status codes, instead of fabricated numbers.  The indifference contour
 (where the cost-benefit ratio crosses 1) is interpolated per alpha column.
 The cells are one NumPy record array, which the contour search and the
-serializers read column by column.  The spec, the lever costs and
-:func:`model_params` are defined in ``inputs``, without NumPy, so no
-refused spec loads NumPy; they are importable from here too.
+serializers read column by column.  The spec, the lever costs, the model
+table ``MODELS`` and :func:`model_params` are defined in ``inputs``,
+without NumPy, so no refused spec loads NumPy; they are importable from
+here too.
 
 Everything is deterministic: cells are laid out in row-major order with
 alpha as the outer axis, and serialization uses fixed formats, so two
@@ -21,13 +22,11 @@ sweeps of the same spec are byte-identical.
 from __future__ import annotations
 
 import io
-from collections import namedtuple
 
 import numpy as np
 
-from . import linear, oracle, probit
 from .errors import DomainError, PartargetError
-from .inputs import MAX_CELLS, CostModel, GridSpec, _Record, cost_benefit, model_params
+from .inputs import MAX_CELLS, MODELS, CostModel, GridSpec, _Record, cost_benefit, model_params
 from .linear import PAR_OK, PAR_REGIME
 
 __all__ = [
@@ -48,26 +47,6 @@ STATUS_SKIPPED_DEGENERATE = "skipped-degenerate"
 STATUS_SKIPPED_REGIME = "skipped-regime"
 
 CSV_HEADER = "alpha,gamma_s,par,cost_benefit,cost_benefit_clipped,status"
-
-# One model's functions, each taking its model_params first: value(p, alpha),
-# par(p, alpha, deltas), par_array(p, gamma_s, alpha, deltas) -> (par, status),
-# bounds(p, alpha, deltas) (probit's also takes eps), simulate(p, alpha, SimConfig) -> Estimate,
-# and second_moment(p, alpha) -> (m, u), with m * u**2 the mean square of one simulated sample.
-Model = namedtuple("Model", "value par par_array bounds simulate second_moment")
-
-
-MODELS = {
-    "linear": Model(
-        linear.value_linear, linear.par_linear_exact,
-        lambda p, g, a, d: linear.par_linear_array(p.mu, p.beta_norm, g, a, d),
-        linear.par_linear_bounds, oracle.simulate_linear_value, oracle.linear_second_moment),
-    # A simulated probit sample is 0 or 1, so its mean square is the value, in the unit 1.
-    "probit": Model(
-        probit.value_probit, probit.par_probit_exact,
-        lambda p, g, a, d: probit.par_probit_array(p.base_rate, g, a, d),
-        probit.par_probit_bounds, oracle.simulate_probit_value,
-        lambda p, a: (probit.value_probit(p, a), 1.0)),
-}
 
 
 class GridResult(_Record):

@@ -20,7 +20,9 @@ It is not a tuple: it does not equal one, and cannot be indexed or unpacked.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
+from collections import namedtuple
 from itertools import combinations, takewhile
 
 from .errors import DomainError, RegimeError
@@ -28,8 +30,9 @@ from .errors import DomainError, RegimeError
 __all__ = [
     "check_alpha_half", "check_alpha_open", "check_alpha_open_closed", "check_alpha_closed",
     "check_bounds_eps",
-    "LeverDelta", "CostModel", "cost_benefit", "MAX_CELLS", "MODEL_NAMES", "LinearParams",
-    "ProbitParams", "model_params", "MIN_SAMPLES", "MAX_SAMPLES", "SimConfig", "GridSpec",
+    "LeverDelta", "CostModel", "cost_benefit", "MAX_CELLS", "Model", "MODELS", "MODEL_NAMES",
+    "LinearParams", "ProbitParams", "model_params", "MIN_SAMPLES", "MAX_SAMPLES", "SimConfig",
+    "GridSpec",
     "Atom", "DiscreteDistribution", "Allocation", "greedy_allocate", "brute_force_allocate",
 ]
 
@@ -184,8 +187,35 @@ def cost_benefit(par: float, cm: CostModel) -> float:
     return cb
 
 
-# The models, in the order of grid.MODELS; the CLI's --model choices.
-MODEL_NAMES = ("linear", "probit")
+# One model's functions, each taking its model_params first: value(p, alpha),
+# par(p, alpha, deltas), par_array(p, gamma_s, alpha, deltas) -> (par, status),
+# bounds(p, alpha, deltas) (probit's also takes eps), simulate(p, alpha, SimConfig) -> Estimate,
+# and second_moment(p, alpha) -> (m, u), with m * u**2 the mean square of one simulated sample.
+Model = namedtuple("Model", "value par par_array bounds simulate second_moment")
+
+# The package imports a module when it is first read from it (PEP 562), so each
+# function imports its module, and NumPy if that needs it, at its first call.
+_package = sys.modules[__package__]
+
+MODELS = {
+    "linear": Model(
+        lambda p, a: _package.linear.value_linear(p, a),
+        lambda p, a, d: _package.linear.par_linear_exact(p, a, d),
+        lambda p, g, a, d: _package.linear.par_linear_array(p.mu, p.beta_norm, g, a, d),
+        lambda p, a, d: _package.linear.par_linear_bounds(p, a, d),
+        lambda p, a, cfg: _package.oracle.simulate_linear_value(p, a, cfg),
+        lambda p, a: _package.oracle.linear_second_moment(p, a)),
+    # A simulated probit sample is 0 or 1, so its mean square is the value, in the unit 1.
+    "probit": Model(
+        lambda p, a: _package.probit.value_probit(p, a),
+        lambda p, a, d: _package.probit.par_probit_exact(p, a, d),
+        lambda p, g, a, d: _package.probit.par_probit_array(p.base_rate, g, a, d),
+        lambda p, a, d, *eps: _package.probit.par_probit_bounds(p, a, d, *eps),
+        lambda p, a, cfg: _package.oracle.simulate_probit_value(p, a, cfg),
+        lambda p, a: (_package.probit.value_probit(p, a), 1.0)),
+}
+# The CLI's --model choices.
+MODEL_NAMES = tuple(MODELS)
 
 
 class _ModelParams(_Record):

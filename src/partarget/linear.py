@@ -13,9 +13,16 @@ of that expression.  The supported access regime is alpha < 1/2; beyond
 it the positivity constraint on conditional means activates and the
 closed form above no longer applies, so those inputs are rejected.
 
-:func:`value_linear_array` and :func:`par_linear_array` evaluate whole
-arrays of cells, and :func:`value_linear` and :func:`par_linear_exact`
-call them, so a grid cell and a scalar call give the same bits.
+g is the expression's only transcendental, and it is taken on one float
+path (``gaussian``'s quantile and density, with the C library's log and
+exp) for floats and arrays alike.  :func:`value_linear`,
+:func:`par_linear_exact` and :func:`par_linear_bounds` are float
+arithmetic on it and load no NumPy.  :func:`value_linear_array` and
+:func:`par_linear_array` evaluate whole arrays of cells with the same
+operations, taking g once at each distinct alpha, so a grid cell and a
+scalar call give the same bits.  The value, PAR, bounds and indifference
+threshold take mu and beta_norm in one power-of-two unit
+(:func:`_in_welfare_unit`), so none of them depends on their scale.
 :class:`LinearParams` and :class:`LeverDelta` (the lever steps) are
 defined in ``inputs`` (no NumPy) and importable from here too.
 """
@@ -25,8 +32,6 @@ from __future__ import annotations
 import math
 from functools import partial
 
-import numpy as np
-
 from . import gaussian
 from .errors import (
     DegenerateLeverError,
@@ -34,7 +39,7 @@ from .errors import (
     PreconditionError,
     RegimeError,
 )
-from .gaussian import BoundPair, check_alpha_half, check_alpha_closed, pdf_array
+from .gaussian import BoundPair, check_alpha_half, check_alpha_closed
 from .inputs import LeverDelta, LinearParams
 
 __all__ = [
@@ -77,22 +82,40 @@ def _in_welfare_unit(mu: float, beta_norm: float) -> tuple[float, float, float]:
     return mu / u, beta_norm / u, u
 
 
-def value_linear_array(mu, beta_norm, gamma_s, alpha) -> np.ndarray | np.float64:
+def _g(alpha: float) -> float:
+    """g(alpha), the standard normal density at the alpha quantile, on the float path."""
+    return gaussian._density(gaussian._ndtri_float(alpha))
+
+
+def _g_array(alpha):
+    """:func:`_g` at every element of alpha, called once per distinct value."""
+    import numpy as np
+
+    values = np.unique(alpha)  # sorted, so searchsorted finds each element's, in alpha's shape
+    return np.array([_g(a) for a in values.tolist()])[np.searchsorted(values, alpha)]
+
+
+def value_linear_array(mu, beta_norm, gamma_s, alpha):
     """V(alpha, gamma_s) of the linear model at every element of the
-    broadcast inputs (a NumPy scalar when all four are scalars).
+    broadcast gamma_s and alpha (a NumPy scalar when both are scalars).
 
     Inputs are not validated: alpha must lie in (0, 1), and the result is
     the policy's value only for alpha < 1/2.
     """
+    import numpy as np
+
     # [()] turns 0-d arrays into NumPy scalars, as in value_probit_array.
     gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
-    return alpha * mu + gamma_s * beta_norm * pdf_array(gaussian.ndtri(alpha))
+    mu, beta_norm, u = _in_welfare_unit(mu, beta_norm)
+    return u * (alpha * mu + gamma_s * beta_norm * _g_array(alpha))
 
 
 def value_linear(p: LinearParams, alpha: float) -> float:
-    """Expected welfare of the optimal policy at access level alpha."""
+    """Expected welfare of the optimal policy at access level alpha:
+    :func:`value_linear_array` at one cell, in floats."""
     check_alpha_half(alpha)
-    return float(value_linear_array(p.mu, p.beta_norm, p.gamma_s, alpha))
+    mu, beta_norm, u = _in_welfare_unit(p.mu, p.beta_norm)
+    return u * (alpha * mu + p.gamma_s * beta_norm * _g(alpha))
 
 
 def random_value(p: LinearParams, alpha: float) -> float:
@@ -122,6 +145,8 @@ def par_from_values(value, gamma_s, alpha, d: LeverDelta, regime, gain_floor: fl
 
     ``prediction_gain``, when given, is that denominator in closed form;
     otherwise it is the difference of the two values."""
+    import numpy as np
+
     # Steps out of the regime are evaluated at the cell itself, then masked.
     v0 = value(gamma_s, alpha)
     va = value(gamma_s, np.where(regime, alpha, alpha + d.delta_alpha))
@@ -134,13 +159,7 @@ def par_from_values(value, gamma_s, alpha, d: LeverDelta, regime, gain_floor: fl
     return np.where(status == PAR_OK, par, np.nan), status
 
 
-def par_linear_array(
-    mu,
-    beta_norm,
-    gamma_s,
-    alpha,
-    d: LeverDelta,
-) -> tuple[np.ndarray, np.ndarray]:
+def par_linear_array(mu, beta_norm, gamma_s, alpha, d: LeverDelta):
     """Exact prediction-access ratio at every cell of the broadcast
     (gamma_s, alpha) inputs, and a status code per cell (see
     :func:`par_from_values`): PAR_REGIME where alpha + delta_alpha reaches
@@ -148,6 +167,8 @@ def par_linear_array(
     is too small to divide by.  delta_r2 <= 0 raises :class:`DegenerateLeverError`;
     alpha > 0 and valid mu and beta_norm are the caller's to check.
     """
+    import numpy as np
+
     if d.delta_r2 <= 0.0:
         raise DegenerateLeverError("delta_r2 must be positive to form a ratio")
     gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
@@ -155,28 +176,31 @@ def par_linear_array(
     mu, beta_norm, _ = _in_welfare_unit(mu, beta_norm)
     # V is linear in gamma_s, so V(gamma_s + delta_r2) - V(gamma_s) is exactly
     # delta_r2 * beta_norm * g(alpha), formed without the alpha * mu of each value.
-    gain = d.delta_r2 * beta_norm * pdf_array(gaussian.ndtri(alpha))
+    gain = d.delta_r2 * beta_norm * _g_array(alpha)
     return par_from_values(partial(value_linear_array, mu, beta_norm),
                            gamma_s, alpha, d, regime, 0.0, gain)
 
 
 def par_linear_exact(p: LinearParams, alpha: float, d: LeverDelta) -> float:
     """Exact prediction-access ratio: :func:`par_linear_array` at one
-    cell, with its statuses raised as errors."""
+    cell, in floats, with its statuses raised as errors."""
     check_alpha_half(alpha)
-    par, status = par_linear_array(p.mu, p.beta_norm, p.gamma_s, alpha, d)
-    if status == PAR_REGIME:
-        if not alpha + d.delta_alpha < 0.5:
-            raise RegimeError(
-                f"alpha + delta_alpha = {alpha + d.delta_alpha!r} must stay below 0.5"
-            )
-        raise DomainError(
-            f"gamma_s + delta_r2 = {p.gamma_s + d.delta_r2!r} exceeds 1"
-        )
-    if status == PAR_NOISE:
+    if d.delta_r2 <= 0.0:
+        raise DegenerateLeverError("delta_r2 must be positive to form a ratio")
+    if not alpha + d.delta_alpha < 0.5:
+        raise RegimeError(f"alpha + delta_alpha = {alpha + d.delta_alpha!r} must stay below 0.5")
+    if p.gamma_s + d.delta_r2 > 1.0:
+        raise DomainError(f"gamma_s + delta_r2 = {p.gamma_s + d.delta_r2!r} exceeds 1")
+    mu, beta_norm, _ = _in_welfare_unit(p.mu, p.beta_norm)
+    g, alpha_up = _g(alpha), alpha + d.delta_alpha
+    v0 = alpha * mu + p.gamma_s * beta_norm * g
+    va = alpha_up * mu + p.gamma_s * beta_norm * _g(alpha_up)
+    gain = d.delta_r2 * beta_norm * g
+    par = (va - v0) / gain if gain > 0.0 else math.nan
+    if not math.isfinite(par):
         raise DegenerateLeverError("prediction gain V(gamma_s + delta_r2) - V(gamma_s) "
                                    "is not positive, or too small to divide by")
-    return float(par)
+    return par
 
 
 def par_linear_bounds(p: LinearParams, alpha: float, d: LeverDelta) -> BoundPair:

@@ -996,21 +996,25 @@ REFUSALS = {
 
 class TestWithoutNumpy:
     """Importing the CLI loads no NumPy, and the commands that compute
-    nothing with it run, with the output they have in process, in an
-    interpreter where importing numpy fails.  Each refused input record
-    exits 2 with its line there, so none of them loads NumPy."""
+    nothing with it (the linear value, par and bounds compute in floats) run,
+    with the output they have in process, in an interpreter where importing
+    numpy fails.  Each refused input record exits 2 with its line there, so
+    none of them loads NumPy."""
 
-    @pytest.mark.parametrize("argv, refusal", [
+    # Each argv, and where it is pinned, its exit code and stderr.
+    @pytest.mark.parametrize("argv, exits", [
         pytest.param(COMMANDS["allocate"], None, id="allocate"),
+        *(pytest.param(COMMANDS[name], (0, ""), id=name)
+          for name in ("value-linear", "par-linear", "bounds-linear")),
         *(pytest.param(["grid", "--spec", f"{{tmp}}/{name}.json"], None, id=f"spec-{name}")
           for name in BAD_SPECS),
         pytest.param(["grid", "--spec", "{tmp}/missing.json"], None, id="spec-missing"),
         pytest.param(["--help"], None, id="help"),
         pytest.param(["grid", "--help"], None, id="grid-help"),
         pytest.param(["frobnicate"], None, id="unknown-subcommand"),
-        *(pytest.param(argv, line, id=name) for name, (argv, line) in REFUSALS.items()),
+        *(pytest.param(argv, (2, line), id=name) for name, (argv, line) in REFUSALS.items()),
     ])
-    def test_same_output(self, capsys, monkeypatch, tmp_path, argv, refusal):
+    def test_same_output(self, capsys, monkeypatch, tmp_path, argv, exits):
         monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal width
         dist = tmp_path / "dist.csv"
         dist.write_text("label,mass,cond_mean\na,0.25,2.0\nb,0.25,1.0\nc,0.5,-0.5\n")
@@ -1027,8 +1031,8 @@ class TestWithoutNumpy:
                               env=stream_env())
         result = (proc.returncode, proc.stdout, proc.stderr)
         assert result == run_cli(capsys, *argv)
-        if refusal is not None:
-            assert result == (2, "", refusal)
+        if exits is not None:  # a refusal writes nothing to stdout
+            assert (result[0], result[2]) == exits and (result[1] == "") == (exits[0] == 2)
 
     def test_importing_the_cli_loads_no_numpy(self):
         script = "import sys, partarget.cli; assert 'numpy' not in sys.modules"

@@ -32,9 +32,11 @@ from partarget.grid import (
     serialize_grid,
     sweep_grid,
 )
+from partarget import gaussian
 from partarget.inputs import MODEL_NAMES
-from partarget.linear import LeverDelta, LinearParams, par_linear_exact
-from partarget.probit import ProbitParams, par_probit_exact
+from partarget.linear import (LeverDelta, LinearParams, par_linear_exact, value_linear,
+                              value_linear_array)
+from partarget.probit import ProbitParams, par_probit_exact, value_probit, value_probit_array
 
 
 def linear_spec(**overrides) -> GridSpec:
@@ -630,3 +632,57 @@ class TestSweepMatchesScalarCalls:
             else:
                 par_probit_exact(ProbitParams(spec.base_rate, gamma), alpha, deltas)
         assert str(from_grid.value) == str(from_scalar.value)
+
+
+def log_carriers() -> list[float]:
+    """Alphas in (1e-12, 0.075), log-uniform from a fixed seed, at which the C
+    library's log and NumPy's take different bits, so that the quantile's tail
+    may differ between its float path and its array path."""
+    alpha = 10.0 ** np.random.default_rng(32).uniform(-12, math.log10(0.075), 300_000)
+    found = [a for a, log in zip(alpha.tolist(), np.log(alpha).tolist()) if math.log(a) != log]
+    return [a for a in found if math.log(a) != np.log(np.array([a]))[0]]
+
+
+class TestLogCarriers:
+    """Each model's scalar call equals its grid cell also where the two logs
+    differ, an alpha Hypothesis is unlikely to draw: the probit model takes its
+    quantiles on the array path (NumPy's log), scalars included, and the linear
+    model on the float path (the C library's log), arrays included."""
+
+    ALPHAS = log_carriers()
+    FIELDS = {
+        "linear": dict(model="linear", mu=1.0, beta_norm=10.0),
+        "probit": dict(model="probit", base_rate=0.05),
+    }
+
+    def test_the_paths_differ_there(self):
+        quantiles = [(gaussian.quantile(a), gaussian.ndtri(np.array([a]))[0]) for a in self.ALPHAS]
+        assert len(self.ALPHAS) >= 10
+        assert sum(x != y for x, y in quantiles) >= len(quantiles) // 2
+
+    def test_values_equal_one_cell_arrays(self):
+        for a in self.ALPHAS:
+            assert value_probit(ProbitParams(0.05, 0.3), a) == \
+                value_probit_array(0.05, 0.3, np.array([a]))[0]
+            assert value_linear(LinearParams(1.0, 10.0, 0.3), a) == \
+                value_linear_array(1.0, 10.0, 0.3, np.array([a]))[0]
+            # the linear g(alpha) is the float path's
+            assert value_linear(LinearParams(1.0, 1.0, 1.0), a) == \
+                a + gaussian.phi_of_quantile(a)
+
+    @pytest.mark.parametrize("model", ["linear", "probit"])
+    def test_pars_equal_grid_cells(self, model):
+        # a 2x2 grid whose two alphas are carriers, with delta_alpha = MIN_DELTA
+        ok = 0
+        for lo, hi in zip(self.ALPHAS[::2], self.ALPHAS[1::2]):
+            spec = GridSpec(**self.FIELDS[model], alpha_lo=min(lo, hi), alpha_hi=max(lo, hi),
+                            alpha_count=2, alpha_spacing="linear", gamma_lo=0.3, gamma_hi=0.8,
+                            gamma_count=2, deltas=LeverDelta(1e-5, 0.01),
+                            costs=CostModel(1.0, 1.0))
+            for c in sweep_grid(spec).cells:
+                status, par, _ = _scalar_cell(spec, c.alpha, c.gamma_s)
+                assert (c.status, c.alpha in (lo, hi)) == (status, True)
+                if status == STATUS_OK:
+                    assert c.par == par
+                    ok += 1
+        assert ok >= len(self.ALPHAS)

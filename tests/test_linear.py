@@ -325,10 +325,13 @@ class TestScale:
     # beta_norm * T underflows at the first and overflows at the second in raw units
     @example(1.0, 1.0, 0.3, 0.01, 100.0, -1060)
     @example(1.0, 255 * 2.0 ** 15, 0.3, 0.01, 100.0, 1000)
+    # the value is subnormal: 1.40267663e-314 in raw units, against 1.4026766296e-314
+    @example(1.0, 10.0, 0.3, 0.02, 100.0, -1040)
     def test_every_function_at_every_scale(self, mu, beta_norm, gamma_s, alpha, cr, k):
         # At (mu, beta_norm) * 2**k the outputs that do not depend on the scale
         # keep their bits, and the others are scaled by exactly 2**k wherever
-        # that is a normal double.
+        # that is a normal double; the value, rounded once from its unit, also
+        # where it is subnormal.
         d = LeverDelta(alpha, 0.01)
 
         def outputs(k):
@@ -343,9 +346,9 @@ class TestScale:
         free, scaled = outputs(k)
         free0, scaled0 = outputs(0)
         assert free == free0
-        for x, x0 in zip(scaled, scaled0):
+        for i, (x, x0) in enumerate(zip(scaled, scaled0)):
             want = x0 * 2.0 ** k
-            if sys.float_info.min <= want < math.inf:
+            if (0.0 if i == 0 else sys.float_info.min) <= want < math.inf:
                 assert x == want
 
 

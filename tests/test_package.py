@@ -82,6 +82,12 @@ CLI_STDLIB = "__future__, argparse, bisect, contextlib, io, itertools, math, os,
 
 VALUE_RUN = ("from partarget.cli import run; run(['value', '--model', 'probit', '--base-rate', "
              "'0.05', '--gamma-s', '0.3', '--alpha', '0.002']); ")
+LINEAR = ["--model", "linear", "--mu", "1", "--beta-norm", "10", "--gamma-s", "0.3",
+          "--alpha", "0.02"]
+LEVERS = ["--delta-alpha", "0.001", "--delta-r2", "0.01"]
+LINEAR_RUNS = [f"from partarget.cli import run; assert run({argv!r}) == 0; "
+               for argv in (["value", *LINEAR], ["par", *LINEAR, *LEVERS],
+                            ["bounds", *LINEAR, *LEVERS])]
 
 
 def test_cli_import_loads_no_heavy_modules():
@@ -90,9 +96,11 @@ def test_cli_import_loads_no_heavy_modules():
     runs = [subprocess.run([sys.executable, "-c", stmt], capture_output=True, text=True, check=True)
             for stmt in (listing, "import partarget.cli; " + listing,
                          "import numpy; " + listing,
-                         "import partarget.cli, partarget.grid, partarget.probit; " + listing,
-                         f"import {CLI_STDLIB}; " + listing, VALUE_RUN + listing)]
-    bare, cli, numpy, grid, stdlib, value = (set(run.stdout.split()) for run in runs)
+                         "import partarget.cli, partarget.grid, partarget.probit, partarget.oracle; "
+                         + listing,
+                         f"import {CLI_STDLIB}; " + listing, VALUE_RUN + listing,
+                         *(run + listing for run in LINEAR_RUNS))]
+    bare, cli, numpy, grid, stdlib, value, *linear = (set(run.stdout.split()) for run in runs)
     assert "partarget.cli" in cli
     assert {"numpy", "dataclasses", "inspect", "json", "csv"} & (cli - bare) == set()
     # past the standard modules it names, the CLI loads only the package's own four
@@ -103,6 +111,11 @@ def test_cli_import_loads_no_heavy_modules():
     # only the Monte Carlo kernel imports numpy.random, when it runs
     assert "partarget.oracle" in grid and "partarget.probit" in value
     assert "numpy.random" not in (grid | value) - bare
+    # the linear value, par and bounds compute in floats: they load no NumPy, nor
+    # the modules that need it
+    for modules in linear:
+        assert "partarget.linear" in modules
+        assert {"numpy", "partarget.grid", "partarget.probit", "partarget.oracle"} & modules == set()
 
 
 SPEC_FIELDS = {"model": "probit", "alpha_lo": 0.001, "alpha_hi": 0.1, "alpha_count": 5,
