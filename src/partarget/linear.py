@@ -91,7 +91,10 @@ def _g_array(alpha):
     """:func:`_g` at every element of alpha, called once per distinct value."""
     import numpy as np
 
-    values = np.unique(alpha)  # sorted, so searchsorted finds each element's, in alpha's shape
+    # The distinct values, sorted, so searchsorted finds each element's, in
+    # alpha's shape; np.unique would import numpy.ma, about 12 ms at start-up.
+    values = np.sort(alpha, axis=None)
+    values = np.concatenate([values[:1], values[1:][values[1:] != values[:-1]]])
     return np.array([_g(a) for a in values.tolist()])[np.searchsorted(values, alpha)]
 
 

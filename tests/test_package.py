@@ -118,6 +118,18 @@ def test_cli_import_loads_no_heavy_modules():
         assert {"numpy", "partarget.grid", "partarget.probit", "partarget.oracle"} & modules == set()
 
 
+def test_linear_sweep_loads_no_masked_arrays():
+    # np.unique imports numpy.ma, about 12 ms of a grid command's start-up; the
+    # linear core finds its distinct alphas by sorting instead
+    argv = ["grid", "--model", "linear", "--mu", "1", "--beta-norm", "10", "--alpha-lo", "0.01",
+            "--alpha-hi", "0.3", "--gamma-lo", "0.1", "--gamma-hi", "0.9", *LEVERS,
+            "--cost-access", "1", "--cost-prediction", "1"]
+    script = (f"import sys; from partarget.cli import run; assert run({argv!r}) == 0; "
+              "assert 'numpy' in sys.modules and 'numpy.ma' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 SPEC_FIELDS = {"model": "probit", "alpha_lo": 0.001, "alpha_hi": 0.1, "alpha_count": 5,
                "gamma_lo": 0.1, "gamma_hi": 0.9, "gamma_count": 5,
                "deltas": LeverDelta(0.001, 0.01), "costs": CostModel(1.0, 1.0)}
