@@ -12,10 +12,10 @@ failure: stdout closed, a full disk, or a reader that left part-way.
 Importing this module loads no NumPy.  A handler builds all its input records
 before it calls a function of ``inputs.MODELS``, which imports its model's
 module, or imports ``grid``.  The linear ``value``, ``par`` and ``bounds``
-never load NumPy; elsewhere only the computation's own refusals load it:
-alpha outside a function's domain, a lever step out of the model's regime or
-too small, a failed bounds hypothesis, a grid whose cost ratio prices no
-cell, and numerical failures.
+never load NumPy.  Of the refusals, only the computation's own load it in
+the other commands: alpha outside a function's domain, a lever step out of
+the model's regime or too small, a failed bounds hypothesis, a grid whose
+cost ratio prices no cell, and numerical failures.
 """
 
 from __future__ import annotations
