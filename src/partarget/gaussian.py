@@ -259,17 +259,13 @@ def conditional_sd(rho):
     return np.sqrt((1.0 - rho) * (1.0 + rho))
 
 
-def _density(z: float) -> float:
-    """Standard normal density (1/sqrt(2*pi)) * exp(-z^2/2) at a float, unchecked."""
-    return INV_SQRT_2PI * math.exp(-0.5 * z * z)
-
-
 def pdf(z: float) -> float:
     """Standard normal density at a finite z."""
     _reject_nan(z, "z")
     if math.isinf(z):
         raise DomainError("pdf requires a finite argument")
-    return _density(float(z))
+    z = float(z)
+    return INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
 def cdf(t: float) -> float:

@@ -14,8 +14,8 @@ it the positivity constraint on conditional means activates and the
 closed form above no longer applies, so those inputs are rejected.
 
 g is the expression's only transcendental, and it is taken on one float
-path (``gaussian``'s quantile and density, with the C library's log and
-exp) for floats and arrays alike.  :func:`value_linear`,
+path (:func:`gaussian.phi_of_quantile`, with the C library's log and exp)
+for floats and arrays alike.  :func:`value_linear`,
 :func:`par_linear_exact` and :func:`par_linear_bounds` are float
 arithmetic on it and load no NumPy.  :func:`value_linear_array` and
 :func:`par_linear_array` evaluate whole arrays of cells with the same
@@ -82,28 +82,26 @@ def _in_welfare_unit(mu: float, beta_norm: float) -> tuple[float, float, float]:
     return mu / u, beta_norm / u, u
 
 
-def _g(alpha: float) -> float:
-    """g(alpha), the standard normal density at the alpha quantile, on the float path."""
-    return gaussian._density(gaussian._ndtri_float(alpha))
-
-
 def _g_array(alpha):
-    """:func:`_g` at every element of alpha, called once per distinct value."""
+    """g at every element of alpha (in (0, 1)), taken on the float path
+    (:func:`gaussian.phi_of_quantile`) once per distinct value."""
     import numpy as np
 
     # The distinct values, sorted, so searchsorted finds each element's, in
     # alpha's shape; np.unique would import numpy.ma, about 12 ms at start-up.
     values = np.sort(alpha, axis=None)
     values = np.concatenate([values[:1], values[1:][values[1:] != values[:-1]]])
-    return np.array([_g(a) for a in values.tolist()])[np.searchsorted(values, alpha)]
+    g = [gaussian.phi_of_quantile(a) for a in values.tolist()]
+    return np.array(g)[np.searchsorted(values, alpha)]
 
 
 def value_linear_array(mu, beta_norm, gamma_s, alpha):
     """V(alpha, gamma_s) of the linear model at every element of the
     broadcast gamma_s and alpha (a NumPy scalar when both are scalars).
 
-    Inputs are not validated: alpha must lie in (0, 1), and the result is
-    the policy's value only for alpha < 1/2.
+    mu, beta_norm and gamma_s are not validated; alpha outside (0, 1)
+    raises :class:`DomainError`, and the result is the policy's value only
+    for alpha < 1/2.
     """
     import numpy as np
 
@@ -118,7 +116,7 @@ def value_linear(p: LinearParams, alpha: float) -> float:
     :func:`value_linear_array` at one cell, in floats."""
     check_alpha_half(alpha)
     mu, beta_norm, u = _in_welfare_unit(p.mu, p.beta_norm)
-    return u * (alpha * mu + p.gamma_s * beta_norm * _g(alpha))
+    return u * (alpha * mu + p.gamma_s * beta_norm * gaussian.phi_of_quantile(alpha))
 
 
 def random_value(p: LinearParams, alpha: float) -> float:
@@ -167,8 +165,9 @@ def par_linear_array(mu, beta_norm, gamma_s, alpha, d: LeverDelta):
     (gamma_s, alpha) inputs, and a status code per cell (see
     :func:`par_from_values`): PAR_REGIME where alpha + delta_alpha reaches
     0.5 or gamma_s + delta_r2 exceeds 1, PAR_NOISE where the prediction gain
-    is too small to divide by.  delta_r2 <= 0 raises :class:`DegenerateLeverError`;
-    alpha > 0 and valid mu and beta_norm are the caller's to check.
+    is too small to divide by.  delta_r2 <= 0 raises :class:`DegenerateLeverError`
+    and alpha outside (0, 1) :class:`DomainError`; valid mu and beta_norm are
+    the caller's to check.
     """
     import numpy as np
 
@@ -195,9 +194,9 @@ def par_linear_exact(p: LinearParams, alpha: float, d: LeverDelta) -> float:
     if p.gamma_s + d.delta_r2 > 1.0:
         raise DomainError(f"gamma_s + delta_r2 = {p.gamma_s + d.delta_r2!r} exceeds 1")
     mu, beta_norm, _ = _in_welfare_unit(p.mu, p.beta_norm)
-    g, alpha_up = _g(alpha), alpha + d.delta_alpha
+    g, alpha_up = gaussian.phi_of_quantile(alpha), alpha + d.delta_alpha
     v0 = alpha * mu + p.gamma_s * beta_norm * g
-    va = alpha_up * mu + p.gamma_s * beta_norm * _g(alpha_up)
+    va = alpha_up * mu + p.gamma_s * beta_norm * gaussian.phi_of_quantile(alpha_up)
     gain = d.delta_r2 * beta_norm * g
     par = (va - v0) / gain if gain > 0.0 else math.nan
     if not math.isfinite(par):
