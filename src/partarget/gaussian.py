@@ -1,9 +1,9 @@
 """Standard-normal special functions used throughout the package.
 
-Everything here is pure and stateless, and scalar except ``ndtri``
-(below) and :func:`conditional_sd`, the gamma_t of both models.  The
-four ``check_alpha_*`` domain checks live in ``inputs`` and are
-importable from here.  The quantile is the one primitive the rest of the
+Everything here is pure and stateless, and scalar except ``ndtri``,
+:func:`at_distinct` (below) and :func:`conditional_sd`, the gamma_t of
+both models.  The four ``check_alpha_*`` domain checks live in
+``inputs`` and are importable from here.  The quantile is the one primitive the rest of the
 package leans on (thresholds, closed forms and the Monte Carlo sampler
 all use it), and it meets a tight round-trip contract:
 
@@ -23,14 +23,14 @@ Implementation notes
   The probit core needs no Phi: Phi(quantile(alpha)) is alpha.
 * ``quantile`` is Wichura's AS 241 as CPython's ``statistics.NormalDist``
   runs it, with the C library's log in the tails; ``pdf`` takes the C
-  library's exp.  ``ndtri`` runs the same coefficient table and Horner
-  helper on arrays, as NumPy loops on each branch's elements, in batches,
-  with ``np.log`` in the tails: the two paths differ only where the two
-  logs do, by at most 4 ulps (both are within about 6 ulps of a 40-digit
-  reference).  The probit model takes its quantiles on the array path,
-  scalars included, and the linear model takes its density at the
-  quantile, g(alpha), on the float path, arrays included, so each
-  model's grid cell equals its scalar call bit for bit.
+  library's exp.  ``ndtri``, the Monte Carlo kernel's quantile, runs the
+  same coefficient table and Horner helper on arrays, as NumPy loops on
+  each branch's elements, in batches, with ``np.log`` in the tails: the
+  two differ only where the two logs do, by at most 4 ulps (both are
+  within about 6 ulps of a 40-digit reference).  A model's functions of
+  alpha alone (the probit quantiles, the linear g(alpha)) take the float
+  path at every element of an array through :func:`at_distinct`, once
+  per distinct value, so a grid cell equals its scalar call bit for bit.
 * ``upper_quantile(alpha)`` returns the (1 - alpha) quantile without ever
   forming ``1 - alpha``, so it stays accurate for alpha down to the
   smallest normal doubles.
@@ -48,6 +48,7 @@ from .inputs import (_Record, _reject_nan, check_alpha_closed, check_alpha_half,
 
 __all__ = [
     "BoundPair",
+    "at_distinct",
     "conditional_sd",
     "pdf",
     "cdf",
@@ -65,10 +66,6 @@ INV_SQRT_2PI = 0.3989422804014327
 SQRT_2PI = 2.5066282746310002
 SQRT2 = 1.4142135623730951
 
-
-# Phi takes a float.  Its inverse, ``ndtri``, takes a float or an array, and
-# an element of an array goes through the float's floating-point steps but
-# for the tail's log: the C library's for a float, NumPy's for an array.
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
 _SQRT2_HI = _SPLIT * SQRT2 - (_SPLIT * SQRT2 - SQRT2)
@@ -140,14 +137,14 @@ def _ratio(branch, r, q=1.0, num=None, den=None):
     return x
 
 
-def _ndtri_float(p: float, log=math.log) -> float:
-    """ndtri at a float, as :func:`ndtri` describes, with ``log`` for the tail's log."""
+def _ndtri_float(p: float) -> float:
+    """:func:`ndtri` at a float, with the C library's log in the tails."""
     if not 0.0 < p < 1.0:
         return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
     q = p - 0.5
     if abs(q) <= 0.425:
         return _ratio(_CENTRAL, 0.180625 - q * q, q)
-    r = math.sqrt(-log(p if q <= 0.0 else 1.0 - p))
+    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
     x = _ratio(_NEAR, r - 1.6) if r <= 5.0 else _ratio(_FAR, r - 5.0)
     return -x if q < 0.0 else x
 
@@ -199,26 +196,18 @@ def _ndtri_batch(p, out, a, b, c, d, mask, sign):
 
 
 def ndtri(p):
-    """Inverse standard normal CDF at a float or at every element of an
-    array: -inf at 0, +inf at 1, NaN outside [0, 1].
+    """Inverse standard normal CDF at every element of an array (a 0-d
+    array at a scalar): -inf at 0, +inf at 1, NaN outside [0, 1].
 
-    AS 241 as CPython's ``statistics.NormalDist`` runs it: at a Python
-    float or int on the float path, and at anything else (an array, a
-    0-d array or a NumPy scalar, which gives a NumPy scalar) with NumPy's
+    AS 241 as CPython's ``statistics.NormalDist`` runs it, with NumPy's
     log, whose elements take the same bits whatever the array's shape or
-    layout.  A 0-d array or NumPy scalar takes the float's steps with
-    ``np.log``, the bits of a one-element array at a twentieth of its
-    cost.  An array runs in batches of ``_BATCH`` elements through one
-    set of working arrays made per call, so the only array of p's size
-    made is the result.
+    layout.  It runs in batches of ``_BATCH`` elements through one set of
+    working arrays made per call, so the only array of p's size made is
+    the result.
     """
-    if type(p) in (float, int):
-        return _ndtri_float(float(p))
     import numpy as np
 
     p = np.asarray(p, dtype=float)
-    if not p.ndim:
-        return np.float64(_ndtri_float(float(p), np.log))
     flat = np.ravel(p)
     out = np.empty(p.shape)
     dest = out.reshape(-1)
@@ -228,6 +217,18 @@ def ndtri(p):
         for lo in range(0, flat.size, _BATCH):
             _ndtri_batch(flat[lo:lo + _BATCH], dest[lo:lo + _BATCH], *work, *masks)
     return out
+
+
+def at_distinct(f, x):
+    """f, a function of a float, at every element of x, in x's shape (a
+    NumPy scalar when x is a scalar), called once per distinct value (and
+    once per NaN).  The distinct values are found by sorting, and each
+    element's by bisection: np.unique would import numpy.ma, about 12 ms."""
+    import numpy as np
+
+    values = np.sort(x, axis=None)
+    values = np.concatenate([values[:1], values[1:][values[1:] != values[:-1]]])
+    return np.array([f(v) for v in values.tolist()])[np.searchsorted(values, x)]
 
 
 class BoundPair(_Record):

@@ -26,8 +26,8 @@ import io
 import numpy as np
 
 from .errors import DomainError, PartargetError
-from .inputs import MAX_CELLS, MODELS, CostModel, GridSpec, _Record, cost_benefit, model_params
-from .linear import PAR_OK, PAR_REGIME
+from .inputs import (MAX_CELLS, MODELS, PAR_OK, PAR_REGIME, CostModel, GridSpec, _Record,
+                     cost_benefit, model_params)
 
 __all__ = [
     "CostModel",

@@ -15,22 +15,24 @@ closed form above no longer applies, so those inputs are rejected.
 
 g is the expression's only transcendental, and it is taken on one float
 path (:func:`gaussian.phi_of_quantile`, with the C library's log and exp)
-for floats and arrays alike.  :func:`value_linear`,
-:func:`par_linear_exact` and :func:`par_linear_bounds` are float
-arithmetic on it and load no NumPy.  :func:`value_linear_array` and
-:func:`par_linear_array` evaluate whole arrays of cells with the same
-operations, taking g once at each distinct alpha, so a grid cell and a
-scalar call give the same bits.  The value, PAR, bounds and indifference
-threshold take mu and beta_norm in one power-of-two unit
-(:func:`_in_welfare_unit`), so none of them depends on their scale.
-:class:`LinearParams` and :class:`LeverDelta` (the lever steps) are
-defined in ``inputs`` (no NumPy) and importable from here too.
+for floats and arrays alike, through :func:`gaussian.at_distinct` (once
+per distinct alpha) for arrays.  The value and the PAR are written once,
+in + - * / on g (:func:`_value` and :func:`_par`), and the float
+functions (:func:`value_linear`, :func:`par_linear_exact`) and the array
+cores (:func:`value_linear_array`, :func:`par_linear_array`) all call
+them, so a grid cell and a scalar call take the same IEEE steps and give
+the same bits.  The float functions and :func:`par_linear_bounds` load no
+NumPy.  The value, PAR, bounds and indifference threshold take mu and
+beta_norm in one power-of-two unit (:func:`_in_welfare_unit`), so none of
+them depends on their scale.  :class:`LinearParams` and
+:class:`LeverDelta` (the lever steps) are defined in ``inputs`` (no
+NumPy) and importable from here too, and so are the status codes
+``PAR_OK``, ``PAR_REGIME`` and ``PAR_NOISE`` of both models' array cores.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 from . import gaussian
 from .errors import (
@@ -40,7 +42,7 @@ from .errors import (
     RegimeError,
 )
 from .gaussian import BoundPair, check_alpha_half, check_alpha_closed
-from .inputs import LeverDelta, LinearParams
+from .inputs import PAR_NOISE, PAR_OK, PAR_REGIME, LeverDelta, LinearParams
 
 __all__ = [
     "LinearParams",
@@ -53,19 +55,12 @@ __all__ = [
     "value_linear",
     "random_value",
     "random_to_optimal_ratio",
-    "par_from_values",
     "par_linear_array",
     "par_linear_exact",
     "par_linear_bounds",
     "quality_gain_linear",
     "linear_indifference_gamma",
 ]
-
-
-# Per-cell status codes of par_linear_array and par_probit_array.
-PAR_OK = 0
-PAR_REGIME = 1  # a lever step leaves the model's supported regime
-PAR_NOISE = 2   # the prediction gain is too small to divide by
 
 
 def policy_threshold_linear(p: LinearParams, alpha: float) -> float:
@@ -82,17 +77,20 @@ def _in_welfare_unit(mu: float, beta_norm: float) -> tuple[float, float, float]:
     return mu / u, beta_norm / u, u
 
 
-def _g_array(alpha):
-    """g at every element of alpha (in (0, 1)), taken on the float path
-    (:func:`gaussian.phi_of_quantile`) once per distinct value."""
-    import numpy as np
+def _value(mu, beta_norm, gamma_s, alpha, g):
+    """V(alpha, gamma_s) in the unit of mu and beta_norm, from g = g(alpha),
+    at floats or at every element of the broadcast arrays."""
+    return alpha * mu + gamma_s * beta_norm * g
 
-    # The distinct values, sorted, so searchsorted finds each element's, in
-    # alpha's shape; np.unique would import numpy.ma, about 12 ms at start-up.
-    values = np.sort(alpha, axis=None)
-    values = np.concatenate([values[:1], values[1:][values[1:] != values[:-1]]])
-    g = [gaussian.phi_of_quantile(a) for a in values.tolist()]
-    return np.array(g)[np.searchsorted(values, alpha)]
+
+def _par(mu, beta_norm, gamma_s, alpha, d: LeverDelta, g, g_up):
+    """The exact PAR [V(alpha + delta_alpha) - V(alpha)] / [V(gamma_s +
+    delta_r2) - V(gamma_s)] from :func:`_value`, with g at alpha and g_up at
+    alpha + delta_alpha.  V is linear in gamma_s, so its gain is exactly
+    delta_r2 * beta_norm * g, formed without the alpha * mu of each value.
+    A zero gain raises ZeroDivisionError at floats."""
+    va = _value(mu, beta_norm, gamma_s, alpha + d.delta_alpha, g_up)
+    return (va - _value(mu, beta_norm, gamma_s, alpha, g)) / (d.delta_r2 * beta_norm * g)
 
 
 def value_linear_array(mu, beta_norm, gamma_s, alpha):
@@ -108,7 +106,8 @@ def value_linear_array(mu, beta_norm, gamma_s, alpha):
     # [()] turns 0-d arrays into NumPy scalars, as in value_probit_array.
     gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
     mu, beta_norm, u = _in_welfare_unit(mu, beta_norm)
-    return u * (alpha * mu + gamma_s * beta_norm * _g_array(alpha))
+    return u * _value(mu, beta_norm, gamma_s, alpha,
+                      gaussian.at_distinct(gaussian.phi_of_quantile, alpha))
 
 
 def value_linear(p: LinearParams, alpha: float) -> float:
@@ -116,7 +115,7 @@ def value_linear(p: LinearParams, alpha: float) -> float:
     :func:`value_linear_array` at one cell, in floats."""
     check_alpha_half(alpha)
     mu, beta_norm, u = _in_welfare_unit(p.mu, p.beta_norm)
-    return u * (alpha * mu + p.gamma_s * beta_norm * gaussian.phi_of_quantile(alpha))
+    return u * _value(mu, beta_norm, p.gamma_s, alpha, gaussian.phi_of_quantile(alpha))
 
 
 def random_value(p: LinearParams, alpha: float) -> float:
@@ -136,38 +135,15 @@ def random_to_optimal_ratio(p: LinearParams, alpha: float) -> float:
     return 1.0 / (1.0 + (p.beta_norm / p.mu) * g / alpha)
 
 
-def par_from_values(value, gamma_s, alpha, d: LeverDelta, regime, gain_floor: float,
-                    prediction_gain=None):
-    """The finite-difference ratio [V(alpha + delta_alpha) - V(alpha)] /
-    [V(gamma_s + delta_r2) - V(gamma_s)] of a model's array value function
-    ``value(gamma_s, alpha)``, and a status code per cell: PAR_REGIME where
-    ``regime`` is set, PAR_NOISE where the gain is not above gain_floor or the
-    ratio is not finite.  Both carry a NaN ratio, so an ok ratio is finite.
-
-    ``prediction_gain``, when given, is that denominator in closed form;
-    otherwise it is the difference of the two values."""
-    import numpy as np
-
-    # Steps out of the regime are evaluated at the cell itself, then masked.
-    v0 = value(gamma_s, alpha)
-    va = value(gamma_s, np.where(regime, alpha, alpha + d.delta_alpha))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gain = (value(np.where(regime, gamma_s, gamma_s + d.delta_r2), alpha) - v0
-                if prediction_gain is None else prediction_gain)
-        par = (va - v0) / gain
-    ok = (gain > gain_floor) & np.isfinite(par)
-    status = np.where(regime, PAR_REGIME, np.where(ok, PAR_OK, PAR_NOISE))
-    return np.where(status == PAR_OK, par, np.nan), status
-
-
 def par_linear_array(mu, beta_norm, gamma_s, alpha, d: LeverDelta):
     """Exact prediction-access ratio at every cell of the broadcast
-    (gamma_s, alpha) inputs, and a status code per cell (see
-    :func:`par_from_values`): PAR_REGIME where alpha + delta_alpha reaches
-    0.5 or gamma_s + delta_r2 exceeds 1, PAR_NOISE where the prediction gain
-    is too small to divide by.  delta_r2 <= 0 raises :class:`DegenerateLeverError`
-    and alpha outside (0, 1) :class:`DomainError`; valid mu and beta_norm are
-    the caller's to check.
+    (gamma_s, alpha) inputs, and a status code per cell: PAR_REGIME where
+    alpha + delta_alpha reaches 0.5 or gamma_s + delta_r2 exceeds 1,
+    PAR_NOISE where the prediction gain is too small to divide by (the
+    ratio is not finite), PAR_OK elsewhere.  Only an ok cell's ratio is
+    not NaN.  delta_r2 <= 0 raises :class:`DegenerateLeverError` and alpha
+    outside (0, 1) :class:`DomainError`; valid mu and beta_norm are the
+    caller's to check.
     """
     import numpy as np
 
@@ -176,11 +152,13 @@ def par_linear_array(mu, beta_norm, gamma_s, alpha, d: LeverDelta):
     gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
     regime = (alpha + d.delta_alpha >= 0.5) | (gamma_s + d.delta_r2 > 1.0)
     mu, beta_norm, _ = _in_welfare_unit(mu, beta_norm)
-    # V is linear in gamma_s, so V(gamma_s + delta_r2) - V(gamma_s) is exactly
-    # delta_r2 * beta_norm * g(alpha), formed without the alpha * mu of each value.
-    gain = d.delta_r2 * beta_norm * _g_array(alpha)
-    return par_from_values(partial(value_linear_array, mu, beta_norm),
-                           gamma_s, alpha, d, regime, 0.0, gain)
+    # A step out of the regime takes g at the cell itself, then is masked.
+    g, g_up = (gaussian.at_distinct(gaussian.phi_of_quantile, a)
+               for a in (alpha, np.where(regime, alpha, alpha + d.delta_alpha)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        par = _par(mu, beta_norm, gamma_s, alpha, d, g, g_up)
+    status = np.where(regime, PAR_REGIME, np.where(np.isfinite(par), PAR_OK, PAR_NOISE))
+    return np.where(status == PAR_OK, par, np.nan), status
 
 
 def par_linear_exact(p: LinearParams, alpha: float, d: LeverDelta) -> float:
@@ -194,11 +172,11 @@ def par_linear_exact(p: LinearParams, alpha: float, d: LeverDelta) -> float:
     if p.gamma_s + d.delta_r2 > 1.0:
         raise DomainError(f"gamma_s + delta_r2 = {p.gamma_s + d.delta_r2!r} exceeds 1")
     mu, beta_norm, _ = _in_welfare_unit(p.mu, p.beta_norm)
-    g, alpha_up = gaussian.phi_of_quantile(alpha), alpha + d.delta_alpha
-    v0 = alpha * mu + p.gamma_s * beta_norm * g
-    va = alpha_up * mu + p.gamma_s * beta_norm * gaussian.phi_of_quantile(alpha_up)
-    gain = d.delta_r2 * beta_norm * g
-    par = (va - v0) / gain if gain > 0.0 else math.nan
+    g, g_up = (gaussian.phi_of_quantile(a) for a in (alpha, alpha + d.delta_alpha))
+    try:
+        par = _par(mu, beta_norm, p.gamma_s, alpha, d, g, g_up)
+    except ZeroDivisionError:
+        par = math.nan
     if not math.isfinite(par):
         raise DegenerateLeverError("prediction gain V(gamma_s + delta_r2) - V(gamma_s) "
                                    "is not positive, or too small to divide by")

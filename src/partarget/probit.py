@@ -24,15 +24,19 @@ sqrt(h^2 - k^2) at u = 0 that a fixed rule misses when rho is near 1.)
 The core evaluates no Phi, and needs no branch at rho = 0: the range is
 empty there, and the value is alpha b exactly.
 :func:`value_probit_array` is the one numerical core, over arrays, and
-the scalar functions call it.  The derivative formulas below are exact
-and serve as independent cross-checks.  :class:`ProbitParams` is defined
-in ``inputs`` (no NumPy) and importable from here.
+the scalar functions call it.  It takes h and k on the float path of the
+quantile (the C library's log), once per distinct value
+(:func:`gaussian.at_distinct`), so a scalar call equals its grid cell bit
+for bit, and k is the Monte Carlo kernel's offset ``mu_over_beta``.  The
+derivative formulas below are exact and serve as independent
+cross-checks.  :class:`ProbitParams`, :class:`LeverDelta` and the status
+codes ``PAR_OK``, ``PAR_REGIME`` and ``PAR_NOISE`` are defined in
+``inputs`` (no NumPy) and importable from here.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -44,8 +48,8 @@ from .errors import (
     PreconditionError,
 )
 from .gaussian import SQRT_2PI, BoundPair, check_alpha_open, check_alpha_open_closed
-from .inputs import ProbitParams, _Record, check_bounds_eps
-from .linear import PAR_NOISE, PAR_OK, PAR_REGIME, LeverDelta, par_from_values
+from .inputs import (PAR_NOISE, PAR_OK, PAR_REGIME, LeverDelta, ProbitParams, _Record,
+                     check_bounds_eps)
 
 __all__ = [
     "ProbitParams",
@@ -156,7 +160,7 @@ def value_probit_array(base_rate, gamma_s, alpha) -> np.ndarray | np.float64:
     # [()] turns 0-d arrays into NumPy scalars, whose arithmetic is several
     # times cheaper; that is most of the cost of a scalar call.
     b, rho, alpha = (np.asarray(x, dtype=float)[()] for x in (base_rate, gamma_s, alpha))
-    h, k = gaussian.ndtri(alpha), gaussian.ndtri(b)
+    h, k = (gaussian.at_distinct(gaussian._ndtri_float, x) for x in (alpha, b))
     big, small = np.maximum(abs(h), abs(k)), np.minimum(abs(h), abs(k))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # The integral is unchanged by swapping h and k or negating both, so
@@ -225,11 +229,11 @@ def par_probit_array(
     (gamma_s, alpha) inputs, and a status code per cell.
 
     The ratio is [V(alpha + delta_alpha) - V(alpha)] / [V(gamma_s + delta_r2)
-    - V(gamma_s)] (:func:`~partarget.linear.par_from_values`).  Cells where a
-    lever step leaves [0, 1] get PAR_REGIME, and cells whose prediction gain
-    is at most GAIN_FLOOR get PAR_NOISE.  Deltas below MIN_DELTA raise
-    :class:`DegenerateLeverError`; alpha in (0, 1) and a valid base_rate
-    are the caller's to check.
+    - V(gamma_s)].  Cells where a lever step leaves [0, 1] get PAR_REGIME,
+    and cells whose prediction gain is at most GAIN_FLOOR, or whose ratio is
+    not finite, get PAR_NOISE; only a PAR_OK cell's ratio is not NaN.
+    Deltas below MIN_DELTA raise :class:`DegenerateLeverError`; alpha in
+    (0, 1) and a valid base_rate are the caller's to check.
     """
     if d.delta_r2 < MIN_DELTA:
         raise DegenerateLeverError(
@@ -242,8 +246,16 @@ def par_probit_array(
         )
     gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
     regime = (alpha + d.delta_alpha > 1.0) | (gamma_s + d.delta_r2 > 1.0)
-    return par_from_values(partial(value_probit_array, base_rate),
-                           gamma_s, alpha, d, regime, GAIN_FLOOR)
+    # Steps out of the regime are evaluated at the cell itself, then masked.
+    v0 = value_probit_array(base_rate, gamma_s, alpha)
+    va = value_probit_array(base_rate, gamma_s, np.where(regime, alpha, alpha + d.delta_alpha))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gain = value_probit_array(base_rate, np.where(regime, gamma_s, gamma_s + d.delta_r2),
+                                  alpha) - v0
+        par = (va - v0) / gain
+    ok = (gain > GAIN_FLOOR) & np.isfinite(par)
+    status = np.where(regime, PAR_REGIME, np.where(ok, PAR_OK, PAR_NOISE))
+    return np.where(status == PAR_OK, par, np.nan), status
 
 
 def par_probit_exact(p: ProbitParams, alpha: float, d: LeverDelta) -> float:

@@ -46,7 +46,7 @@ def assert_float_path_but_logs(p: np.ndarray, got: np.ndarray) -> None:
     but where the tail's log of p takes different bits from the C library
     and from NumPy, and there it is within 4 ulps of it."""
     p, got = p.ravel(), got.ravel()
-    want = np.array([gaussian.ndtri(x) for x in p.tolist()])
+    want = np.array([gaussian._ndtri_float(x) for x in p.tolist()])
     s = np.minimum(p, 1.0 - p)
     tail = (np.abs(p - 0.5) > 0.425) & (s > 0.0)
     logs_differ = np.zeros(p.shape, bool)
@@ -171,8 +171,8 @@ class TestQuantile:
 
     def test_array_is_elementwise(self):
         # An element's bits depend neither on the array's layout nor on its
-        # shape, so an array core's cell equals its one-cell call; np.log's last
-        # bit could depend on the layout in the tails.  The array equals the
+        # shape, though np.log's last bit could depend on the layout in the
+        # tails.  The array equals the
         # float path but where the two logs differ, and there it stays within
         # test_matches_cpython_as241's bound.
         rng = np.random.default_rng(20261018)
@@ -191,13 +191,14 @@ class TestQuantile:
         fortran = np.asfortranarray(p[:n].reshape(-1, 40))
         np.testing.assert_array_equal(gaussian.ndtri(fortran), grid)
         np.testing.assert_array_equal(gaussian.ndtri(fortran[::-3, 1::2]), grid[::-3, 1::2])
-        assert gaussian.quantile(0.3) == gaussian.ndtri(0.3)
-        # a 0-d array, a NumPy scalar and a one-element array, central or tail
+        # A float, a 0-d array and a NumPy scalar take the array path, as a
+        # one-element array, central or tail, and give a 0-d array.
         for x, w in zip(p[::97].tolist(), want[::97].tolist()):
             one = gaussian.ndtri(np.array([x]))[0]
-            assert gaussian.ndtri(np.array(x)) == gaussian.ndtri(np.float64(x)) == one
-            assert np.float64(one).tobytes() == np.float64(w).tobytes()
-        assert type(gaussian.ndtri(np.array(0.3))) is np.float64
+            for scalar in (x, np.array(x), np.float64(x)):
+                got = gaussian.ndtri(scalar)
+                assert type(got) is np.ndarray and got.shape == ()
+                assert got.tobytes() == np.float64(one).tobytes() == np.float64(w).tobytes()
         # Arrays that leave a branch empty or give it every element: all
         # central (gathered as in a mixed array), all in the near tail and
         # all in the far tail (p < 1.4e-11), which run on the array itself,
@@ -254,6 +255,48 @@ class TestQuantile:
     def test_agrees_with_scipy(self, p):
         # scipy.special.ndtri as a second oracle: both are within a few ulps
         assert gaussian.quantile(p) == pytest.approx(float(ndtri(p)), rel=3e-15, abs=1e-300)
+
+
+class TestAtDistinct:
+    @staticmethod
+    def counting(f):
+        """f, and the list of the arguments it has been called with."""
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+        return counted, calls
+
+    @pytest.mark.parametrize("x", [
+        np.array(0.3), np.float64(0.3), 0.3, np.array([0.3, 0.1, 0.3, 0.2, 0.1]),
+        np.array([[0.4, 0.1, 0.4], [0.1, 0.9, 0.4]]),
+        np.asfortranarray(np.array([[0.4, 0.1, 0.4], [0.1, 0.9, 0.4]])),
+        np.array([[0.4, 0.1, 0.4], [0.1, 0.9, 0.4]])[::-1, ::2],
+        np.array([0.3, math.nan, 0.3, 0.0]),
+    ], ids=["0-d", "numpy-scalar", "float", "1-d", "2-d", "fortran", "strided", "nan"])
+    def test_elementwise_once_per_distinct_value(self, x):
+        f, calls = self.counting(gaussian._ndtri_float)
+        got = gaussian.at_distinct(f, x)
+        want = np.array([gaussian._ndtri_float(v) for v in np.ravel(x).tolist()])
+        assert got.shape == np.shape(x) and got.dtype == np.float64
+        assert got.tobytes() == want.reshape(np.shape(x)).tobytes()
+        if not np.ndim(x):
+            assert type(got) is np.float64
+        # every value once, NaN included, in ascending order (NaN last)
+        distinct = sorted({v for v in np.ravel(x).tolist() if not math.isnan(v)})
+        assert calls[:len(distinct)] == distinct
+        assert len(calls) == len(distinct) + int(np.isnan(x).any())
+
+    def test_float_path_of_each_element(self):
+        # an element's bits are the float function's, whatever its neighbours
+        rng = np.random.default_rng(33)
+        alpha = rng.choice(10.0 ** -rng.uniform(0, 12, 50), (40, 30))
+        f, calls = self.counting(gaussian.phi_of_quantile)
+        got = gaussian.at_distinct(f, alpha)
+        assert len(calls) == np.unique(alpha).size
+        for a, g in zip(alpha.ravel().tolist(), got.ravel().tolist()):
+            assert g == gaussian.phi_of_quantile(a)
 
 
 class TestUpperQuantile:

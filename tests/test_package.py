@@ -119,15 +119,16 @@ def test_cli_import_loads_no_heavy_modules():
 
 
 def test_linear_sweep_loads_no_masked_arrays():
-    # np.unique imports numpy.ma, about 12 ms of a grid command's start-up; the
-    # linear core finds its distinct alphas by sorting instead
-    argv = ["grid", "--model", "linear", "--mu", "1", "--beta-norm", "10", "--alpha-lo", "0.01",
-            "--alpha-hi", "0.3", "--gamma-lo", "0.1", "--gamma-hi", "0.9", *LEVERS,
-            "--cost-access", "1", "--cost-prediction", "1"]
-    script = (f"import sys; from partarget.cli import run; assert run({argv!r}) == 0; "
-              "assert 'numpy' in sys.modules and 'numpy.ma' not in sys.modules")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    # np.unique imports numpy.ma, about 12 ms of a grid command's start-up; both
+    # models' cores find their distinct alphas by sorting instead
+    sweep = ["grid", "--alpha-lo", "0.01", "--alpha-hi", "0.3", "--gamma-lo", "0.1",
+             "--gamma-hi", "0.9", *LEVERS, "--cost-access", "1", "--cost-prediction", "1"]
+    for model in (["--model", "linear", "--mu", "1", "--beta-norm", "10"],
+                  ["--model", "probit", "--base-rate", "0.05"]):
+        script = (f"import sys; from partarget.cli import run; assert run({sweep + model!r}) == 0; "
+                  "assert 'numpy' in sys.modules and 'numpy.ma' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, ""), model
 
 
 SPEC_FIELDS = {"model": "probit", "alpha_lo": 0.001, "alpha_hi": 0.1, "alpha_count": 5,
