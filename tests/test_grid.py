@@ -645,9 +645,9 @@ def log_carriers() -> list[float]:
 
 class TestLogCarriers:
     """Each model's scalar call equals its grid cell also where the two logs
-    differ, an alpha Hypothesis is unlikely to draw: the probit model takes its
-    quantiles on the array path (NumPy's log), scalars included, and the linear
-    model on the float path (the C library's log), arrays included."""
+    differ, an alpha Hypothesis is unlikely to draw: both models take their
+    functions of alpha alone (the probit quantiles, the linear g) on the float
+    path (the C library's log), arrays included, through gaussian.at_distinct."""
 
     ALPHAS = log_carriers()
     FIELDS = {
