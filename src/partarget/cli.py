@@ -108,12 +108,12 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, bytes]:
     est = model.simulate(p, args.alpha, cfg)
     judged, v = est, target
     if not est.std_error:
-        # A sample without spread, as when nothing was a hit, is judged against the
-        # spread the closed form implies, in the unit u of its mean square: v = V/u.
+        # A sample without spread (no hit) is judged by the closed form's, in its unit u: v = V/u.
         mean_sq, unit = model.second_moment(p, args.alpha)
         v = target / unit
         from .oracle import Estimate
-        judged = Estimate(est.mean / unit, math.sqrt((mean_sq - v * v) / est.samples), est.samples)
+        judged = Estimate(est.mean / unit, math.sqrt(mean_sq - v * v) / math.sqrt(est.samples),
+                          est.samples)
     m = args.machine
     z = judged.z_score(v)
     ok = judged.within(v, 4.0)

@@ -51,8 +51,8 @@ def _alpha_check(inside, domain: str, error=DomainError, why: str = ""):
     return check
 
 
-# The four access-level domains of the models and oracles.  Above 1/2 the
-# linear model's positivity constraint binds, so its regime is (0, 0.5).
+# The four access-level domains of the models and oracles.  The linear closed form is exact
+# up to alpha* = Phi(mu/(gamma_s beta_norm)) >= 1/2: its regime (0, 0.5) is a choice.
 check_alpha_half = _alpha_check(
     lambda a: 0.0 < a < 0.5, "(0, 0.5)", RegimeError,
     " (above 0.5 the positivity constraint binds and the closed form does not apply)")

@@ -9,9 +9,9 @@ closed-form value
 
 with g(alpha) the standard-normal density at the upper alpha cutoff.
 Everything else here (ratios, bound pairs, thresholds) is algebra on top
-of that expression.  The supported access regime is alpha < 1/2; beyond
-it the positivity constraint on conditional means activates and the
-closed form above no longer applies, so those inputs are rejected.
+of that expression.  It is exact up to alpha* = Phi(mu/(gamma_s*beta_norm)),
+where the positivity constraint on conditional means binds, and alpha* >=
+1/2; inputs with alpha >= 1/2 are refused by choice, not by the formula.
 
 g is the expression's only transcendental, and it is taken on one float
 path (:func:`gaussian.phi_of_quantile`, with the C library's log and exp)

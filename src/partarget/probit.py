@@ -23,15 +23,15 @@ exp(-40.5) of its peak.  (In u itself the measure has a kink of width
 sqrt(h^2 - k^2) at u = 0 that a fixed rule misses when rho is near 1.)
 The core evaluates no Phi, and needs no branch at rho = 0: the range is
 empty there, and the value is alpha b exactly.
-:func:`value_probit_array` is the one numerical core, over arrays, and
-the scalar functions call it.  It takes h and k on the float path of the
-quantile (the C library's log), once per distinct value
-(:func:`gaussian.at_distinct`), so a scalar call equals its grid cell bit
-for bit, and k is the Monte Carlo kernel's offset ``mu_over_beta``.  The
-derivative formulas below are exact and serve as independent
-cross-checks.  :class:`ProbitParams`, :class:`LeverDelta` and the status
-codes ``PAR_OK``, ``PAR_REGIME`` and ``PAR_NOISE`` are defined in
-``inputs`` (no NumPy) and importable from here.
+The one numerical core, :func:`_value`, takes floats or arrays, and h and k
+from its callers, which take them on the float path of the quantile (the C
+library's log): :func:`value_probit` directly (k is the Monte Carlo kernel's
+``mu_over_beta``), the array functions once per distinct value
+(:func:`gaussian.at_distinct`), a PAR once for its three values.  So a
+scalar call equals its grid cell bit for bit.  The derivative formulas below
+are exact, independent cross-checks.  :class:`ProbitParams`,
+:class:`LeverDelta` and the status codes ``PAR_OK``, ``PAR_REGIME`` and
+``PAR_NOISE`` are defined in ``inputs`` (no NumPy) and importable from here.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ U_CUT, BLOCK = 9.0, 4096
 
 
 def _node_sum(lo, half, a, d2, top):
-    """The integral in :func:`value_probit_array` over t in [lo, lo + 2 half],
+    """The integral in :func:`_value` over t in [lo, lo + 2 half],
     over 2 pi, by the 48-point rule.  Each cell's nodes are summed in node
     order, so its value depends neither on the shape nor on the block."""
     if half.size > BLOCK:
@@ -143,24 +143,8 @@ def _node_sum(lo, half, a, d2, top):
     return half * s
 
 
-def value_probit_array(base_rate, gamma_s, alpha) -> np.ndarray | np.float64:
-    """V(alpha, gamma_s) of the probit model at every element of the
-    broadcast inputs (a NumPy scalar when all three are scalars).
-
-    Inputs are not validated: base_rate must lie in (0, 1), gamma_s in
-    [0, 1] and alpha in (0, 1].  gamma_s = 1 and alpha = 1 take the
-    analytic branches min(alpha, base_rate) and base_rate; at gamma_s = 0
-    the integral's range is empty, so the value is alpha * base_rate.
-
-    Against 40-digit values the relative error is below 3e-14 for alpha
-    from 1e-30 to 0.9, base_rate from 1e-6 to 0.9 and gamma_s up to
-    0.9999, alpha close to base_rate included, and below 3e-13 for alpha
-    down to 1e-300, where the rounding of the quantile dominates it.
-    """
-    # [()] turns 0-d arrays into NumPy scalars, whose arithmetic is several
-    # times cheaper; that is most of the cost of a scalar call.
-    b, rho, alpha = (np.asarray(x, dtype=float)[()] for x in (base_rate, gamma_s, alpha))
-    h, k = (gaussian.at_distinct(gaussian._ndtri_float, x) for x in (alpha, b))
+def _value(b, rho, alpha, h, k):
+    """V at h = quantile(alpha) and k = quantile(b), which the caller takes."""
     big, small = np.maximum(abs(h), abs(k)), np.minimum(abs(h), abs(k))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # The integral is unchanged by swapping h and k or negating both, so
@@ -187,14 +171,35 @@ def value_probit_array(base_rate, gamma_s, alpha) -> np.ndarray | np.float64:
     return v
 
 
+def value_probit_array(base_rate, gamma_s, alpha) -> np.ndarray | np.float64:
+    """V(alpha, gamma_s) of the probit model at every element of the
+    broadcast inputs (a NumPy scalar when all three are scalars): :func:`_value`.
+
+    Inputs are not validated: base_rate must lie in (0, 1), gamma_s in
+    [0, 1] and alpha in (0, 1].  gamma_s = 1 and alpha = 1 take the
+    analytic branches min(alpha, base_rate) and base_rate; at gamma_s = 0
+    the integral's range is empty, so the value is alpha * base_rate.
+
+    Against 40-digit values the relative error is below 3e-14 for alpha
+    from 1e-30 to 0.9, base_rate from 1e-6 to 0.9 and gamma_s up to
+    0.9999, alpha close to base_rate included, and below 3e-13 for alpha
+    down to 1e-300, where the rounding of the quantile dominates it.
+    """
+    # [()] turns 0-d arrays into NumPy scalars, whose arithmetic is cheaper.
+    b, rho, alpha = (np.asarray(x, dtype=float)[()] for x in (base_rate, gamma_s, alpha))
+    h, k = (gaussian.at_distinct(gaussian._ndtri_float, x) for x in (alpha, b))
+    return _value(b, rho, alpha, h, k)
+
+
 def value_probit(p: ProbitParams, alpha: float) -> float:
-    """Expected welfare of the optimal policy at access level alpha.
+    """Expected welfare of the optimal policy at access level alpha: :func:`_value`.
 
     gamma_s = 0 gives alpha * base_rate, gamma_s = 1 gives
     min(alpha, base_rate), and alpha = 1 gives base_rate, all exactly.
     """
     check_alpha_open_closed(alpha)
-    return float(value_probit_array(p.base_rate, p.gamma_s, alpha))
+    return float(_value(p.base_rate, p.gamma_s, alpha, gaussian._ndtri_float(alpha),
+                        p.mu_over_beta))
 
 
 def dvalue_dalpha_probit(p: ProbitParams, alpha: float) -> float:
@@ -244,14 +249,15 @@ def par_probit_array(
         raise DegenerateLeverError(
             f"delta_alpha must be 0 or >= {MIN_DELTA}, got {d.delta_alpha!r}"
         )
-    gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
+    b, gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (base_rate, gamma_s, alpha))
     regime = (alpha + d.delta_alpha > 1.0) | (gamma_s + d.delta_r2 > 1.0)
     # Steps out of the regime are evaluated at the cell itself, then masked.
-    v0 = value_probit_array(base_rate, gamma_s, alpha)
-    va = value_probit_array(base_rate, gamma_s, np.where(regime, alpha, alpha + d.delta_alpha))
+    h, k = (gaussian.at_distinct(gaussian._ndtri_float, x) for x in (alpha, b))
+    v0 = _value(b, gamma_s, alpha, h, k)
+    alpha_up = np.where(regime, alpha, alpha + d.delta_alpha)
+    va = _value(b, gamma_s, alpha_up, gaussian.at_distinct(gaussian._ndtri_float, alpha_up), k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gain = value_probit_array(base_rate, np.where(regime, gamma_s, gamma_s + d.delta_r2),
-                                  alpha) - v0
+        gain = _value(b, np.where(regime, gamma_s, gamma_s + d.delta_r2), alpha, h, k) - v0
         par = (va - v0) / gain
     ok = (gain > GAIN_FLOOR) & np.isfinite(par)
     status = np.where(regime, PAR_REGIME, np.where(ok, PAR_OK, PAR_NOISE))

@@ -507,6 +507,24 @@ class TestVerifyWithoutSpread:
         assert "mc_std_error 0\n" in out
         assert "result fail (4 standard errors)" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "probit", "--base-rate", "0.5", "--gamma-s", "0.3", "--alpha", "1e-320"],
+        ["--model", "linear", "--mu", "1", "--beta-norm", "10", "--gamma-s", "0.3",
+         "--alpha", "1e-322"],
+    ], ids=["probit", "linear"])
+    def test_no_hit_at_a_subnormal_value_passes(self, capsys, argv):
+        # (mean_sq - v^2) / n underflowed to 0 at a subnormal V, and z read -inf.
+        code, out, err = run_cli(capsys, "verify", *argv, "--samples", "10000", "--seed", "1",
+                                 "--machine")
+        fields = dict(line.split(" ", 1) for line in out.splitlines())
+        assert (code, err) == (0, "")
+        assert fields["mc_mean"] == "0" and fields["result"] == "pass (4 standard errors)"
+        v, z = float(fields["closed_form"]), float(fields["z_score"])
+        assert 0.0 < v < sys.float_info.min
+        assert -1e-155 < z < 0.0
+        if argv[1] == "probit":  # the mean square is V, and V^2 is 0
+            assert z == pytest.approx(-v / (math.sqrt(v) / 100.0), rel=1e-12)
+
     def test_no_hit_gives_the_same_verdict_at_every_scale(self, capsys):
         # (mu, beta_norm) = (1, 1) * 2**k: the no-hit spread is taken in the
         # welfare unit, where its mean square neither underflows (2**-900 read

@@ -245,6 +245,47 @@ class TestParExact:
             par_probit_exact(FIG_PARAMS, 0.01, LeverDelta(1e-7, 0.001))
 
 
+class TestQuantilesTakenOnce:
+    """A probit value takes h = quantile(alpha) and k = quantile(b) once, and
+    a PAR takes h, h at alpha + delta_alpha, and k once for its three values."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"quantile": 0, "at_distinct": 0}
+        quantile, at_distinct = gaussian._ndtri_float, gaussian.at_distinct
+
+        def counting_quantile(p):
+            counts["quantile"] += 1
+            return quantile(p)
+
+        def counting_at_distinct(f, x):
+            counts["at_distinct"] += 1
+            return at_distinct(f, x)
+
+        monkeypatch.setattr(gaussian, "_ndtri_float", counting_quantile)
+        monkeypatch.setattr(gaussian, "at_distinct", counting_at_distinct)
+        return counts
+
+    def test_scalar_value_takes_the_float_path_directly(self, calls):
+        value_probit(FIG_PARAMS, 0.02)
+        assert calls == {"quantile": 2, "at_distinct": 0}
+
+    def test_scalar_par_takes_three_quantiles(self, calls):
+        par_probit_exact(FIG_PARAMS, 0.02, LeverDelta(0.001, 0.01))
+        assert calls == {"quantile": 3, "at_distinct": 3}
+
+    def test_sweep_takes_each_distinct_quantile_once(self, calls):
+        from partarget.grid import GridSpec, sweep_grid
+        from partarget.inputs import CostModel
+        spec = GridSpec(model="probit", base_rate=0.1, alpha_lo=1e-3, alpha_hi=0.3,
+                        alpha_count=25, gamma_lo=0.01, gamma_hi=0.9, gamma_count=25,
+                        deltas=LeverDelta(1e-3, 1e-3), costs=CostModel(1.0, 1.0))
+        g = sweep_grid(spec)
+        assert not np.any(g.cells["status"] == "skipped-regime")
+        # 25 alphas, 25 alphas + delta_alpha and one base rate
+        assert calls["quantile"] == 51
+
+
 class TestParBounds:
     def test_positive_and_ordered(self):
         pair = par_probit_bounds(ProbitParams(0.1, 0.5), 0.001,
