@@ -108,7 +108,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, bytes]:
     est = model.simulate(p, args.alpha, cfg)
     judged, v = est, target
     if not est.std_error:
-        # A sample without spread (no hit) is judged by the closed form's, in its unit u: v = V/u.
+        # No spread (no hit): use the closed form's, in the unit u of its mean square: v = V/u.
         mean_sq, unit = model.second_moment(p, args.alpha)
         v = target / unit
         from .oracle import Estimate

@@ -173,7 +173,7 @@ def _value(b, rho, alpha, h, k):
 
 def value_probit_array(base_rate, gamma_s, alpha) -> np.ndarray | np.float64:
     """V(alpha, gamma_s) of the probit model at every element of the
-    broadcast inputs (a NumPy scalar when all three are scalars): :func:`_value`.
+    broadcast inputs (a NumPy scalar when all three are scalars), by :func:`_value`.
 
     Inputs are not validated: base_rate must lie in (0, 1), gamma_s in
     [0, 1] and alpha in (0, 1].  gamma_s = 1 and alpha = 1 take the
@@ -192,7 +192,7 @@ def value_probit_array(base_rate, gamma_s, alpha) -> np.ndarray | np.float64:
 
 
 def value_probit(p: ProbitParams, alpha: float) -> float:
-    """Expected welfare of the optimal policy at access level alpha: :func:`_value`.
+    """Expected welfare of the optimal policy at access level alpha: :func:`_value` at one cell.
 
     gamma_s = 0 gives alpha * base_rate, gamma_s = 1 gives
     min(alpha, base_rate), and alpha = 1 gives base_rate, all exactly.
