@@ -26,8 +26,8 @@ import io
 import numpy as np
 
 from .errors import DomainError, PartargetError
-from .inputs import (MAX_CELLS, MODELS, PAR_OK, PAR_REGIME, CostModel, GridSpec, _Record,
-                     cost_benefit, model_params)
+from .inputs import (MAX_CELLS, MODELS, PAR_OK, PAR_REGIME, PAR_STATUSES, CostModel, GridSpec,
+                     _Record, cost_benefit, model_params)
 
 __all__ = [
     "CostModel",
@@ -42,9 +42,7 @@ __all__ = [
     "serialize_grid",
 ]
 
-STATUS_OK = "ok"
-STATUS_SKIPPED_DEGENERATE = "skipped-degenerate"
-STATUS_SKIPPED_REGIME = "skipped-regime"
+STATUS_OK, STATUS_SKIPPED_REGIME, STATUS_SKIPPED_DEGENERATE = PAR_STATUSES
 
 CSV_HEADER = "alpha,gamma_s,par,cost_benefit,cost_benefit_clipped,status"
 
@@ -65,9 +63,7 @@ class GridResult(_Record):
     contour: tuple[tuple[float, float], ...] = ()
 
 
-# Grid status of each par_*_array status code, indexed by the code
-# (PAR_OK, PAR_REGIME, PAR_NOISE are 0, 1, 2).
-_STATUSES = np.array([STATUS_OK, STATUS_SKIPPED_REGIME, STATUS_SKIPPED_DEGENERATE])
+_STATUSES = np.array(PAR_STATUSES)
 
 
 def sweep_grid(spec: GridSpec) -> GridResult:

@@ -29,7 +29,7 @@ from .errors import DomainError, RegimeError
 
 __all__ = [
     "check_alpha_half", "check_alpha_open", "check_alpha_open_closed", "check_alpha_closed",
-    "check_bounds_eps", "PAR_OK", "PAR_REGIME", "PAR_NOISE",
+    "check_bounds_eps", "PAR_OK", "PAR_REGIME", "PAR_NOISE", "PAR_STATUSES",
     "LeverDelta", "CostModel", "cost_benefit", "MAX_CELLS", "Model", "MODELS", "MODEL_NAMES",
     "LinearParams", "ProbitParams", "model_params", "MIN_SAMPLES", "MAX_SAMPLES", "SimConfig",
     "GridSpec",
@@ -217,9 +217,10 @@ MODELS = {
 # The CLI's --model choices.
 MODEL_NAMES = tuple(MODELS)
 
-# Per-cell status codes of a model's par_array: the ratio is defined, a lever
-# step leaves the model's regime, the prediction gain is too small to divide by.
+# Per-cell status codes of a model's par_array, and the grid status each indexes: the ratio
+# is defined, a lever step leaves the model's regime, the gain is too small to divide by.
 PAR_OK, PAR_REGIME, PAR_NOISE = 0, 1, 2
+PAR_STATUSES = ("ok", "skipped-regime", "skipped-degenerate")
 
 
 class _ModelParams(_Record):

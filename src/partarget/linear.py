@@ -98,8 +98,9 @@ def value_linear_array(mu, beta_norm, gamma_s, alpha):
     broadcast gamma_s and alpha (a NumPy scalar when both are scalars).
 
     mu, beta_norm and gamma_s are not validated; alpha outside (0, 1)
-    raises :class:`DomainError`, and the result is the policy's value only
-    for alpha < 1/2.
+    raises :class:`DomainError`.  The result is the policy's value up to
+    alpha* = Phi(mu/(gamma_s*beta_norm)) (see the module docstring); the
+    float functions refuse alpha >= 1/2 by choice.
     """
     import numpy as np
 
@@ -150,14 +151,14 @@ def par_linear_array(mu, beta_norm, gamma_s, alpha, d: LeverDelta):
     if d.delta_r2 <= 0.0:
         raise DegenerateLeverError("delta_r2 must be positive to form a ratio")
     gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (gamma_s, alpha))
-    regime = (alpha + d.delta_alpha >= 0.5) | (gamma_s + d.delta_r2 > 1.0)
     mu, beta_norm, _ = _in_welfare_unit(mu, beta_norm)
-    # A step out of the regime takes g at the cell itself, then is masked.
+    # The access step takes g by its own rule: one at or past 1/2 takes g(1/2), then is masked.
     g, g_up = (gaussian.at_distinct(gaussian.phi_of_quantile, a)
-               for a in (alpha, np.where(regime, alpha, alpha + d.delta_alpha)))
+               for a in (alpha, np.minimum(alpha + d.delta_alpha, 0.5)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         par = _par(mu, beta_norm, gamma_s, alpha, d, g, g_up)
-    status = np.where(regime, PAR_REGIME, np.where(np.isfinite(par), PAR_OK, PAR_NOISE))
+    status = np.where((alpha + d.delta_alpha >= 0.5) | (gamma_s + d.delta_r2 > 1.0),
+                      PAR_REGIME, np.where(np.isfinite(par), PAR_OK, PAR_NOISE))
     return np.where(status == PAR_OK, par, np.nan), status
 
 

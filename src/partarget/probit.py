@@ -250,17 +250,17 @@ def par_probit_array(
             f"delta_alpha must be 0 or >= {MIN_DELTA}, got {d.delta_alpha!r}"
         )
     b, gamma_s, alpha = (np.asarray(x, dtype=float)[()] for x in (base_rate, gamma_s, alpha))
-    regime = (alpha + d.delta_alpha > 1.0) | (gamma_s + d.delta_r2 > 1.0)
-    # Steps out of the regime are evaluated at the cell itself, then masked.
+    # Each lever's step is taken by its own rule: one past 1 is evaluated at 1, then masked.
+    alpha_up = np.minimum(alpha + d.delta_alpha, 1.0)
     h, k = (gaussian.at_distinct(gaussian._ndtri_float, x) for x in (alpha, b))
     v0 = _value(b, gamma_s, alpha, h, k)
-    alpha_up = np.where(regime, alpha, alpha + d.delta_alpha)
     va = _value(b, gamma_s, alpha_up, gaussian.at_distinct(gaussian._ndtri_float, alpha_up), k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gain = _value(b, np.where(regime, gamma_s, gamma_s + d.delta_r2), alpha, h, k) - v0
+        gain = _value(b, np.minimum(gamma_s + d.delta_r2, 1.0), alpha, h, k) - v0
         par = (va - v0) / gain
     ok = (gain > GAIN_FLOOR) & np.isfinite(par)
-    status = np.where(regime, PAR_REGIME, np.where(ok, PAR_OK, PAR_NOISE))
+    status = np.where((alpha + d.delta_alpha > 1.0) | (gamma_s + d.delta_r2 > 1.0),
+                      PAR_REGIME, np.where(ok, PAR_OK, PAR_NOISE))
     return np.where(status == PAR_OK, par, np.nan), status
 
 

@@ -122,3 +122,14 @@ def test_golden_sums(alpha, linear, probit):
     assert linear_sums(2026, GOLDEN_N, 1.0, 3.0, math.sqrt(91.0), threshold) == linear
     assert probit_sums(2026, GOLDEN_N, -1.2815515655446004, 0.3, math.sqrt(0.91),
                        threshold) == probit
+
+
+def test_golden_sums_every_sample_treated():
+    # At alpha = 1 (threshold -inf) a block's 2**18 samples are all treated, so
+    # the quantile takes each block in four batches of central and tail
+    # elements; n spans two blocks and a short third.
+    n = 2**19 + 12_345
+    assert linear_sums(2026, n, 1.0, 3.0, math.sqrt(91.0), -math.inf) == (
+        530556.312113646, 54139558.807885975)
+    assert probit_sums(2026, n, -1.2815515655446004, 0.3, math.sqrt(0.91), -math.inf) == (
+        53436.0, 53436.0)

@@ -721,7 +721,69 @@ class TestAllocate:
         assert "header" in err
 
 
+# Values at each flag's edges: NaN, the infinities, signed zero, subnormals and
+# overflow, and counts, sample sizes and seeds out of range, none slow to run.
+ODD_FLOATS = ("nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e-320", "1e-5", "0.5", "1",
+              "1.5", "-1", "1e308")
+ODD_INTS = ("0", "-1", "2", "5", "10000", str(10**30))
+INT_FLAGS = ("--alpha-count", "--gamma-count", "--samples", "--seed")
+# Commands that compute, flag by flag (None marks a switch), with values from the sets above.
+MODEL_ARGS = {"linear": {"--mu": "1", "--beta-norm": "0.5"}, "probit": {"--base-rate": "1e-5"}}
+POINT_ARGS = {"--gamma-s": "0.5", "--alpha": "1e-5"}
+LEVER_ARGS = {"--delta-alpha": "1e-5", "--delta-r2": "1e-5"}
+COMMAND_ARGS = {
+    "value": {**POINT_ARGS, "--machine": None},
+    "par": {**POINT_ARGS, **LEVER_ARGS},
+    "bounds": {**POINT_ARGS, **LEVER_ARGS},
+    "verify": {**POINT_ARGS, "--samples": "10000", "--seed": "5"},
+    "grid": {"--alpha-lo": "1e-5", "--alpha-hi": "0.5", "--alpha-count": "5",
+             "--gamma-lo": "0", "--gamma-hi": "1", "--gamma-count": "5", **LEVER_ARGS,
+             "--cost-access": "1", "--cost-prediction": "1", "--clip-lo": "0.5",
+             "--clip-hi": "1.5", "--alpha-spacing": "linear", "--format": "json"},
+}
+# A flag is kept, dropped or given an odd value; and seldom the other model's flags join.
+FATES = ("keep",) * 13 + ("drop",) + ("odd",) * 2
+
+
+@st.composite
+def odd_argv(draw) -> list:
+    """A command that computes, with some of its flags dropped or given a value
+    at its edges, and seldom with the other model's flags too."""
+    command = draw(st.sampled_from(sorted(COMMAND_ARGS)))
+    model, other = draw(st.permutations(inputs.MODEL_NAMES))
+    flags = {"--model": model, **MODEL_ARGS[model], **COMMAND_ARGS[command]}
+    if command == "bounds" and model == "probit":
+        flags["--eps"] = "1e-5"
+    if draw(st.sampled_from(FATES)) == "odd":
+        flags.update(MODEL_ARGS[other])
+    argv = [command]
+    for flag, value in flags.items():
+        fate = draw(st.sampled_from(FATES))
+        if fate == "odd" and flag not in ("--model", "--alpha-spacing", "--format", "--machine"):
+            value = draw(st.sampled_from(ODD_INTS if flag in INT_FLAGS else ODD_FLOATS))
+        if fate != "drop":
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
 class TestExitCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=odd_argv())
+    def test_no_argv_escapes_run(self, argv):
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        out.flush()
+        assert code in (0, 1, 2)
+        # a failed verify reports on stdout alone, as every result is reported
+        failed_verify = code == 1 and out.buffer.getvalue().endswith(b"result fail (4 standard "
+                                                                     b"errors)\n")
+        if code and not failed_verify:
+            assert err.getvalue().startswith(("error:", "numerical failure:", "i/o error:",
+                                              "usage:"))
+        else:
+            assert err.getvalue() == ""
+
     def test_domain_error_is_two(self, capsys):
         code, _, err = run_cli(capsys, "value", "--model", "linear", "--mu", "1",
                                "--beta-norm", "10", "--gamma-s", "0", "--alpha", "0.7")

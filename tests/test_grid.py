@@ -15,6 +15,7 @@ from partarget.errors import (
     DomainError,
     NumericsError,
     PartargetError,
+    RegimeError,
 )
 from partarget.grid import (
     CSV_HEADER,
@@ -517,6 +518,37 @@ class TestSweepMatchesScalarCalls:
             "linear-rounded-alpha-step"])
     def test_examples_equal_scalar_calls(self, model, deltas):
         self.check({**self.EXAMPLES[model], "deltas": deltas})
+
+    # Lever steps onto each model's edge, and past it.  Probit: alpha +
+    # delta_alpha and gamma_s + delta_r2 are 1 at 0.75, past it at 0.875 and 1.
+    # Linear: alpha + delta_alpha is the double below 1/2, then 1/2 itself.
+    EDGES = {
+        "probit": dict(
+            model="probit", alpha_lo=0.5, alpha_hi=0.875, alpha_count=4, alpha_spacing="linear",
+            gamma_lo=0.5, gamma_hi=1.0, gamma_count=3, deltas=LeverDelta(0.25, 0.25),
+            costs=CostModel(1.0, 1.0), base_rate=0.1),
+        "linear": dict(
+            model="linear", alpha_lo=math.nextafter(0.375, 0.0), alpha_hi=0.375,
+            alpha_count=2, gamma_lo=0.0, gamma_hi=1.0, gamma_count=3,
+            deltas=LeverDelta(0.125, 0.01), costs=CostModel(1.0, 1.0), mu=1.0, beta_norm=10.0),
+    }
+    EDGE_STATUSES = {
+        "probit": {(0.75, 0.5): STATUS_OK, (0.5, 0.75): STATUS_OK, (0.75, 0.75): STATUS_OK,
+                   (0.875, 0.5): STATUS_SKIPPED_REGIME, (0.5, 1.0): STATUS_SKIPPED_REGIME},
+        "linear": {(math.nextafter(0.375, 0.0), 0.5): STATUS_OK,
+                   (0.375, 0.5): STATUS_SKIPPED_REGIME},
+    }
+
+    @pytest.mark.parametrize("model", ["linear", "probit"])
+    def test_steps_onto_each_edge_equal_scalar_calls(self, model):
+        fields = self.EDGES[model]
+        self.check(fields)
+        cells = sweep_grid(GridSpec(**fields)).cells
+        status = {(c.alpha, c.gamma_s): c.status for c in cells}
+        assert {k: status[k] for k in self.EDGE_STATUSES[model]} == self.EDGE_STATUSES[model]
+        if model == "linear":
+            with pytest.raises(RegimeError):
+                par_linear_exact(LinearParams(1.0, 10.0, 0.5), 0.375, fields["deltas"])
 
     @pytest.mark.parametrize("model", ["linear", "probit"])
     def test_overflowing_price_skipped_like_scalar_call(self, model):

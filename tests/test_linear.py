@@ -227,6 +227,22 @@ class TestParExact:
         assert par > 0.0
 
 
+class TestGTakenOnce:
+    def test_sweep_takes_each_distinct_g_once(self, monkeypatch):
+        # Every access step that reaches 1/2 takes g(1/2), so a sweep takes g at
+        # its 200 alphas, at the 162 steps below 1/2 and at 1/2 itself.
+        taken = []
+        phi_of_quantile = gaussian.phi_of_quantile
+        monkeypatch.setattr(gaussian, "phi_of_quantile",
+                            lambda a: taken.append(a) or phi_of_quantile(a))
+        g = sweep_grid(GridSpec(
+            model="linear", mu=1.0, beta_norm=10.0, alpha_lo=0.01, alpha_hi=0.6,
+            alpha_count=200, alpha_spacing="linear", gamma_lo=0.01, gamma_hi=0.99,
+            gamma_count=200, deltas=LeverDelta(0.01, 0.01), costs=CostModel(1.0, 1.0)))
+        assert np.sum(g.cells["status"] == "skipped-regime") == 38 * 200
+        assert len(taken) == 363 and taken.count(0.5) == 1
+
+
 class TestParBounds:
     def test_structural_factor_four(self):
         rng = np.random.default_rng(11)

@@ -285,6 +285,30 @@ class TestQuantilesTakenOnce:
         # 25 alphas, 25 alphas + delta_alpha and one base rate
         assert calls["quantile"] == 51
 
+    def test_access_step_does_not_depend_on_the_prediction_step(self, calls):
+        # The last gamma row steps past 1, but each cell's access step is taken
+        # at alpha + delta_alpha all the same, so the row adds no quantile.
+        from partarget.grid import GridSpec, sweep_grid
+        from partarget.inputs import CostModel
+        spec = GridSpec(model="probit", base_rate=0.1, alpha_lo=1e-3, alpha_hi=0.3,
+                        alpha_count=25, gamma_lo=0.01, gamma_hi=1.0, gamma_count=25,
+                        deltas=LeverDelta(1e-3, 1e-3), costs=CostModel(1.0, 1.0))
+        g = sweep_grid(spec)
+        assert np.sum(g.cells["status"] == "skipped-regime") == 25
+        assert calls["quantile"] == 51
+
+    def test_access_steps_past_1_take_the_quantile_at_1(self, calls):
+        from partarget.grid import GridSpec, sweep_grid
+        from partarget.inputs import CostModel
+        spec = GridSpec(model="probit", base_rate=0.1, alpha_lo=0.5, alpha_hi=0.98,
+                        alpha_count=25, alpha_spacing="linear", gamma_lo=0.01, gamma_hi=0.9,
+                        gamma_count=25, deltas=LeverDelta(0.25, 1e-3), costs=CostModel(1.0, 1.0))
+        g = sweep_grid(spec)
+        assert np.sum(g.cells["status"] == "skipped-regime") == 12 * 25
+        # alpha = 0.5 + 0.02 i: 25 alphas, the 13 steps below 1, 1 itself for the
+        # 12 steps past it, and one base rate
+        assert calls["quantile"] == 40
+
 
 class TestParBounds:
     def test_positive_and_ordered(self):
