@@ -285,29 +285,24 @@ class TestQuantilesTakenOnce:
         # 25 alphas, 25 alphas + delta_alpha and one base rate
         assert calls["quantile"] == 51
 
-    def test_access_step_does_not_depend_on_the_prediction_step(self, calls):
-        # The last gamma row steps past 1, but each cell's access step is taken
-        # at alpha + delta_alpha all the same, so the row adds no quantile.
+    # Each lever's step is taken by its own rule.  The last gamma row steps past
+    # 1, and its access steps are taken at alpha + delta_alpha all the same: 25
+    # alphas, 25 steps and one base rate.  Alpha = 0.5 + 0.02 i steps past 1
+    # from i = 13, and those 12 steps take the one quantile at 1: 25 alphas, 13
+    # steps below 1, 1 itself and one base rate.
+    @pytest.mark.parametrize("fields, skipped, quantiles", [
+        (dict(alpha_lo=1e-3, alpha_hi=0.3, gamma_hi=1.0, deltas=LeverDelta(1e-3, 1e-3)), 25, 51),
+        (dict(alpha_lo=0.5, alpha_hi=0.98, alpha_spacing="linear", gamma_hi=0.9,
+              deltas=LeverDelta(0.25, 1e-3)), 12 * 25, 40),
+    ], ids=["prediction-step-past-1", "access-step-past-1"])
+    def test_each_step_takes_its_own_quantiles(self, calls, fields, skipped, quantiles):
         from partarget.grid import GridSpec, sweep_grid
         from partarget.inputs import CostModel
-        spec = GridSpec(model="probit", base_rate=0.1, alpha_lo=1e-3, alpha_hi=0.3,
-                        alpha_count=25, gamma_lo=0.01, gamma_hi=1.0, gamma_count=25,
-                        deltas=LeverDelta(1e-3, 1e-3), costs=CostModel(1.0, 1.0))
+        spec = GridSpec(model="probit", base_rate=0.1, alpha_count=25, gamma_lo=0.01,
+                        gamma_count=25, costs=CostModel(1.0, 1.0), **fields)
         g = sweep_grid(spec)
-        assert np.sum(g.cells["status"] == "skipped-regime") == 25
-        assert calls["quantile"] == 51
-
-    def test_access_steps_past_1_take_the_quantile_at_1(self, calls):
-        from partarget.grid import GridSpec, sweep_grid
-        from partarget.inputs import CostModel
-        spec = GridSpec(model="probit", base_rate=0.1, alpha_lo=0.5, alpha_hi=0.98,
-                        alpha_count=25, alpha_spacing="linear", gamma_lo=0.01, gamma_hi=0.9,
-                        gamma_count=25, deltas=LeverDelta(0.25, 1e-3), costs=CostModel(1.0, 1.0))
-        g = sweep_grid(spec)
-        assert np.sum(g.cells["status"] == "skipped-regime") == 12 * 25
-        # alpha = 0.5 + 0.02 i: 25 alphas, the 13 steps below 1, 1 itself for the
-        # 12 steps past it, and one base rate
-        assert calls["quantile"] == 40
+        assert np.sum(g.cells["status"] == "skipped-regime") == skipped
+        assert calls["quantile"] == quantiles
 
 
 class TestParBounds:
